@@ -6,7 +6,10 @@ inversion exponent replaces |k|^-2 by |k|^(-2 alpha) mode-wise (realized with
 the real symbol -|k|^(-2 alpha), which reduces to the Laplacian inverse at
 alpha = 1).  Time stepping is classical RK4 with 2/3-rule dealiasing applied
 to the advection product, and the spectral zero mode is never touched so the
-mean is conserved bit-for-bit.
+mean is conserved bit-for-bit.  At alpha = 1 theta is the vorticity of u and
+the product takes Basdevant's form dxdy(v^2 - u^2) + (dxx - dyy)(uv), four
+transforms per RHS; at alpha != 1 that identity fails and u . grad theta
+costs five.
 """
 
 from __future__ import annotations
@@ -59,6 +62,12 @@ class SimState:
         return self.theta.grid
 
 
+def _require_vorticity(theta):
+    if not np.all(np.isfinite(theta.values)):
+        raise InvalidFieldError("vorticity contains non-finite values")
+    theta.require_zero_mean(what="vorticity")
+
+
 def velocity_from_vorticity(theta, inversion_exponent=1.0):
     """Invert vorticity to the divergence-free velocity (-psi_y, psi_x).
 
@@ -68,9 +77,7 @@ def velocity_from_vorticity(theta, inversion_exponent=1.0):
     """
     if inversion_exponent < 1.0:
         raise ValueError("inversion exponent must be >= 1")
-    if not np.all(np.isfinite(theta.values)):
-        raise InvalidFieldError("vorticity contains non-finite values")
-    theta.require_zero_mean(what="vorticity")
+    _require_vorticity(theta)
     g = theta.grid
     psi_hat = -theta.spectrum * g.inv_k2_power(inversion_exponent)
     u_hat = -1j * g.ky * psi_hat
@@ -80,37 +87,103 @@ def velocity_from_vorticity(theta, inversion_exponent=1.0):
     )
 
 
-def _advection_rhs(theta_hat, grid, inv_k2a):
-    """Spectral RHS of theta_t = -(u . grad theta), dealiased, plus max speed.
+class _AdvectionKernel:
+    """Spectral RHS of theta_t = -(u . grad theta) and the RK4 stage buffers.
 
-    Inputs of the quadratic product are truncated to the 2/3 band, so aliasing
-    cannot contaminate retained modes; the product is truncated again and its
-    zero mode forced to exactly zero.
+    Built once per ``run`` or ``step_rk4`` call for one grid and exponent.
+    The multipliers fuse inversion, derivative and the 2/3 mask, so a stage
+    starts from the undealiased spectrum.  At alpha = 1 theta = curl u and
+    the advection term takes Basdevant's form u . grad w = dxdy(v^2 - u^2) +
+    (dxx - dyy)(uv): two inverse transforms (u, v) and two forward ones.  At
+    alpha != 1 it stays u . grad theta: four inverse transforms (u, v,
+    theta_x, theta_y) and one forward.  The product is truncated to the 2/3
+    band and its zero mode set to exactly zero.
+
+    Dealiased spectra vanish beyond the columns ky <= n/3, so stage buffers
+    hold those ``width`` columns only and the first-axis transforms skip the
+    rest.  Transforms are numpy.fft calls writing into preallocated arrays:
+    the pocketfft arithmetic of scipy's ``rfft2``/``irfft2``, bit for bit,
+    without a fresh output array per transform.
     """
-    n = grid.n
-    th = theta_hat * grid.dealias
-    psi_hat = -th * inv_k2a
-    u = _fft.irfft2(-1j * grid.ky * psi_hat, s=(n, n))
-    v = _fft.irfft2(1j * grid.kx * psi_hat, s=(n, n))
-    tx = _fft.irfft2(1j * grid.kx * th, s=(n, n))
-    ty = _fft.irfft2(1j * grid.ky * th, s=(n, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # overflow here is the blow-up signal; the caller checks finiteness
-        rhs = -_fft.rfft2(u * tx + v * ty)
-    rhs *= grid.dealias
-    rhs[0, 0] = 0.0
-    speed = max(np.max(np.abs(u)), np.max(np.abs(v)))
-    return rhs, speed
+
+    def __init__(self, grid, inversion_exponent):
+        n, m = grid.n, grid.n // 3 + 1
+        kx, ky, keep = grid.kx, grid.ky[:, :m], grid.dealias[:, :m]
+        inv = grid.inv_k2_power(inversion_exponent)[:, :m] * keep
+        self.n, self.width = n, m
+        # u = -psi_y, v = psi_x with psi_hat = -|k|^(-2 alpha) theta_hat
+        self.to_u, self.to_v = 1j * ky * inv, -1j * kx * inv
+        self.basdevant = inversion_exponent == 1.0
+        if self.basdevant:  # RHS = kx ky F(v^2 - u^2) + (kx^2 - ky^2) F(uv)
+            self.products = (kx * ky * keep, (kx * kx - ky * ky) * keep)
+        else:  # RHS = -F(u theta_x + v theta_y)
+            self.products = (1j * kx * keep, 1j * ky * keep, -1.0 * keep)
+        self.stage, self.k = np.empty((n, m), complex), np.empty((n, m), complex)
+        self._spec_in = np.zeros((n, n // 2 + 1), complex)  # columns >= m stay 0
+        self._spec_out = np.empty_like(self._spec_in)
+        self._u, self._v, self._scratch = (np.empty((n, n)) for _ in range(3))
+
+    def _inverse(self, band, out):
+        """irfft2 of a spectrum that is zero beyond the band columns."""
+        np.fft.ifft(band, axis=0, out=self._spec_in[:, : self.width])
+        return np.fft.irfft(self._spec_in, self.n, axis=1, out=out)
+
+    def _forward(self, values):
+        """Band columns of rfft2(values), a view into a reused buffer."""
+        np.fft.rfft(values, axis=1, out=self._spec_out)
+        band = self._spec_out[:, : self.width]
+        return np.fft.fft(band, axis=0, out=band)
+
+    def rhs(self, theta_hat, out):
+        """Write the RHS band into ``out`` (n x width); return the max speed.
+
+        ``theta_hat`` may be a full half-spectrum or a band; ``out`` is also
+        the scratch for transform inputs, so it must not alias ``theta_hat``.
+        """
+        band, scratch = theta_hat[:, : self.width], self._scratch
+        u = self._inverse(np.multiply(band, self.to_u, out=out), self._u)
+        v = self._inverse(np.multiply(band, self.to_v, out=out), self._v)
+        speed = max(u.max(), -u.min(), v.max(), -v.min())
+        with np.errstate(over="ignore", invalid="ignore"):
+            # overflow here is the blow-up signal; the caller checks finiteness
+            if self.basdevant:
+                m_xy, m_diff = self.products
+                np.multiply(u, v, out=scratch)
+                u *= u
+                v *= v
+                v -= u
+                np.multiply(self._forward(v), m_xy, out=out)
+                uv_hat = self._forward(scratch)
+                uv_hat *= m_diff
+                out += uv_hat
+            else:
+                m_x, m_y, m_minus = self.products
+                u *= self._inverse(np.multiply(band, m_x, out=out), scratch)
+                v *= self._inverse(np.multiply(band, m_y, out=out), scratch)
+                u += v
+                np.multiply(self._forward(u), m_minus, out=out)
+        out[0, 0] = 0.0
+        return float(speed)
 
 
-def _rk4_spectrum(theta_hat, grid, inv_k2a, dt):
-    k1, speed = _advection_rhs(theta_hat, grid, inv_k2a)
-    k2, _ = _advection_rhs(theta_hat + 0.5 * dt * k1, grid, inv_k2a)
-    k3, _ = _advection_rhs(theta_hat + 0.5 * dt * k2, grid, inv_k2a)
-    k4, _ = _advection_rhs(theta_hat + dt * k3, grid, inv_k2a)
-    out = theta_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_spectrum(theta_hat, kernel, dt_for_speed):
+    """One classical RK4 step; returns the new spectrum and the dt taken.
+
+    dt is ``dt_for_speed`` of the max speed of theta_hat itself, read off the
+    first stage, so a CFL bound holds for the state being advanced.
+    """
+    stage, k = kernel.stage, kernel.k
+    out = theta_hat.copy()  # modes beyond the band have zero RHS
+    band, acc = theta_hat[:, : kernel.width], out[:, : kernel.width]
+    dt = dt_for_speed(kernel.rhs(theta_hat, k))  # k = k1
+    for weight, shift in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0), (1.0, None)):
+        acc += np.multiply(k, weight * dt / 6.0, out=stage)
+        if shift is not None:
+            np.multiply(k, shift * dt, out=stage)
+            stage += band
+            kernel.rhs(stage, k)  # k2, k3, k4
     out[0, 0] = theta_hat[0, 0]  # mean preserved bit-for-bit
-    return out, speed
+    return out, dt
 
 
 def step_rk4(state, dt):
@@ -123,15 +196,19 @@ def step_rk4(state, dt):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    theta = state.theta
+    _require_vorticity(theta)
     g = state.grid
-    inv_k2a = g.inv_k2_power(state.inversion_exponent)
-    vel = velocity_from_vorticity(state.theta, state.inversion_exponent)
-    speed = vel.max_speed()
-    if speed > 0.0:
-        admissible = g.spacing / speed
-        if dt > admissible * (1.0 + 1e-9):
-            raise CFLViolation(dt, admissible)
-    new_hat, _ = _rk4_spectrum(state.theta.spectrum.copy(), g, inv_k2a, dt)
+
+    def checked_dt(speed):
+        if speed > 0.0:
+            admissible = g.spacing / speed
+            if dt > admissible * (1.0 + 1e-9):
+                raise CFLViolation(dt, admissible)
+        return dt
+
+    kernel = _AdvectionKernel(g, state.inversion_exponent)
+    new_hat, _ = _rk4_spectrum(theta.spectrum, kernel, checked_dt)
     if not np.all(np.isfinite(new_hat)):
         raise BlowUpError(state.time)
     return replace(
@@ -190,27 +267,31 @@ def kinetic_energy(theta, inversion_exponent=1.0):
     return float(0.5 * (2.0 * np.pi) ** 2 / g.n**4 * total)
 
 
+def _cell_sum(state, integrand):
+    return float(np.sum(integrand(state.theta.values)) * state.grid.cell_area)
+
+
+# one function per quantity, so each diagnostic key computes only its own
+_CONSERVED = {
+    "energy": lambda s: kinetic_energy(s.theta, s.inversion_exponent),
+    "enstrophy": lambda s: _cell_sum(s, lambda tv: tv * tv),
+    "l1": lambda s: _cell_sum(s, np.abs),
+    "l2": lambda s: float(np.sqrt(_cell_sum(s, lambda tv: tv * tv))),
+    "l4": lambda s: _cell_sum(s, lambda tv: tv**4) ** 0.25,
+    "linf": lambda s: float(np.max(np.abs(s.theta.values))),
+    "mean": lambda s: s.theta.mean,
+}
+
+
 def conserved_quantities(state):
     """Energy, enstrophy, L^p norms (p in {1, 2, 4, inf}) and mean of theta."""
-    theta = state.theta
-    g = theta.grid
-    tv = theta.values
-    da = g.cell_area
-    return {
-        "energy": kinetic_energy(theta, state.inversion_exponent),
-        "enstrophy": float(np.sum(tv * tv) * da),
-        "l1": float(np.sum(np.abs(tv)) * da),
-        "l2": float(np.sqrt(np.sum(tv * tv) * da)),
-        "l4": float(np.sum(tv**4) * da) ** 0.25,
-        "linf": float(np.max(np.abs(tv))),
-        "mean": theta.mean,
-    }
+    return {name: fn(state) for name, fn in _CONSERVED.items()}
 
 
 DEFAULT_DIAGNOSTICS = {
     "grad_sup": lambda s: grad_sup_norm(s.theta),
-    "energy": lambda s: conserved_quantities(s)["energy"],
-    "enstrophy": lambda s: conserved_quantities(s)["enstrophy"],
+    "energy": _CONSERVED["energy"],
+    "enstrophy": _CONSERVED["enstrophy"],
 }
 
 
@@ -219,7 +300,7 @@ def diagnostics_with_norms():
     diags = dict(DEFAULT_DIAGNOSTICS)
     diags["h2"] = lambda s: h2_seminorm(s.theta)
     for p in ("l1", "l2", "l4", "linf"):
-        diags[p] = (lambda key: lambda s: conserved_quantities(s)[key])(p)
+        diags[p] = _CONSERVED[p]
     return diags
 
 
@@ -262,7 +343,7 @@ def run(
         return RunResult(state, recorder.to_series(), steps=0, velocity_log=[] if log_velocity else None)
 
     g = state.grid
-    inv_k2a = g.inv_k2_power(state.inversion_exponent)
+    kernel = _AdvectionKernel(g, state.inversion_exponent)
     if sample_every is None:
         sample_every = (t_end - state.time) / 50.0
     t0 = state.time
@@ -274,18 +355,19 @@ def run(
             vel = velocity_from_vorticity(st.theta, st.inversion_exponent)
             vel_log.append((st.time, vel.u.values.copy(), vel.v.values.copy()))
 
+    def dt_for_speed(speed):
+        # reads the loop's current t and t_sample; t_sample <= t_end
+        dt = cfl * g.spacing / speed if speed > 0.0 else (t_end - t)
+        return min(dt, t_sample - t)
+
     sample(state)
-    theta_hat = state.theta.spectrum.copy()
+    theta_hat = state.theta.spectrum
     t = t0
     steps = 0
     next_idx = 1
-    # speed for the first step comes from a throwaway RHS evaluation
-    _, speed = _advection_rhs(theta_hat, g, inv_k2a)
     while t < t_end - 1e-13:
-        dt = cfl * g.spacing / speed if speed > 0.0 else (t_end - t)
         t_sample = min(t0 + next_idx * sample_every, t_end)
-        dt = min(dt, t_end - t, t_sample - t)
-        theta_hat, speed = _rk4_spectrum(theta_hat, g, inv_k2a, dt)
+        theta_hat, dt = _rk4_spectrum(theta_hat, kernel, dt_for_speed)
         if not np.all(np.isfinite(theta_hat)):
             raise BlowUpError(t)
         t += dt

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import fft
 
 import vcross as vc
 from conftest import evenness_error
+from vcross import solver
 from vcross.experiments import shear_state, smooth_random_field
 from vcross.solver import diagnostics_with_norms
 
@@ -114,6 +116,77 @@ class TestStepRK4:
         assert state.theta.spectrum[0, 0] == zero_mode
 
 
+def band_limited_spectrum(grid, seed):
+    """Seeded white-noise spectrum truncated to the 2/3 band, zero mean."""
+    rng = np.random.default_rng(seed)
+    spec = fft.rfft2(rng.standard_normal((grid.n, grid.n))) * grid.dealias
+    spec[0, 0] = 0.0
+    return spec
+
+
+def transport_rhs(theta_hat, grid, alpha):
+    """Five-transform RHS -(u . grad theta), dealiased, and the max speed."""
+    s = (grid.n, grid.n)
+    th = theta_hat * grid.dealias
+    psi_hat = -th * grid.inv_k2_power(alpha)
+    u = fft.irfft2(-1j * grid.ky * psi_hat, s=s)
+    v = fft.irfft2(1j * grid.kx * psi_hat, s=s)
+    tx = fft.irfft2(1j * grid.kx * th, s=s)
+    ty = fft.irfft2(1j * grid.ky * th, s=s)
+    rhs = -fft.rfft2(u * tx + v * ty) * grid.dealias
+    rhs[0, 0] = 0.0
+    return rhs, max(np.max(np.abs(u)), np.max(np.abs(v)))
+
+
+class TestAdvectionKernel:
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_rhs_matches_transport_form(self, n, seed, alpha):
+        # at alpha = 1 the kernel uses the four-transform Basdevant form
+        grid = vc.Grid(n)
+        theta_hat = band_limited_spectrum(grid, seed)
+        kernel = solver._AdvectionKernel(grid, alpha)
+        out = np.empty((n, kernel.width), dtype=complex)
+        speed = kernel.rhs(theta_hat, out)
+        ref, ref_speed = transport_rhs(theta_hat, grid, alpha)
+        m = kernel.width
+        assert np.max(np.abs(out - ref[:, :m])) <= 1e-10 * np.max(np.abs(ref))
+        assert np.all(ref[:, m:] == 0.0)  # nothing is dropped beyond the band
+        assert speed == pytest.approx(ref_speed, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_zero_mode_exactly_zero(self, grid64, alpha):
+        theta_hat = band_limited_spectrum(grid64, 3)
+        theta_hat[0, 0] = 64.0 * 64.0 * 0.7  # a mean the RHS must not feel
+        kernel = solver._AdvectionKernel(grid64, alpha)
+        out = np.full((64, kernel.width), np.nan, dtype=complex)
+        kernel.rhs(theta_hat, out)
+        assert out[0, 0] == 0.0
+
+    def test_run_blowup_raises(self, grid64):
+        spec = np.zeros((64, 33), dtype=complex)
+        spec[1, 0] = 1e300
+        spec[0, 1] = 1e300
+        state = vc.SimState(vc.ScalarField.from_spectrum(grid64, spec), time=2.5)
+        with pytest.raises(vc.BlowUpError) as err:
+            vc.run(state, 3.0, diagnostics={"mean": lambda s: s.theta.mean})
+        assert err.value.time == 2.5
+
+    def test_generalized_invariant_conserved(self, grid128):
+        # sum |k|^(-2 alpha) |theta_hat|^2 is conserved by the dealiased
+        # dynamics at every alpha; what drifts is RK4 truncation, 1.7e-10 at
+        # cfl 0.4 and 6.5e-12 at cfl 0.2 here (about dt^5 per step)
+        alpha = 1.5
+        weights = solver._spectral_weights(grid128) * grid128.inv_k2_power(alpha)
+        state = vc.SimState(smooth_random_field(grid128, seed=4), inversion_exponent=alpha)
+        result = vc.run(state, 1.0, cfl=0.2, sample_every=0.5)
+        q0, q1 = (
+            np.sum(weights * np.abs(st.theta.spectrum) ** 2) for st in (state, result.state)
+        )
+        assert abs(q1 - q0) <= 1e-10 * q0
+
+
 class TestRun:
     def test_noop_run(self, grid64):
         state = vc.SimState(smooth_random_field(grid64, seed=2), time=1.0)
@@ -181,6 +254,27 @@ class TestRun:
         g1 = base.series["grad_sup"].values
         g2 = scaled.series["grad_sup"].values
         assert np.max(np.abs(mu * g1 - g2)) <= 1e-12 * np.max(g2)
+
+    def test_cfl_holds_at_every_step_start(self, grid64, monkeypatch):
+        # the max speed grows over this run, so a dt taken from the speed of
+        # the previous step's state would overshoot the CFL number
+        steps = []
+        rk4 = solver._rk4_spectrum
+
+        def spy(theta_hat, kernel, dt_for_speed):
+            out, dt = rk4(theta_hat, kernel, dt_for_speed)
+            steps.append((theta_hat, dt))
+            return out, dt
+
+        monkeypatch.setattr(solver, "_rk4_spectrum", spy)
+        vc.run(vc.SimState(smooth_random_field(grid64, seed=2)), 1.0, sample_every=1.0)
+        speeds = [
+            vc.velocity_from_vorticity(vc.ScalarField.from_spectrum(grid64, th)).max_speed()
+            for th, _ in steps
+        ]
+        assert speeds[-1] > 1.05 * speeds[0]
+        for (_, dt), speed in zip(steps, speeds):
+            assert dt * speed / grid64.spacing <= 0.4 * (1.0 + 1e-12)
 
     def test_velocity_log(self, grid64):
         state = vc.SimState(smooth_random_field(grid64, seed=2))
