@@ -28,6 +28,7 @@ from .model import (
     fit_leading_order_bound,
     integrate_trajectory,
     integrate_variational,
+    integrate_variational_batch,
 )
 from .series import DiagnosticSeries, RateFit
 from .solver import (

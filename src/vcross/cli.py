@@ -33,7 +33,7 @@ from .model import (
     WedgeRegion,
     check_perturbation_admissible,
     contraction_floor,
-    integrate_variational,
+    integrate_variational_batch,
 )
 from .manifest import RunManifest, read_manifest
 from .series import format_value, write_series_csv
@@ -108,7 +108,7 @@ def _build_initial(cfg, grid, ladder):
         return smooth_random_field(
             grid,
             seed=cfg.get_int("init", "seed", 0),
-            sup=cfg.get_float("init", "amplitude", 1.0),
+            l2=cfg.get_float("init", "amplitude", 1.0),
         )
     if kind == "cross":
         return mollified_cross(grid, cfg.get_float("init", "sigma"))
@@ -249,11 +249,11 @@ def cmd_model(args):
     manifest = RunManifest(
         "model", cfg.raw_text, out, ladder_text=ladder.serialize()
     )
+    paths = integrate_variational_batch(
+        points, T, perturbation=pert, variant=variant, region=region, dt=dt
+    )
     summary_rows = []
-    for i, (x0, y0) in enumerate(points):
-        path = integrate_variational(
-            (x0, y0), T, perturbation=pert, variant=variant, region=region, dt=dt
-        )
+    for i, ((x0, y0), path) in enumerate(zip(points, paths)):
         path.write_csv(manifest.add_output(os.path.join(out, f"path_{i:03d}.csv")))
         floor_log = contraction_floor(T, y0, 1.0, as_log=True)
         key_bound = (1.0 / y0) ** ((math.exp(T) - 1.0) / 2.0)

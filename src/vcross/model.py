@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DiagnosticSeries, format_value
+from .series import FLOAT_FMT, DiagnosticSeries
 
 AXIS_GUARD = 1e-12
 
@@ -190,7 +190,8 @@ class WedgeRegion:
         return self.contains_log(math.log(x), math.log(y))
 
     def contains_log(self, lx, ly):
-        return (lx > self.log_x_min) and (ly < self.log_y_max) and (ly > 0.5 * lx)
+        """Membership from log coordinates; elementwise for arrays."""
+        return (lx > self.log_x_min) & (ly < self.log_y_max) & (ly > 0.5 * lx)
 
     def sample(self, count, rng):
         """Random interior points: x uniform in range, then y above sqrt(x)."""
@@ -292,18 +293,18 @@ class TrajectoryPath:
         return PhaseState(float(self.x[-1]), float(self.y[-1]), float(self.t[-1]), jac)
 
     def write_csv(self, path):
+        """Columns t,x,y,xa,ya,xb,yb,detJ, cells as ``series.format_value`` renders them."""
         cols = ["t", "x", "y", "xa", "ya", "xb", "yb", "detJ"]
-        jac = self.jac
-        det = self.det_jac
+        if self.jac is not None:
+            jac = self.jac
+            tail = [jac[:, 0, 0], jac[:, 1, 0], jac[:, 0, 1], jac[:, 1, 1], self.det_jac]
+        else:
+            tail = [np.full(self.t.size, v) for v in (1.0, 0.0, 0.0, 1.0, 1.0)]
+        table = np.column_stack([self.t, self.x, self.y] + tail)
+        row = ",".join(["%" + FLOAT_FMT] * len(cols)) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for i in range(self.t.size):
-                row = [self.t[i], self.x[i], self.y[i]]
-                if jac is not None:
-                    row += [jac[i, 0, 0], jac[i, 1, 0], jac[i, 0, 1], jac[i, 1, 1], det[i]]
-                else:
-                    row += [1.0, 0.0, 0.0, 1.0, 1.0]
-                fh.write(",".join(format_value(v) for v in row) + "\n")
+            fh.write("".join(row % tuple(cells) for cells in table.tolist()))
 
 
 def _drift_log_rates(pert, lx, ly, t):
@@ -413,6 +414,9 @@ def integrate_variational(
     first column is (x_a, y_a), the derivative with respect to the initial
     horizontal coordinate.  For the divergence-free exact variant det J stays
     at 1, which the caller can use as a free consistency check.
+
+    This is the single-start fast path on plain floats; a family of starts
+    goes through :func:`integrate_variational_batch` in one vectorised loop.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -468,7 +472,7 @@ def integrate_variational(
             state[0], state[1]
         ):
             exit_time = t
-        if max(abs(state[2]), abs(state[3]), abs(state[4]), abs(state[5])) > 1e250:
+        if not all(abs(j) <= 1e250 for j in state[2:]):  # NaN fails too
             raise OverflowError(
                 "flow-map Jacobian left float range; shorten T or relax the data"
             )
@@ -484,6 +488,101 @@ def integrate_variational(
         exit_time,
         jac=jac,
     )
+
+
+def integrate_variational_batch(
+    starts,
+    T,
+    perturbation=ZERO_PERTURBATION,
+    variant=EXACT,
+    region=None,
+    dt=1e-3,
+):
+    """:func:`integrate_variational` for every start at once; one path per start.
+
+    One RK4 loop advances a (6, count) state -- ln x, ln y, J11, J12, J21,
+    J22 -- with each right-hand side evaluated once per stage for all
+    starts.  The scalar path's guards hold per start: every start is checked
+    against the axis band and the region, each path records its own first
+    exit time, and a Jacobian entry above 1e250 or NaN in any path raises
+    OverflowError.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    logs = [_check_start(p0, region, False) for p0 in starts]
+    count = len(logs)
+    state = np.zeros((6, count))
+    state[:2] = np.asarray(logs, dtype=float).reshape(count, 2).T
+    state[2] = state[5] = 1.0
+    drift_free = perturbation.is_zero
+
+    def rhs(s, t_):
+        lx_, ly_, j11, j12, j21, j22 = s
+        rx, ry = variant.log_rates(lx_, ly_)
+        x = np.exp(lx_)
+        y = np.exp(ly_)
+        (ux, uy), (vx, vy) = variant.jacobian(x, y)
+        if not drift_free:
+            n1, n2 = perturbation.eval(x, y, t_)
+            rx = rx + n1 / x
+            ry = ry + n2 / y
+            (n1x, n1y), (n2x, n2y) = perturbation.grad_fd(x, y, t_)
+            ux = ux + n1x
+            uy = uy + n1y
+            vx = vx + n2x
+            vy = vy + n2y
+        return np.array(
+            (
+                rx,
+                ry,
+                ux * j11 + uy * j21,
+                ux * j12 + uy * j22,
+                vx * j11 + vy * j21,
+                vx * j12 + vy * j22,
+            )
+        )
+
+    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
+    ts = [0.0]
+    history = np.empty((n_steps + 1, 6, count))
+    history[0] = state
+    exit_times = [None] * count
+    t = 0.0
+    for step in range(1, n_steps + 1):
+        h = min(dt, T - t)
+        if h <= 0.0:
+            break
+        k1 = rhs(state, t)
+        k2 = rhs(state + 0.5 * h * k1, t + 0.5 * h)
+        k3 = rhs(state + 0.5 * h * k2, t + 0.5 * h)
+        k4 = rhs(state + h * k3, t + h)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        ts.append(t)
+        history[step] = state
+        if region is not None:
+            for i in np.flatnonzero(~region.contains_log(state[0], state[1])):
+                if exit_times[i] is None:
+                    exit_times[i] = t
+        if not np.all(np.abs(state[2:]) <= 1e250):  # NaN fails too
+            raise OverflowError(
+                "flow-map Jacobian left float range; shorten T or relax the data"
+            )
+    per_start = np.ascontiguousarray(history[: len(ts)].transpose(2, 0, 1))
+    t_arr = np.asarray(ts)
+    return [
+        TrajectoryPath(
+            t_arr,
+            arr[:, 0],
+            arr[:, 1],
+            variant,
+            perturbation,
+            region,
+            exit_times[i],
+            jac=arr[:, 2:].reshape(-1, 2, 2),
+        )
+        for i, arr in enumerate(per_start)
+    ]
 
 
 def contraction_floor(T, y0, envelope_constant, as_log=False):

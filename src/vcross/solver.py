@@ -14,6 +14,7 @@ costs five.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 
@@ -256,19 +257,32 @@ def _spectral_weights(grid):
     return w
 
 
+@functools.lru_cache(maxsize=8)
+def _energy_symbol(grid, inversion_exponent):
+    """Parseval weights times |k|^(2 - 4 alpha), zero at k = 0; read-only."""
+    sym = np.zeros_like(grid.k2)
+    nz = grid.k2 > 0
+    sym[nz] = grid.k2[nz] ** (1.0 - 2.0 * inversion_exponent)
+    sym = _spectral_weights(grid) * sym
+    sym.flags.writeable = False
+    return sym
+
+
 def kinetic_energy(theta, inversion_exponent=1.0):
     """Half the squared L2 norm of the induced velocity, summed spectrally."""
     g = theta.grid
-    w = _spectral_weights(g)
-    sym = np.zeros_like(g.k2)
-    nz = g.k2 > 0
-    sym[nz] = g.k2[nz] ** (1.0 - 2.0 * inversion_exponent)
-    total = np.sum(w * sym * np.abs(theta.spectrum) ** 2)
+    total = np.sum(_energy_symbol(g, inversion_exponent) * np.abs(theta.spectrum) ** 2)
     return float(0.5 * (2.0 * np.pi) ** 2 / g.n**4 * total)
 
 
 def _cell_sum(state, integrand):
     return float(np.sum(integrand(state.theta.values)) * state.grid.cell_area)
+
+
+def _fourth_power(tv):
+    """tv**4 as the square of tv*tv, formed in one buffer."""
+    out = tv * tv
+    return np.multiply(out, out, out=out)
 
 
 # one function per quantity, so each diagnostic key computes only its own
@@ -277,7 +291,7 @@ _CONSERVED = {
     "enstrophy": lambda s: _cell_sum(s, lambda tv: tv * tv),
     "l1": lambda s: _cell_sum(s, np.abs),
     "l2": lambda s: float(np.sqrt(_cell_sum(s, lambda tv: tv * tv))),
-    "l4": lambda s: _cell_sum(s, lambda tv: tv**4) ** 0.25,
+    "l4": lambda s: _cell_sum(s, _fourth_power) ** 0.25,
     "linf": lambda s: float(np.max(np.abs(s.theta.values))),
     "mean": lambda s: s.theta.mean,
 }
@@ -406,6 +420,11 @@ def save_state(path, state):
 def load_state(path):
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(
+                f"{path}: truncated snapshot: header needs {_HEADER.size} bytes, "
+                f"file holds {len(header)}"
+            )
         magic, version, nx, ny, time, alpha = _HEADER.unpack(header)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
@@ -413,7 +432,14 @@ def load_state(path):
             raise ValueError(f"{path}: unsupported snapshot version {version}")
         if nx != ny:
             raise ValueError(f"{path}: grid must be square, got {nx}x{ny}")
-        data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").reshape(nx, ny)
+        need = 8 * nx * ny
+        payload = fh.read()  # sized by the file, not by a possibly corrupt header
+        if len(payload) < need:
+            raise ValueError(
+                f"{path}: truncated snapshot: header promises {need} bytes "
+                f"of {nx}x{ny} values, file holds {len(payload)}"
+            )
+        data = np.frombuffer(payload, dtype="<f8", count=nx * ny).reshape(nx, ny)
     grid = Grid(int(nx))
     return SimState(
         ScalarField.from_values(grid, data.astype(float)),

@@ -6,10 +6,15 @@ import os
 import numpy as np
 import pytest
 
+import vcross.cli
 from vcross.cli import main
 from vcross.config import ConfigError, parse_config_text
+from vcross.experiments import smooth_random_field
+from vcross.fields import Grid
 from vcross.manifest import read_manifest
+from vcross.model import LEADING, integrate_variational
 from vcross.series import read_series_csv
+from vcross.solver import SimState, save_state
 
 SIM_CFG = """
 [grid]
@@ -155,6 +160,58 @@ dir = {out}
         cfg = write(tmp_path, "bad.cfg", "[grid]\nn = not-a-number\n")
         assert main(["simulate", "--config", cfg]) == 2
 
+    INIT_CFG = """
+[grid]
+n = 128
+[time]
+t_end = 0.05
+sample_every = 0.05
+[init]
+{init}
+[ladder]
+mode = relaxed
+horizon = 1.0
+outer = 0.7
+[output]
+dir = {out}
+"""
+    INIT_BLOCKS = {
+        "shear": "kind = shear\namplitude = 1.0",
+        "random": "kind = random\nseed = 3\namplitude = 2.0",
+        "cross": "kind = cross\nsigma = 0.4",
+        "cross+bump": "kind = cross+bump\nsigma = 0.4\n[bump]\ncenter_x = 0.12\n"
+        "center_y = 0.42\nsupport = 0.4\nheight = 0.3",
+        "snapshot": "kind = snapshot\npath = {snapshot}",
+    }
+
+    def _snapshot_config(self, tmp_path, snapshot):
+        init = self.INIT_BLOCKS["snapshot"].format(snapshot=snapshot)
+        text = self.INIT_CFG.format(init=init, out=tmp_path / "out")
+        return write(tmp_path, "snap.cfg", text)
+
+    @pytest.mark.parametrize("kind", sorted(INIT_BLOCKS))
+    def test_every_init_kind_runs_through_main(self, tmp_path, kind, capsys):
+        snapshot = tmp_path / "seed.vcrs"
+        save_state(snapshot, SimState(smooth_random_field(Grid(128), seed=1)))
+        init = self.INIT_BLOCKS[kind].format(snapshot=snapshot)
+        out = tmp_path / "out"
+        cfg = write(tmp_path, "init.cfg", self.INIT_CFG.format(init=init, out=out))
+        assert main(["simulate", "--config", cfg]) == 0, capsys.readouterr().err
+        assert len(read_series_csv(out / "series.csv")["grad_sup"]) == 2
+
+    @pytest.mark.parametrize("keep", [10, 40 + 8 * 64 * 64 - 100])
+    def test_truncated_snapshot_refused_by_name(self, tmp_path, keep, capsys):
+        snapshot = tmp_path / "cut.vcrs"
+        save_state(snapshot, SimState(smooth_random_field(Grid(64))))
+        snapshot.write_bytes(snapshot.read_bytes()[:keep])
+        cfg = self._snapshot_config(tmp_path, snapshot)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        promised, held = (40, 10) if keep == 10 else (8 * 64 * 64, 8 * 64 * 64 - 100)
+        assert "truncated snapshot" in err and "cut.vcrs" in err
+        assert f"{promised} bytes" in err and f"holds {held}" in err
+        assert "Traceback" not in err
+
 
 class TestModel:
     def test_single_point_matches_closed_form(self, tmp_path):
@@ -167,6 +224,33 @@ class TestModel:
         assert final[1] == pytest.approx(1e-5, rel=1e-8)  # x
         assert final[2] == pytest.approx(0.01, rel=1e-8)  # y
         assert final[3] == pytest.approx(10.0, rel=1e-8)  # xa
+
+    def test_each_start_set_goes_through_one_batch_call(self, tmp_path, monkeypatch):
+        calls = []
+        batch = vcross.cli.integrate_variational_batch
+
+        def counted(starts, *args, **kwargs):
+            calls.append(len(starts))
+            return batch(starts, *args, **kwargs)
+
+        monkeypatch.setattr(vcross.cli, "integrate_variational_batch", counted)
+        out = tmp_path / "m1"
+        T = 0.3
+        cfg = write(tmp_path, "m.cfg", MODEL_CFG.format(x0=1e-6, T=T, out=out))
+        assert main(["model", "--config", cfg]) == 0
+        assert calls == [1]
+        ref = integrate_variational((1e-6, 0.1), T, variant=LEADING, dt=1e-4)
+        table = np.loadtxt(out / "path_000.csv", delimiter=",", skiprows=1)
+        assert table.shape == (ref.t.size, 8)
+        np.testing.assert_allclose(table[:, 1], ref.x, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(table[:, 2], ref.y, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(table[:, 3], ref.jac[:, 0, 0], rtol=1e-12, atol=0.0)
+        family = MODEL_CFG.format(x0=1e-6, T=T, out=tmp_path / "m2")
+        family = family.replace("x0 = 1e-06\ny0 = 0.1", "count = 5")
+        cfg = write(tmp_path, "mf.cfg", family)
+        assert main(["model", "--config", cfg]) == 0
+        assert calls == [1, 5]
+        assert len(list((tmp_path / "m2").glob("path_*.csv"))) == 5
 
     def test_point_outside_seed_box_refused(self, tmp_path):
         out = tmp_path / "m2"

@@ -19,8 +19,10 @@ from vcross.model import (
     fit_leading_order_bound,
     integrate_trajectory,
     integrate_variational,
+    integrate_variational_batch,
 )
-from vcross.series import DiagnosticSeries
+from vcross.cli import _demo_perturbation
+from vcross.series import DiagnosticSeries, format_value
 
 
 class TestCrossVelocity:
@@ -185,6 +187,76 @@ class TestVariational:
         minus = integrate_trajectory((x0 - d, y0), 1.0, perturbation=pert, dt=1e-3)
         fd = (plus.x[-1] - minus.x[-1]) / (2 * d)
         assert path.jac[-1, 0, 0] == pytest.approx(fd, rel=1e-4)
+
+
+class TestVariationalBatch:
+    REGION = WedgeRegion(1e-8, 0.05)
+    # the last start leaves the wedge through the parabola side (exit near 0.24)
+    STARTS = [(1e-6, 0.04), (3e-7, 0.02), (2e-5, 0.03), (1e-4, 0.045)]
+
+    @pytest.mark.parametrize("variant", [EXACT, LEADING], ids=["exact", "leading"])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["free", "demo"])
+    def test_matches_scalar_path(self, variant, perturbed):
+        pert = _demo_perturbation(1e-3) if perturbed else ZERO_PERTURBATION
+        kwargs = dict(perturbation=pert, variant=variant, region=self.REGION, dt=2e-3)
+        batch = integrate_variational_batch(self.STARTS, 0.5, **kwargs)
+        assert len(batch) == len(self.STARTS)
+        assert batch[-1].exit_time is not None
+        for p0, path in zip(self.STARTS, batch):
+            ref = integrate_variational(p0, 0.5, **kwargs)
+            assert np.array_equal(path.t, ref.t)
+            assert path.exit_time == ref.exit_time
+            for name in ("log_x", "log_y", "jac"):
+                np.testing.assert_allclose(
+                    getattr(path, name), getattr(ref, name), rtol=1e-12, atol=0.0
+                )
+
+    def test_every_start_is_checked(self):
+        with pytest.raises(ValueError, match="outside"):
+            integrate_variational_batch([(1e-6, 0.04), (0.04, 0.05)], 0.1, region=self.REGION)
+        with pytest.raises(NearAxisError):
+            integrate_variational_batch([(1e-6, 0.04), (1e-13, 0.01)], 0.1)
+        with pytest.raises(ValueError, match="dt"):
+            integrate_variational_batch([(1e-6, 0.04)], 0.1, dt=0.0)
+
+    def test_jacobian_overflow_raises(self):
+        # ln x grows at rate 400, so J11 ~ x / x0 passes 1e250 before T = 2
+        pert = FlowPerturbation(lambda x, y, t: 400.0 * x, None, 1.0)
+        starts = [(1e-6, 0.1), (1e-5, 0.3)]
+        kwargs = dict(perturbation=pert, variant=LEADING, dt=1e-2)
+        integrate_variational_batch(starts, 1.0, **kwargs)  # still in range
+        for p0 in starts:
+            with pytest.raises(OverflowError, match="left float range"):
+                integrate_variational(p0, 2.0, **kwargs)
+        with pytest.raises(OverflowError, match="left float range"):
+            integrate_variational_batch(starts, 2.0, **kwargs)
+
+    def test_non_finite_jacobian_raises(self):
+        # the leading u_y = -x/y overflows inside a stage near t = 5.7 and J12
+        # turns inf, then NaN, without ever reading above 1e250
+        kwargs = dict(variant=LEADING, dt=1e-2)
+        with pytest.raises(OverflowError, match="left float range"):
+            integrate_variational((1e-6, 0.3), 6.0, **kwargs)
+        with np.errstate(all="ignore"), pytest.raises(OverflowError, match="left float range"):
+            integrate_variational_batch([(1e-6, 0.1), (1e-6, 0.3)], 6.0, **kwargs)
+
+    def test_write_csv_matches_per_cell_format(self, tmp_path):
+        pert = _demo_perturbation(1e-3)
+        with_jac = integrate_variational_batch([(2e-5, 0.03)], 0.3, perturbation=pert)[0]
+        without_jac = integrate_trajectory((2e-5, 0.03), 0.3, perturbation=pert)
+        for k, path in enumerate((with_jac, without_jac)):
+            lines = ["t,x,y,xa,ya,xb,yb,detJ"]
+            for i in range(path.t.size):
+                row = [path.t[i], path.x[i], path.y[i]]
+                if path.jac is None:
+                    row += [1.0, 0.0, 0.0, 1.0, 1.0]
+                else:
+                    j = path.jac[i]
+                    row += [j[0, 0], j[1, 0], j[0, 1], j[1, 1], path.det_jac[i]]
+                lines.append(",".join(format_value(v) for v in row))
+            out = tmp_path / f"path{k}.csv"
+            path.write_csv(out)
+            assert out.read_text() == "\n".join(lines) + "\n"
 
 
 class TestContractionFloor:
