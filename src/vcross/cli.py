@@ -1,8 +1,9 @@
 """Batch driver: simulate, model, sweep, report.
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
-3 numerical blow-up.  Outputs are deterministic for a fixed configuration
-and thread count; the seed flag only affects randomized sample-point draws.
+3 numerical blow-up (solver or model), 4 internal error.  Outputs are
+deterministic for a fixed configuration and thread count; the seed flag only
+affects randomized sample-point draws.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .experiments import (
     arm_anomaly,
     default_growth_family,
     run_growth_member,
+    shear_state,
     smooth_random_field,
 )
-from .fields import Grid, ScalarField, UnresolvedScaleError
+from .fields import Grid, UnresolvedScaleError
 from .initial_data import BumpSpec, compose_initial_data, make_bump, mollified_cross
 from .ladder import LadderError, resolve_ladder, seed_region_violations
 from .model import (
@@ -36,7 +38,7 @@ from .model import (
     integrate_variational_batch,
 )
 from .manifest import RunManifest, read_manifest
-from .series import format_value, write_series_csv
+from .series import write_series_csv, write_table
 from .solver import (
     BlowUpError,
     SimState,
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
+EXIT_INTERNAL = 4
 
 
 def _out_dir(args, cfg):
@@ -57,16 +60,6 @@ def _out_dir(args, cfg):
     out = out or os.environ.get("VCROSS_OUT") or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _write_checks(path, rows):
-    """rows: (name, value, tolerance, passed)."""
-    with open(path, "w") as fh:
-        fh.write("name,value,tolerance,passed\n")
-        for name, value, tol, passed in rows:
-            fh.write(
-                f"{name},{format_value(value)},{format_value(tol)},{int(bool(passed))}\n"
-            )
 
 
 def _read_checks(path):
@@ -100,10 +93,7 @@ def _build_ladder(cfg):
 def _build_initial(cfg, grid, ladder):
     kind = cfg.get_str("init", "kind", "cross")
     if kind == "shear":
-        amp = cfg.get_float("init", "amplitude", 1.0)
-        return ScalarField.from_values(
-            grid, amp * np.outer(np.cos(grid.x), np.ones(grid.n))
-        )
+        return shear_state(grid, cfg.get_float("init", "amplitude", 1.0)).theta
     if kind == "random":
         return smooth_random_field(
             grid,
@@ -168,7 +158,11 @@ def cmd_simulate(args):
             mirrored = np.roll(v[::-1, ::-1], (1, 1), (0, 1))
             err = float(np.max(np.abs(v - mirrored)))
             rows.append(("parity_sup_error", err, parity_tol, err <= parity_tol))
-        _write_checks(manifest.add_output(os.path.join(out, "checks.csv")), rows)
+        write_table(
+            manifest.add_output(os.path.join(out, "checks.csv")),
+            ["name", "value", "tolerance", "passed"],
+            [(name, value, tol, int(bool(ok))) for name, value, tol, ok in rows],
+        )
         failures = sum(1 for r in rows if not r[3])
 
     manifest.timings["total"] = time.perf_counter() - t_start
@@ -269,12 +263,11 @@ def cmd_model(args):
                 floor_log,
             )
         )
-    with open(
-        manifest.add_output(os.path.join(out, "summary.csv")), "w"
-    ) as fh:
-        fh.write("x0,y0,exit_time,x_final,y_final,xa_final,key_bound,floor_log\n")
-        for row in summary_rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+    write_table(
+        manifest.add_output(os.path.join(out, "summary.csv")),
+        ["x0", "y0", "exit_time", "x_final", "y_final", "xa_final", "key_bound", "floor_log"],
+        np.array(summary_rows, dtype=float),
+    )
     manifest.timings["total"] = time.perf_counter() - t_start
     manifest.write()
     return EXIT_OK
@@ -414,13 +407,13 @@ def cmd_sweep(args):
         raise ConfigError(f"unknown sweep axis {axis!r}")
 
     keys = sorted({k for _, rec in rows for k in rec})
-    with open(manifest.add_output(os.path.join(out, "aggregate.csv")), "w") as fh:
-        fh.write("value," + ",".join(keys) + "\n")
-        for value, rec in rows:
-            cells = [format_value(value)] + [
-                format_value(rec.get(k, math.nan)) for k in keys
-            ]
-            fh.write(",".join(cells) + "\n")
+    write_table(
+        manifest.add_output(os.path.join(out, "aggregate.csv")),
+        ["value"] + keys,
+        np.array(
+            [[value] + [rec.get(k, math.nan) for k in keys] for value, rec in rows], dtype=float
+        ),
+    )
     if fit_note:
         manifest.note(fit_note)
     manifest.timings["total"] = time.perf_counter() - t_start
@@ -452,12 +445,11 @@ def cmd_report(args):
         return EXIT_USAGE
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "report.csv"), "w") as fh:
-        fh.write("manifest,check,value,tolerance,passed\n")
-        for mpath, name, value, tol, passed in rows:
-            fh.write(
-                f"{mpath},{name},{format_value(value)},{format_value(tol)},{int(passed)}\n"
-            )
+    write_table(
+        os.path.join(out, "report.csv"),
+        ["manifest", "check", "value", "tolerance", "passed"],
+        [(mpath, name, value, tol, int(passed)) for mpath, name, value, tol, passed in rows],
+    )
     n_failed = sum(1 for r in rows if not r[4])
     for mpath, name, value, tol, passed in rows:
         status = "PASS" if passed else "FAIL"
@@ -506,9 +498,12 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc} (path: {getattr(exc, 'filename', '?')})", file=sys.stderr)
         return EXIT_USAGE
-    except BlowUpError as exc:
+    except (BlowUpError, OverflowError) as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

@@ -11,16 +11,47 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
-from .model import ZERO_PERTURBATION
+from .model import ZERO_PERTURBATION, rk4_steps
 from .series import DiagnosticSeries, RateFit, linear_fit
 from .solver import hessian_sup_of_inverse_laplacian
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(float).eps
 
 
 # --- velocity sources for polyline advection --------------------------------
+
+
+def periodic_bilinear(arr, px, py, grid):
+    """Bilinear interpolation of grid values ``arr`` at torus points (px, py).
+
+    Cell coordinates within 4 (|k| + n) ulps of an integer k snap onto it, so
+    a node, or a node shifted by multiples of 2 pi, returns its grid value
+    exactly: x_i / spacing can land one ulp off i, and x_i + 2 pi carries a
+    rounding of up to n ulps in cell units.
+    """
+    n = grid.n
+    cells = []
+    for p in (px, py):
+        g = p / grid.spacing
+        k = np.rint(g)
+        cells.append(np.where(np.abs(g - k) <= 4.0 * EPS * (np.abs(k) + n), k, g))
+    gx, gy = cells
+    i0 = np.floor(gx).astype(int)
+    j0 = np.floor(gy).astype(int)
+    fx = gx - i0
+    fy = gy - j0
+    i0 %= n
+    j0 %= n
+    i1 = (i0 + 1) % n
+    j1 = (j0 + 1) % n
+    return (
+        arr[i0, j0] * (1 - fx) * (1 - fy)
+        + arr[i1, j0] * fx * (1 - fy)
+        + arr[i0, j1] * (1 - fx) * fy
+        + arr[i1, j1] * fx * fy
+    )
 
 
 class ModelFlow:
@@ -57,26 +88,6 @@ class SnapshotFlow:
         self.us = [s[1] for s in snapshots]
         self.vs = [s[2] for s in snapshots]
 
-    def _interp_space(self, arr, pts):
-        n = self.grid.n
-        h = self.grid.spacing
-        gx = pts[:, 0] / h
-        gy = pts[:, 1] / h
-        i0 = np.floor(gx).astype(int)
-        j0 = np.floor(gy).astype(int)
-        fx = gx - i0
-        fy = gy - j0
-        i0 %= n
-        j0 %= n
-        i1 = (i0 + 1) % n
-        j1 = (j0 + 1) % n
-        return (
-            arr[i0, j0] * (1 - fx) * (1 - fy)
-            + arr[i1, j0] * fx * (1 - fy)
-            + arr[i0, j1] * (1 - fx) * fy
-            + arr[i1, j1] * fx * fy
-        )
-
     def __call__(self, t, pts):
         times = self.times
         if t <= times[0]:
@@ -89,11 +100,12 @@ class SnapshotFlow:
             k1 = int(np.searchsorted(times, t))
             k0 = k1 - 1
             w = (t - times[k0]) / (times[k1] - times[k0])
-        u = (1 - w) * self._interp_space(self.us[k0], pts)
-        v = (1 - w) * self._interp_space(self.vs[k0], pts)
+        px, py, g = pts[:, 0], pts[:, 1], self.grid
+        u = (1 - w) * periodic_bilinear(self.us[k0], px, py, g)
+        v = (1 - w) * periodic_bilinear(self.vs[k0], px, py, g)
         if w > 0.0:
-            u += w * self._interp_space(self.us[k1], pts)
-            v += w * self._interp_space(self.vs[k1], pts)
+            u += w * periodic_bilinear(self.us[k1], px, py, g)
+            v += w * periodic_bilinear(self.vs[k1], px, py, g)
         return np.column_stack([u, v])
 
 
@@ -118,7 +130,7 @@ def advect_polyline(
     velocity_source, polyline, T, dt=1e-3, region=None, refine_threshold=None,
     max_refine_rounds=10,
 ):
-    """Advect every vertex by RK4 under the given velocity source.
+    """Advect every vertex under the velocity source with ``model.rk4_steps``.
 
     Vertex count is preserved unless ``refine_threshold`` is set, in which
     case source vertices are inserted (parametric midpoints) until no two
@@ -130,21 +142,12 @@ def advect_polyline(
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("polyline must be an (N, 2) array")
 
+    def rhs(state, t):
+        return (flow(t, state[0]),)
+
     def advect(points):
-        p = points.copy()
-        exit_times = np.full(p.shape[0], np.nan)
-        n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
-        t = 0.0
-        for _ in range(n_steps):
-            h = min(dt, T - t)
-            if h <= 0.0:
-                break
-            k1 = flow(t, p)
-            k2 = flow(t + 0.5 * h, p + 0.5 * h * k1)
-            k3 = flow(t + 0.5 * h, p + 0.5 * h * k2)
-            k4 = flow(t + h, p + h * k3)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
+        p, exit_times = points, np.full(points.shape[0], np.nan)
+        for t, (p,) in rk4_steps(rhs, (points,), T, dt):
             if region is not None:
                 outside = ~np.fromiter(
                     (region.contains(px, py) for px, py in p), bool, p.shape[0]
@@ -363,28 +366,11 @@ def perturbation_field_bounds(p, x_min, radii, arm_width=None, n_angles=720):
                 f"anomaly support leaks {leak:.4g} from the arms, width is {arm_width:.4g}"
             )
     psi_hat = -p.spectrum * g.inv_k2
-    n = g.n
-    f1x = _fft.irfft2(1j * g.kx * psi_hat, s=(n, n))
-    f1y = _fft.irfft2(1j * g.ky * psi_hat, s=(n, n))
+    f1x = np.fft.irfft2(1j * g.kx * psi_hat, s=(g.n, g.n))
+    f1y = np.fft.irfft2(1j * g.ky * psi_hat, s=(g.n, g.n))
     mag = np.hypot(f1x, f1y)
     field_max = float(np.max(mag))
     origin_value = float(mag[0, 0])
-
-    def interp(arr, px, py):
-        gx = px / g.spacing
-        gy = py / g.spacing
-        i0 = np.floor(gx).astype(int) % n
-        j0 = np.floor(gy).astype(int) % n
-        fx = gx - np.floor(gx)
-        fy = gy - np.floor(gy)
-        i1 = (i0 + 1) % n
-        j1 = (j0 + 1) % n
-        return (
-            arr[i0, j0] * (1 - fx) * (1 - fy)
-            + arr[i1, j0] * fx * (1 - fy)
-            + arr[i0, j1] * (1 - fx) * fy
-            + arr[i1, j1] * fx * fy
-        )
 
     radii = np.asarray(radii, dtype=float)
     angles = np.linspace(0.0, TWO_PI, n_angles, endpoint=False)
@@ -392,8 +378,8 @@ def perturbation_field_bounds(p, x_min, radii, arm_width=None, n_angles=720):
     for i, r in enumerate(radii):
         px = (r * np.cos(angles)) % TWO_PI
         py = (r * np.sin(angles)) % TWO_PI
-        fx = interp(f1x, px, py)
-        fy = interp(f1y, px, py)
+        fx = periodic_bilinear(f1x, px, py, g)
+        fy = periodic_bilinear(f1y, px, py, g)
         sup_ratio[i] = np.max(np.hypot(fx, fy)) / r
     return PerturbationBoundsReport(
         radii=radii,

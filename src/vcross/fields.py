@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 TWO_PI = 2.0 * np.pi
 
@@ -137,13 +136,13 @@ class ScalarField:
     @property
     def values(self):
         if self._values is None:
-            self._values = _fft.irfft2(self._spectrum, s=(self.grid.n, self.grid.n))
+            self._values = np.fft.irfft2(self._spectrum, s=(self.grid.n, self.grid.n))
         return self._values
 
     @property
     def spectrum(self):
         if self._spectrum is None:
-            self._spectrum = _fft.rfft2(self._values)
+            self._spectrum = np.fft.rfft2(self._values)
         return self._spectrum
 
     @property
@@ -169,8 +168,8 @@ class ScalarField:
         """Physical-space (f_x, f_y) computed spectrally."""
         g = self.grid
         sp = self.spectrum
-        fx = _fft.irfft2(1j * g.kx * sp, s=(g.n, g.n))
-        fy = _fft.irfft2(1j * g.ky * sp, s=(g.n, g.n))
+        fx = np.fft.irfft2(1j * g.kx * sp, s=(g.n, g.n))
+        fy = np.fft.irfft2(1j * g.ky * sp, s=(g.n, g.n))
         return fx, fy
 
     def l2_norm(self):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import FLOAT_FMT, DiagnosticSeries
+from .series import DiagnosticSeries, write_table
 
 AXIS_GUARD = 1e-12
 
@@ -59,10 +59,9 @@ class CrossFieldVariant:
         return u, v
 
     def log_rates(self, lx, ly, t_unused=0.0):
-        """(u/x, v/y) from log coordinates, stable for extreme aspect ratios."""
+        """(u/x, v/y) arrays from log coordinates, stable for extreme aspect ratios."""
         if self.kind == "leading":
             return -self.c2 * ly, self.c2 * ly
-        scalar = np.isscalar(lx) or (np.ndim(lx) == 0 and np.ndim(ly) == 0)
         lx = np.atleast_1d(np.asarray(lx, dtype=float))
         ly = np.atleast_1d(np.asarray(ly, dtype=float))
         ldiff = lx - ly
@@ -84,8 +83,6 @@ class CrossFieldVariant:
         xy[hi] = 1.0
         rate_x = -self.c1 * (lr2 - 2.0 + 2.0 * yx)
         rate_y = self.c1 * (lr2 - 2.0 + 2.0 * xy)
-        if scalar:
-            return float(rate_x[0]), float(rate_y[0])
         return rate_x, rate_y
 
     def jacobian(self, x, y):
@@ -293,18 +290,14 @@ class TrajectoryPath:
         return PhaseState(float(self.x[-1]), float(self.y[-1]), float(self.t[-1]), jac)
 
     def write_csv(self, path):
-        """Columns t,x,y,xa,ya,xb,yb,detJ, cells as ``series.format_value`` renders them."""
+        """Columns t,x,y,xa,ya,xb,yb,detJ through ``series.write_table``."""
         cols = ["t", "x", "y", "xa", "ya", "xb", "yb", "detJ"]
         if self.jac is not None:
             jac = self.jac
             tail = [jac[:, 0, 0], jac[:, 1, 0], jac[:, 0, 1], jac[:, 1, 1], self.det_jac]
         else:
             tail = [np.full(self.t.size, v) for v in (1.0, 0.0, 0.0, 1.0, 1.0)]
-        table = np.column_stack([self.t, self.x, self.y] + tail)
-        row = ",".join(["%" + FLOAT_FMT] * len(cols)) + "\n"
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            fh.write("".join(row % tuple(cells) for cells in table.tolist()))
+        write_table(path, cols, np.column_stack([self.t, self.x, self.y] + tail))
 
 
 def _drift_log_rates(pert, lx, ly, t):
@@ -330,6 +323,41 @@ def _check_start(p0, region, p0_is_log):
     return lx, ly
 
 
+def rk4_steps(rhs, state, T, dt):
+    """Classical RK4 from t = 0 to T in fixed steps of dt; yields (t, state).
+
+    ``state`` is a tuple whose entries are floats or arrays, and
+    ``rhs(state, t)`` returns a tuple of the same shape.  The last step is
+    shortened to land on T; when T is a multiple of dt the summed steps can
+    end one ulp short of it.  Consumers stop early by leaving the loop.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
+    t = 0.0
+    for _ in range(n_steps):
+        h = min(dt, T - t)
+        if h <= 0.0:
+            return
+        k1 = rhs(state, t)
+        k2 = rhs(tuple(s + 0.5 * h * k for s, k in zip(state, k1)), t + 0.5 * h)
+        k3 = rhs(tuple(s + 0.5 * h * k for s, k in zip(state, k2)), t + 0.5 * h)
+        k4 = rhs(tuple(s + h * k for s, k in zip(state, k3)), t + h)
+        state = tuple(
+            s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+        )
+        t += h
+        yield t, state
+
+
+def _check_jacobian(jac_entries):
+    if not np.all(np.abs(jac_entries) <= 1e250):  # NaN fails too
+        raise OverflowError(
+            "flow-map Jacobian left float range; shorten T or relax the data"
+        )
+
+
 def integrate_trajectory(
     p0,
     T,
@@ -341,45 +369,30 @@ def integrate_trajectory(
 ):
     """RK4 path of (x, y) under the chosen variant plus perturbation.
 
-    Integration runs in log coordinates with fixed step dt (final step
-    shortened to land exactly on T); with ``p0_is_log`` the start is given as
-    (ln x0, ln y0), which admits the faithful regime's sub-float scales.  If a
-    region is supplied, the first time the point leaves it is recorded;
-    integration continues to T regardless, stopping early only if log x would
-    overflow float range.
+    Integration runs in log coordinates through :func:`rk4_steps`; with
+    ``p0_is_log`` the start is given as (ln x0, ln y0), which admits the
+    faithful regime's sub-float scales.  If a region is supplied, the first
+    time the point leaves it is recorded; integration continues to T
+    regardless, stopping early only if log x would overflow float range.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     lx, ly = _check_start(p0, region, p0_is_log)
     drift_free = perturbation.is_zero
 
-    def rates(lx_, ly_, t_):
-        rx, ry = variant.log_rates_scalar(lx_, ly_)
+    def rates(s, t_):
+        rx, ry = variant.log_rates_scalar(*s)
         if not drift_free:
-            x = math.exp(lx_)
-            y = math.exp(ly_)
+            x = math.exp(s[0])
+            y = math.exp(s[1])
             n1, n2 = perturbation.eval(x, y, t_)
             rx += float(n1) / x
             ry += float(n2) / y
         return rx, ry
 
-    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     ts = [0.0]
     lxs = [lx]
     lys = [ly]
     exit_time = None
-    t = 0.0
-    for _ in range(n_steps):
-        h = min(dt, T - t)
-        if h <= 0.0:
-            break
-        k1x, k1y = rates(lx, ly, t)
-        k2x, k2y = rates(lx + 0.5 * h * k1x, ly + 0.5 * h * k1y, t + 0.5 * h)
-        k3x, k3y = rates(lx + 0.5 * h * k2x, ly + 0.5 * h * k2y, t + 0.5 * h)
-        k4x, k4y = rates(lx + h * k3x, ly + h * k3y, t + h)
-        lx += (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        ly += (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        t += h
+    for t, (lx, ly) in rk4_steps(rates, (lx, ly), T, dt):
         ts.append(t)
         lxs.append(lx)
         lys.append(ly)
@@ -418,8 +431,6 @@ def integrate_variational(
     This is the single-start fast path on plain floats; a family of starts
     goes through :func:`integrate_variational_batch` in one vectorised loop.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     lx, ly = _check_start(p0, region, p0_is_log)
     state = (lx, ly, 1.0, 0.0, 0.0, 1.0)  # lnx, lny, J11, J12, J21, J22
     drift_free = perturbation.is_zero
@@ -448,34 +459,17 @@ def integrate_variational(
             vx * j12 + vy * j22,
         )
 
-    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     ts = [0.0]
     states = [state]
     exit_time = None
-    t = 0.0
-    for _ in range(n_steps):
-        h = min(dt, T - t)
-        if h <= 0.0:
-            break
-        k1 = rhs(state, t)
-        k2 = rhs(tuple(s + 0.5 * h * k for s, k in zip(state, k1)), t + 0.5 * h)
-        k3 = rhs(tuple(s + 0.5 * h * k for s, k in zip(state, k2)), t + 0.5 * h)
-        k4 = rhs(tuple(s + h * k for s, k in zip(state, k3)), t + h)
-        state = tuple(
-            s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-        t += h
+    for t, state in rk4_steps(rhs, state, T, dt):
         ts.append(t)
         states.append(state)
         if exit_time is None and region is not None and not region.contains_log(
             state[0], state[1]
         ):
             exit_time = t
-        if not all(abs(j) <= 1e250 for j in state[2:]):  # NaN fails too
-            raise OverflowError(
-                "flow-map Jacobian left float range; shorten T or relax the data"
-            )
+        _check_jacobian(state[2:])
     arr = np.asarray(states)
     jac = arr[:, 2:].reshape(-1, 2, 2)
     return TrajectoryPath(
@@ -500,15 +494,13 @@ def integrate_variational_batch(
 ):
     """:func:`integrate_variational` for every start at once; one path per start.
 
-    One RK4 loop advances a (6, count) state -- ln x, ln y, J11, J12, J21,
-    J22 -- with each right-hand side evaluated once per stage for all
-    starts.  The scalar path's guards hold per start: every start is checked
-    against the axis band and the region, each path records its own first
-    exit time, and a Jacobian entry above 1e250 or NaN in any path raises
-    OverflowError.
+    :func:`rk4_steps` advances a (6, count) state -- ln x, ln y, J11, J12,
+    J21, J22 -- as a 1-tuple, with each right-hand side evaluated once per
+    stage for all starts.  The scalar path's guards hold per start: every
+    start is checked against the axis band and the region, each path records
+    its own first exit time, and a Jacobian entry above 1e250 or NaN in any
+    path raises OverflowError.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     logs = [_check_start(p0, region, False) for p0 in starts]
     count = len(logs)
     state = np.zeros((6, count))
@@ -517,7 +509,7 @@ def integrate_variational_batch(
     drift_free = perturbation.is_zero
 
     def rhs(s, t_):
-        lx_, ly_, j11, j12, j21, j22 = s
+        lx_, ly_, j11, j12, j21, j22 = s[0]
         rx, ry = variant.log_rates(lx_, ly_)
         x = np.exp(lx_)
         y = np.exp(ly_)
@@ -531,44 +523,31 @@ def integrate_variational_batch(
             uy = uy + n1y
             vx = vx + n2x
             vy = vy + n2y
-        return np.array(
-            (
-                rx,
-                ry,
-                ux * j11 + uy * j21,
-                ux * j12 + uy * j22,
-                vx * j11 + vy * j21,
-                vx * j12 + vy * j22,
-            )
+        return (
+            np.array(
+                (
+                    rx,
+                    ry,
+                    ux * j11 + uy * j21,
+                    ux * j12 + uy * j22,
+                    vx * j11 + vy * j21,
+                    vx * j12 + vy * j22,
+                )
+            ),
         )
 
-    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     ts = [0.0]
-    history = np.empty((n_steps + 1, 6, count))
-    history[0] = state
+    history = [state]
     exit_times = [None] * count
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        h = min(dt, T - t)
-        if h <= 0.0:
-            break
-        k1 = rhs(state, t)
-        k2 = rhs(state + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(state + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(state + h * k3, t + h)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+    for t, (state,) in rk4_steps(rhs, (state,), T, dt):
         ts.append(t)
-        history[step] = state
+        history.append(state)
         if region is not None:
             for i in np.flatnonzero(~region.contains_log(state[0], state[1])):
                 if exit_times[i] is None:
                     exit_times[i] = t
-        if not np.all(np.abs(state[2:]) <= 1e250):  # NaN fails too
-            raise OverflowError(
-                "flow-map Jacobian left float range; shorten T or relax the data"
-            )
-    per_start = np.ascontiguousarray(history[: len(ts)].transpose(2, 0, 1))
+        _check_jacobian(state[2:])
+    per_start = np.ascontiguousarray(np.transpose(history, (2, 0, 1)))
     t_arr = np.asarray(ts)
     return [
         TrajectoryPath(

@@ -71,22 +71,39 @@ class SeriesRecorder:
         }
 
 
+def _cell(c):
+    return format_value(c) if isinstance(c, (float, np.floating)) else str(c)
+
+
+def write_table(path, header, rows):
+    """Write a CSV table: a header row, then one line per row.
+
+    Float cells render as :func:`format_value` does and other cells as
+    ``str``.  A 2-D float array as ``rows`` is rendered through one row
+    template, byte-identical to the per-cell form and several times faster.
+    """
+    if isinstance(rows, np.ndarray):
+        template = ",".join(["%" + FLOAT_FMT] * len(header)) + "\n"
+        lines = (template % tuple(row) for row in rows.tolist())
+    else:
+        lines = (",".join(map(_cell, row)) + "\n" for row in rows)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
+
+
 def write_series_csv(path, series_list):
     """Write series sharing one time axis as a single CSV table."""
     series_list = list(series_list)
-    if not series_list:
-        with open(path, "w") as fh:
-            fh.write("t\n")
-        return
-    t = series_list[0].t
+    t = series_list[0].t if series_list else np.empty(0)
     for s in series_list[1:]:
         if s.t.shape != t.shape or not np.array_equal(s.t, t):
             raise ValueError("series do not share a time axis")
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(s.name for s in series_list) + "\n")
-        for i in range(t.size):
-            cells = [format_value(t[i])] + [format_value(s.values[i]) for s in series_list]
-            fh.write(",".join(cells) + "\n")
+    write_table(
+        path,
+        ["t"] + [s.name for s in series_list],
+        np.column_stack([t] + [s.values for s in series_list]),
+    )
 
 
 def read_series_csv(path):

@@ -19,7 +19,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft as _fft
 
 from .fields import Grid, InvalidFieldError, ScalarField, VelocityField
 from .series import SeriesRecorder
@@ -102,9 +101,8 @@ class _AdvectionKernel:
 
     Dealiased spectra vanish beyond the columns ky <= n/3, so stage buffers
     hold those ``width`` columns only and the first-axis transforms skip the
-    rest.  Transforms are numpy.fft calls writing into preallocated arrays:
-    the pocketfft arithmetic of scipy's ``rfft2``/``irfft2``, bit for bit,
-    without a fresh output array per transform.
+    rest.  Transforms are numpy.fft calls writing into preallocated arrays,
+    so no transform allocates a fresh output.
     """
 
     def __init__(self, grid, inversion_exponent):
@@ -234,9 +232,9 @@ def hessian_sup_of_inverse_laplacian(f):
     g = f.grid
     psi_hat = -f.spectrum * g.inv_k2
     n = g.n
-    hxx = _fft.irfft2(-g.kx * g.kx * psi_hat, s=(n, n))
-    hxy = _fft.irfft2(-g.kx * g.ky * psi_hat, s=(n, n))
-    hyy = _fft.irfft2(-g.ky * g.ky * psi_hat, s=(n, n))
+    hxx = np.fft.irfft2(-g.kx * g.kx * psi_hat, s=(n, n))
+    hxy = np.fft.irfft2(-g.kx * g.ky * psi_hat, s=(n, n))
+    hyy = np.fft.irfft2(-g.ky * g.ky * psi_hat, s=(n, n))
     return float(max(np.max(np.abs(hxx)), np.max(np.abs(hxy)), np.max(np.abs(hyy))))
 
 
@@ -244,7 +242,7 @@ def h2_seminorm(f):
     """L2 norm of the spectral Laplacian of f (the H^2 seminorm)."""
     f.require_zero_mean()
     g = f.grid
-    lap = _fft.irfft2(-g.k2 * f.spectrum, s=(g.n, g.n))
+    lap = np.fft.irfft2(-g.k2 * f.spectrum, s=(g.n, g.n))
     return float(np.sqrt(np.sum(lap * lap) * g.cell_area))
 
 

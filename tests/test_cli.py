@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -423,3 +425,52 @@ class TestReport:
         rc = main(["report", str(tmp_path / "nope.txt")])
         assert rc == 2
         assert "nope.txt" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    OVERFLOW_CFG = """
+[model]
+variant = leading
+[ladder]
+mode = relaxed
+horizon = 1
+[trajectory]
+T = 40
+dt = 1e-2
+count = 2
+[output]
+dir = {out}
+"""
+
+    def test_model_jacobian_overflow_exits_blowup(self, tmp_path, capsys):
+        cfg = write(tmp_path, "o.cfg", self.OVERFLOW_CFG.format(out=tmp_path / "o"))
+        with np.errstate(all="ignore"):
+            code = main(["model", "--config", cfg, "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == vcross.cli.EXIT_BLOWUP == 3
+        assert "numerical blow-up:" in err and "left float range" in err
+        assert "Traceback" not in err
+
+    def test_unexpected_exception_exits_internal(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setattr(vcross.cli, "cmd_simulate", broken)
+        cfg = write(tmp_path, "s.cfg", SIM_CFG.format(t_end=0.0, out=tmp_path / "s"))
+        assert main(["simulate", "--config", cfg]) == vcross.cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err.strip() == "internal error: RuntimeError: planted fault"
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, vcross.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

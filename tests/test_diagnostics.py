@@ -17,6 +17,7 @@ from vcross.diagnostics import (
     fit_double_exponential,
     fit_growth_envelope,
     growth_ratio_probe,
+    periodic_bilinear,
     perturbation_field_bounds,
     polygon_area,
     polyline_length,
@@ -101,6 +102,35 @@ class TestAdvectPolyline:
         pts = circle((1.0, 1.0), 0.1, n=17)
         out = advect_polyline(lambda t, p: np.ones_like(p), pts, 0.3, dt=0.01)
         assert out.points.shape == (17, 2)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_nonpositive_dt_rejected(self, dt):
+        pts = circle((1.0, 1.0), 0.1, n=8)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            advect_polyline(lambda t, p: np.ones_like(p), pts, 0.3, dt=dt)
+
+
+class TestPeriodicBilinear:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_grid_values_exact_at_nodes_and_under_two_pi_shifts(self, n):
+        grid = vc.Grid(n)
+        arr = np.random.default_rng(n).standard_normal((n, n))
+        X, Y = grid.meshgrid()
+        for sx, sy in [(0, 0), (1, 0), (0, -1), (-2, 3)]:
+            px = X.ravel() + sx * 2.0 * np.pi
+            py = Y.ravel() + sy * 2.0 * np.pi
+            got = periodic_bilinear(arr, px, py, grid).reshape(n, n)
+            assert np.array_equal(got, arr), (sx, sy)
+
+    def test_off_grid_points_periodic_and_linear(self, grid64):
+        X, Y = grid64.meshgrid()
+        plane = 2.0 * X - 3.0 * Y  # bilinear interpolation is exact inside a cell
+        pts = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi - grid64.spacing, (2, 500))
+        base = periodic_bilinear(plane, pts[0], pts[1], grid64)
+        np.testing.assert_allclose(base, 2.0 * pts[0] - 3.0 * pts[1], rtol=0, atol=1e-12)
+        # x + 2 pi rounds at n ulps of a cell, so a shift moves the result by rounding only
+        shifted = periodic_bilinear(plane, pts[0] + 2.0 * np.pi, pts[1] - 2.0 * np.pi, grid64)
+        np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-12)
 
 
 class TestGeometry:

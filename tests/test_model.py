@@ -20,6 +20,7 @@ from vcross.model import (
     integrate_trajectory,
     integrate_variational,
     integrate_variational_batch,
+    rk4_steps,
 )
 from vcross.cli import _demo_perturbation
 from vcross.series import DiagnosticSeries, format_value
@@ -257,6 +258,34 @@ class TestVariationalBatch:
             out = tmp_path / f"path{k}.csv"
             path.write_csv(out)
             assert out.read_text() == "\n".join(lines) + "\n"
+
+
+class TestRK4Steps:
+    def test_last_step_lands_on_T_off_the_dt_lattice(self):
+        # RK4 integrates y' = t^3 exactly (Simpson weights), so only rounding remains
+        steps = list(rk4_steps(lambda s, t: (t**3,), (0.0,), 1.05, 0.1))
+        assert len(steps) == 11
+        t_end, (y_end,) = steps[-1]
+        assert t_end == 1.05
+        assert y_end == pytest.approx(1.05**4 / 4.0, rel=1e-14)
+        times = [t for t, _ in steps]
+        assert np.allclose(np.diff(times)[:-1], 0.1, rtol=1e-12)
+
+    def test_tuple_of_arrays_state(self):
+        rates = np.array([1.0, -2.0])
+        state = (np.ones(2), 0.0)
+        *_, (t, (x, clock)) = rk4_steps(lambda s, t: (rates * s[0], 1.0), state, 0.5, 0.01)
+        assert t == 0.5 and clock == pytest.approx(0.5, rel=1e-14)
+        np.testing.assert_allclose(x, np.exp(rates * 0.5), rtol=1e-8)  # O(h^4) truncation
+        assert np.array_equal(state[0], np.ones(2))  # the start is not mutated
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            next(rk4_steps(lambda s, t: (1.0,), (0.0,), 1.0, dt))
+
+    def test_zero_horizon_takes_no_step(self):
+        assert list(rk4_steps(lambda s, t: (1.0,), (0.0,), 0.0, 0.1)) == []
 
 
 class TestContractionFloor:

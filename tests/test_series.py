@@ -6,9 +6,11 @@ import pytest
 from vcross.series import (
     DiagnosticSeries,
     RateFit,
+    format_value,
     linear_fit,
     read_series_csv,
     write_series_csv,
+    write_table,
 )
 
 
@@ -63,3 +65,41 @@ def test_rate_fit_validation():
         RateFit(1.0, 0.0, 1.5, (0.0, 1.0))
     with pytest.raises(ValueError):
         RateFit(1.0, 0.0, 0.5, (1.0, 0.0))
+
+
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, np.float64(1.0) / 3.0, 0.1]
+
+
+def test_write_table_matches_per_cell_format_value(tmp_path):
+    rows = [
+        ("name", 7, *EDGE_FLOATS),
+        ("other", -3, *reversed(EDGE_FLOATS)),
+    ]
+    header = ["label", "count"] + [f"c{i}" for i in range(len(EDGE_FLOATS))]
+    expected = ",".join(header) + "\n"
+    for label, count, *cells in rows:
+        expected += ",".join([label, str(count)] + [format_value(c) for c in cells]) + "\n"
+    path = tmp_path / "mixed.csv"
+    write_table(path, header, rows)
+    assert path.read_bytes() == expected.encode()
+    assert "nan,inf,-inf,-0,4.9406564584124654e-324,1.0000000000000001e+300" in expected
+
+
+def test_write_table_array_rows_match_per_cell_format_value(tmp_path):
+    table = np.array([EDGE_FLOATS, [float(k) for k in range(len(EDGE_FLOATS))]])
+    header = [f"c{i}" for i in range(table.shape[1])]
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(format_value(c) for c in row) + "\n" for row in table
+    )
+    path = tmp_path / "floats.csv"
+    write_table(path, header, table)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_write_table_without_rows_writes_header_only(tmp_path):
+    write_table(tmp_path / "a.csv", ["x", "y"], [])
+    write_table(tmp_path / "b.csv", ["x", "y"], np.empty((0, 2)))
+    write_series_csv(tmp_path / "c.csv", [])
+    assert (tmp_path / "a.csv").read_text() == "x,y\n"
+    assert (tmp_path / "b.csv").read_text() == "x,y\n"
+    assert (tmp_path / "c.csv").read_text() == "t\n"
