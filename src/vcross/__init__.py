@@ -21,7 +21,6 @@ from .model import (
     LEADING,
     CrossFieldVariant,
     FlowPerturbation,
-    PhaseState,
     WedgeRegion,
     check_perturbation_admissible,
     contraction_floor,

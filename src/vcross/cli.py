@@ -14,6 +14,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -342,26 +344,20 @@ def cmd_sweep(args):
             "seed": args.seed,
         }
         payloads = [(axis, v, params) for v in values]
-        if args.threads > 1:
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                futures = [pool.submit(_sweep_member_runner, p) for p in payloads]
-                results = []
-                for p, fut in zip(payloads, futures):
-                    try:
-                        results.append(fut.result())
-                    except Exception as exc:  # partial failures recorded
-                        manifest.note(f"member {p[1]} failed: {exc}")
-                        results.append((p[1], {"error": 1.0}))
-        else:
-            results = []
-            for p in payloads:
+        with ProcessPoolExecutor(args.threads) if args.threads > 1 else nullcontext() as pool:
+            # a pool starts every member at once; serially each runs when called
+            calls = [
+                pool.submit(_sweep_member_runner, p).result
+                if pool
+                else partial(_sweep_member_runner, p)
+                for p in payloads
+            ]
+            for p, call in zip(payloads, calls):
                 try:
-                    results.append(_sweep_member_runner(p))
+                    rows.append(call())
                 except Exception as exc:  # partial failures recorded, sweep continues
                     manifest.note(f"member {p[1]} failed: {exc}")
-                    results.append((p[1], {"error": 1.0}))
-        for value, record in results:
-            rows.append((value, record))
+                    rows.append((p[1], {"error": 1.0}))
         if axis == "steepness":
             ratios = [r.get("max_ratio", math.nan) for _, r in rows]
             ok = all(
@@ -474,8 +470,10 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        if name != "simulate":
+            p.add_argument("--seed", type=int, default=0)
+        if name == "sweep":
+            p.add_argument("--threads", type=int, default=1)
         p.set_defaults(fn=fn)
     p = sub.add_parser("report")
     p.add_argument("manifests", nargs="+")

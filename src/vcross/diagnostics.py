@@ -109,41 +109,30 @@ class SnapshotFlow:
         return np.column_stack([u, v])
 
 
-def _as_flow(velocity_source):
-    if callable(velocity_source):
-        return velocity_source
-    raise TypeError(
-        "velocity source must be callable (ModelFlow, SnapshotFlow, or (t, pts) -> vel)"
-    )
-
-
 @dataclass
 class AdvectionResult:
     points: np.ndarray
     exit_times: np.ndarray = None  # per-vertex first exit from the region
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 def advect_polyline(
-    velocity_source, polyline, T, dt=1e-3, region=None, refine_threshold=None,
-    max_refine_rounds=10,
+    velocity_source, polyline, T, dt=1e-3, region=None, refine_threshold=None
 ):
     """Advect every vertex under the velocity source with ``model.rk4_steps``.
 
-    Vertex count is preserved unless ``refine_threshold`` is set, in which
-    case source vertices are inserted (parametric midpoints) until no two
-    adjacent images are farther apart than the threshold.  With a region,
-    each vertex records its first exit time.
+    ``velocity_source(t, pts)`` returns the (N, 2) velocities: a ModelFlow,
+    a SnapshotFlow or any such callable.  Vertex count is preserved unless
+    ``refine_threshold`` is set, in which case source vertices are inserted
+    (parametric midpoints), in up to ten rounds, until no two adjacent images
+    are farther apart than the threshold.  With a region, each vertex
+    records its first exit time.
     """
-    flow = _as_flow(velocity_source)
     pts = np.asarray(polyline, dtype=float).copy()
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("polyline must be an (N, 2) array")
 
     def rhs(state, t):
-        return (flow(t, state[0]),)
+        return (velocity_source(t, state[0]),)
 
     def advect(points):
         p, exit_times = points, np.full(points.shape[0], np.nan)
@@ -158,7 +147,7 @@ def advect_polyline(
 
     image, exits = advect(pts)
     if refine_threshold is not None:
-        for _ in range(max_refine_rounds):
+        for _ in range(10):
             gaps = np.linalg.norm(np.diff(image, axis=0), axis=1)
             bad = np.nonzero(gaps > refine_threshold)[0]
             if bad.size == 0:
@@ -345,13 +334,14 @@ class PerturbationBoundsReport:
     field_max: float
 
 
-def perturbation_field_bounds(p, x_min, radii, arm_width=None, n_angles=720):
+def perturbation_field_bounds(p, x_min, radii, arm_width=None):
     """Induced velocity bounds for a cross-supported vorticity anomaly.
 
     Computes F1, the gradient of the inverse Laplacian of p, spectrally;
-    reports sup |F1| / r on circles around the stagnation point, the Hessian
-    sup, and |F1(0)| (forced to zero by even symmetry).  If ``arm_width`` is
-    given the support of p must stay within that distance of the arms.
+    reports sup |F1| / r over 720 points on each circle around the stagnation
+    point, the Hessian sup, and |F1(0)| (forced to zero by even symmetry).  If
+    ``arm_width`` is given the support of p must stay within that distance of
+    the arms.
     """
     from .initial_data import cross_arm_distance
 
@@ -373,7 +363,7 @@ def perturbation_field_bounds(p, x_min, radii, arm_width=None, n_angles=720):
     origin_value = float(mag[0, 0])
 
     radii = np.asarray(radii, dtype=float)
-    angles = np.linspace(0.0, TWO_PI, n_angles, endpoint=False)
+    angles = np.linspace(0.0, TWO_PI, 720, endpoint=False)
     sup_ratio = np.empty_like(radii)
     for i, r in enumerate(radii):
         px = (r * np.cos(angles)) % TWO_PI
@@ -398,7 +388,7 @@ class HessianScalingResult:
     hessian_sups: np.ndarray
 
 
-def bump_hessian_scaling(bump_fields, grads=None):
+def bump_hessian_scaling(bump_fields):
     """Regress log Hessian sup against log L2 norm across a bump family.
 
     The family should vary the L2 norm at controlled gradient sup; the slope
@@ -442,9 +432,8 @@ class GrowthProbe:
     def ratios(self):
         return np.asarray([row.ratio for row in self.rows])
 
-    def nondecreasing(self, rel_slack=0.0):
-        r = self.ratios()
-        return bool(np.all(np.diff(r) >= -rel_slack * r[:-1]))
+    def nondecreasing(self):
+        return bool(np.all(np.diff(self.ratios()) >= 0.0))
 
 
 def growth_ratio_probe(runs):

@@ -156,14 +156,6 @@ class ScalarField:
                 f"{what} must have zero mean, got {self.mean:.3e}"
             )
 
-    def dx(self):
-        g = self.grid
-        return ScalarField.from_spectrum(g, 1j * g.kx * self.spectrum)
-
-    def dy(self):
-        g = self.grid
-        return ScalarField.from_spectrum(g, 1j * g.ky * self.spectrum)
-
     def gradient_arrays(self):
         """Physical-space (f_x, f_y) computed spectrally."""
         g = self.grid
@@ -178,16 +170,6 @@ class ScalarField:
 
     def linf_norm(self):
         return float(np.max(np.abs(self.values)))
-
-    def __add__(self, other):
-        if not isinstance(other, ScalarField) or other.grid is not self.grid:
-            return NotImplemented
-        return ScalarField.from_values(self.grid, self.values + other.values)
-
-    def __mul__(self, scalar):
-        return ScalarField.from_values(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ sigma from the arms, and all symmetries hold exactly by index arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .fields import (
     UnresolvedScaleError,
     next_power_of_two,
 )
-from .ladder import seed_region_contains, seed_region_violations
+from .ladder import seed_region_violations
 
 TWO_PI = 2.0 * np.pi
 
@@ -72,19 +73,15 @@ def singular_cross(grid):
 
 # --- mollifier tables --------------------------------------------------------
 
-_TAIL_TABLE = {}
-_TAIL_RES = 1024
-
-
-def _mollifier_tail_table(res=_TAIL_RES):
+@functools.cache
+def _mollifier_tail_table():
     """Upper-right tail measure Q(p, q) of the radial bump exp(-1/(1-r^2)).
 
     Q(p, q) integrates the (normalized) bump over {a > p, b > q} for
-    p, q >= 0 on a (res+1)^2 node grid; normalization uses Q(0, 0) = 1/4 so
+    p, q >= 0 on a 1025^2 node grid; normalization uses Q(0, 0) = 1/4 so
     the discrete table carries exactly unit total mass.
     """
-    if res in _TAIL_TABLE:
-        return _TAIL_TABLE[res]
+    res = 1024
     axis = np.linspace(0.0, 1.0, res + 1)
     aa, bb = np.meshgrid(axis, axis, indexing="ij")
     r2 = aa * aa + bb * bb
@@ -98,8 +95,7 @@ def _mollifier_tail_table(res=_TAIL_RES):
     q = np.zeros_like(w)
     q[:-1, :] = np.cumsum((col[:0:-1, :] + col[-2::-1, :]) * 0.5 * h, axis=0)[::-1, :]
     q /= 4.0 * q[0, 0]
-    _TAIL_TABLE[res] = (axis, q)
-    return _TAIL_TABLE[res]
+    return axis, q
 
 
 def _interp_tail(p, q):
@@ -223,8 +219,8 @@ def _check_bump_placement(center, ladder):
     """
     x0, y0 = center
     if ladder.is_faithful:
-        if not seed_region_contains(x0, y0, ladder):
-            bad = seed_region_violations(x0, y0, ladder)
+        bad = seed_region_violations(x0, y0, ladder)
+        if bad:
             raise ValueError(
                 f"bump center {center} outside the admissible seed box: "
                 + ", ".join(bad)
@@ -246,32 +242,26 @@ def _check_bump_placement(center, ladder):
         )
 
 
-_PROFILE_CONSTANTS = {}
-
-
-def bump_profile_constants(samples=200_001):
+@functools.cache
+def bump_profile_constants():
     """Continuum constants of the radial profile g(rho) = B(rho)(1 - a rho^2).
 
     B is the smooth bump exp(-rho^2 / (1 - rho^2)); ``a`` makes the 2D radial
     mean vanish.  Returns dict with a, max_abs_slope, min_value, l2 (the 2D L2
     norm of g over the unit disc).
     """
-    if samples in _PROFILE_CONSTANTS:
-        return _PROFILE_CONSTANTS[samples]
-    rho = np.linspace(0.0, 1.0, samples)
+    rho = np.linspace(0.0, 1.0, 200_001)
     with np.errstate(over="ignore", under="ignore"):
         B = np.where(rho < 1.0, np.exp(-(rho**2) / np.maximum(1e-300, 1.0 - rho**2)), 0.0)
     a = np.trapezoid(B * rho, rho) / np.trapezoid(B * rho**3, rho)
     g = B * (1.0 - a * rho**2)
     slope = np.diff(g) / np.diff(rho)
-    out = {
+    return {
         "a": float(a),
         "max_abs_slope": float(np.max(np.abs(slope))),
         "min_value": float(np.min(g)),
         "l2": float(np.sqrt(2.0 * np.pi * np.trapezoid(g * g * rho, rho))),
     }
-    _PROFILE_CONSTANTS[samples] = out
-    return out
 
 
 def _sample_bump_patch(grid, radius_cells, support_radius, height):

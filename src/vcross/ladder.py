@@ -17,11 +17,6 @@ LN10 = math.log(10.0)
 RELAXED_FLOOR_LOG10 = -8.0
 SLACK_LOG10 = 1.0  # "much less than" realized as <= with a factor-10 margin
 
-#: small constants of the admissibility bounds and the near-origin domain,
-#: exposed as knobs rather than hard-coded.
-PERTURBATION_BOUND_FACTOR = 1e-4
-DOMAIN_SCALE = 1e-3
-
 CONSTRAINT_NAMES = (
     "inner_below_outer_power",   # eps1 < eps2 ** (8 e^{2T})
     "drift_monotonicity",        # upsilon <~ eps1 |ln eps2| / eps2
@@ -277,14 +272,7 @@ def resolve_ladder(horizon, growth_factor=10.0, mode="faithful", overrides=None)
 
 def seed_region_contains(x0, y0, ladder):
     """Strict log-space membership of (x0, y0) in the admissible initial box."""
-    if x0 <= 0.0 or y0 <= 0.0:
-        return False
-    lx, ly = math.log10(x0), math.log10(y0)
-    return (
-        lx > ladder.log10_inner
-        and lx < ladder.seed_exponent * ly
-        and ly < ladder.log10_outer
-    )
+    return not seed_region_violations(x0, y0, ladder)
 
 
 def seed_region_violations(x0, y0, ladder):

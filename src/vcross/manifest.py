@@ -63,8 +63,8 @@ class RunManifest:
         lines.append("")
         return "\n".join(lines)
 
-    def write(self, filename="manifest.txt"):
-        path = os.path.join(self.out_dir, filename)
+    def write(self):
+        path = os.path.join(self.out_dir, "manifest.txt")
         with open(path, "w") as fh:
             fh.write(self.render())
         return path

@@ -58,7 +58,7 @@ class CrossFieldVariant:
         v = self.c1 * (y * lr2 - 2.0 * y + 2.0 * x * np.arctan(y / x))
         return u, v
 
-    def log_rates(self, lx, ly, t_unused=0.0):
+    def log_rates(self, lx, ly):
         """(u/x, v/y) arrays from log coordinates, stable for extreme aspect ratios."""
         if self.kind == "leading":
             return -self.c2 * ly, self.c2 * ly
@@ -240,22 +240,6 @@ ZERO_PERTURBATION = FlowPerturbation()
 
 
 @dataclass
-class PhaseState:
-    """Tracer sample: position, time and optionally the flow-map Jacobian."""
-
-    x: float
-    y: float
-    t: float
-    jac: np.ndarray = None
-
-    @property
-    def det(self):
-        if self.jac is None:
-            return None
-        return float(self.jac[0, 0] * self.jac[1, 1] - self.jac[0, 1] * self.jac[1, 0])
-
-
-@dataclass
 class TrajectoryPath:
     """Sampled trajectory with the first exit time from the wedge, if any."""
 
@@ -284,10 +268,6 @@ class TrajectoryPath:
             self.jac[:, 0, 0] * self.jac[:, 1, 1]
             - self.jac[:, 0, 1] * self.jac[:, 1, 0]
         )
-
-    def final_state(self):
-        jac = self.jac[-1] if self.jac is not None else None
-        return PhaseState(float(self.x[-1]), float(self.y[-1]), float(self.t[-1]), jac)
 
     def write_csv(self, path):
         """Columns t,x,y,xa,ya,xb,yb,detJ through ``series.write_table``."""
@@ -328,15 +308,15 @@ def rk4_steps(rhs, state, T, dt):
 
     ``state`` is a tuple whose entries are floats or arrays, and
     ``rhs(state, t)`` returns a tuple of the same shape.  The last step is
-    shortened to land on T; when T is a multiple of dt the summed steps can
-    end one ulp short of it.  Consumers stop early by leaving the loop.
+    T - t, so the final t is T exactly.  Consumers stop early by leaving the
+    loop.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     t = 0.0
-    for _ in range(n_steps):
-        h = min(dt, T - t)
+    for i in range(1, n_steps + 1):
+        h = dt if i < n_steps else T - t
         if h <= 0.0:
             return
         k1 = rhs(state, t)
@@ -539,14 +519,16 @@ def integrate_variational_batch(
     ts = [0.0]
     history = [state]
     exit_times = [None] * count
-    for t, (state,) in rk4_steps(rhs, (state,), T, dt):
-        ts.append(t)
-        history.append(state)
-        if region is not None:
-            for i in np.flatnonzero(~region.contains_log(state[0], state[1])):
-                if exit_times[i] is None:
-                    exit_times[i] = t
-        _check_jacobian(state[2:])
+    # the 1e250/NaN guard reports an overflow; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t, (state,) in rk4_steps(rhs, (state,), T, dt):
+            ts.append(t)
+            history.append(state)
+            if region is not None:
+                for i in np.flatnonzero(~region.contains_log(state[0], state[1])):
+                    if exit_times[i] is None:
+                        exit_times[i] = t
+            _check_jacobian(state[2:])
     per_start = np.ascontiguousarray(np.transpose(history, (2, 0, 1)))
     t_arr = np.asarray(ts)
     return [
@@ -588,9 +570,7 @@ class AdmissibilityReport:
     samples: int = 0
 
 
-def check_perturbation_admissible(
-    perturbation, region, samples=200, t_max=1.0, seed=0, bound_factor=1e-4
-):
+def check_perturbation_admissible(perturbation, region, samples=200, t_max=1.0, seed=0):
     """Sample the region and check |nu| < 1e-4 u r and |grad nu| < 1e-4 u.
 
     Gradients use central differences.  Returns worst margins and witness
@@ -605,7 +585,7 @@ def check_perturbation_admissible(
     ts = rng.uniform(0.0, t_max, size=samples)
     x, y = pts[:, 0], pts[:, 1]
     r = np.hypot(x, y)
-    ubound = bound_factor * perturbation.upsilon
+    ubound = 1e-4 * perturbation.upsilon
     n1, n2 = perturbation.eval(x, y, ts)
     value_ratio = np.maximum(np.abs(n1), np.abs(n2)) / (ubound * r)
     grads = perturbation.grad_fd(x, y, ts)
@@ -653,7 +633,7 @@ def fit_leading_order_bound(path, upsilon=None):
     if path.exit_time is not None:
         keep = t <= path.exit_time + 1e-15  # the bounds only apply inside the wedge
         lx, ly, t = lx[keep], ly[keep], t[keep]
-    rx, ry = path.variant.log_rates(lx, ly, t)
+    rx, ry = path.variant.log_rates(lx, ly)
     dx, dy = _drift_log_rates(path.perturbation, lx, ly, t)
     rate_x = rx + dx  # x'/x
     rate_y = ry + dy  # y'/y

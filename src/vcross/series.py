@@ -139,7 +139,7 @@ class RateFit:
             raise ValueError("empty fit window")
 
 
-def linear_fit(t, z, name_window=None):
+def linear_fit(t, z):
     """Ordinary least squares z = slope * t + intercept with r^2."""
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -153,5 +153,5 @@ def linear_fit(t, z, name_window=None):
     resid = z - (slope * t + intercept)
     total = np.sum(dz * dz)
     r2 = 1.0 if total == 0.0 else 1.0 - float(np.sum(resid * resid) / total)
-    window = name_window if name_window is not None else (float(t.min()), float(t.max()))
+    window = (float(t.min()), float(t.max()))
     return RateFit(slope, intercept, max(0.0, min(1.0, r2)), window)

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +93,15 @@ class TestConfigParsing:
 
 
 class TestSimulate:
+    def test_readme_example_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "\nt_end = 1.0\n" in block and "\ndir = out/sim\n" in block
+        block = block.replace("\nt_end = 1.0\n", "\nt_end = 0.05\n")
+        block = block.replace("\ndir = out/sim\n", f"\ndir = {tmp_path / 'sim'}\n")
+        cfg = write(tmp_path, "sim.cfg", block)
+        assert main(["simulate", "--config", cfg]) == 0
+
     def test_zero_horizon_writes_initial_snapshot_only_run(self, tmp_path):
         out = tmp_path / "run0"
         cfg = write(tmp_path, "sim.cfg", SIM_CFG.format(t_end=0.0, out=out))
@@ -450,6 +461,15 @@ dir = {out}
         assert code == vcross.cli.EXIT_BLOWUP == 3
         assert "numerical blow-up:" in err and "left float range" in err
         assert "Traceback" not in err
+
+    def test_model_overflow_reported_once_without_numpy_warnings(self, tmp_path, capsys):
+        cfg = write(tmp_path, "o.cfg", self.OVERFLOW_CFG.format(out=tmp_path / "o"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["model", "--config", cfg, "--seed", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == vcross.cli.EXIT_BLOWUP
+        assert len(err) == 1 and err[0].startswith("numerical blow-up:")
 
     def test_unexpected_exception_exits_internal(self, tmp_path, monkeypatch, capsys):
         def broken(args):

@@ -271,6 +271,15 @@ class TestRK4Steps:
         times = [t for t, _ in steps]
         assert np.allclose(np.diff(times)[:-1], 0.1, rtol=1e-12)
 
+    @pytest.mark.parametrize("T, dt", [(1.0, 0.1), (2.0, 1e-3)])
+    def test_last_step_lands_on_T_on_the_dt_lattice(self, T, dt):
+        # summing dt falls short of T here; the last step must close the gap
+        steps = list(rk4_steps(lambda s, t: (1.0,), (0.0,), T, dt))
+        assert len(steps) == round(T / dt)
+        t_end, (clock,) = steps[-1]
+        assert t_end == T
+        assert clock == pytest.approx(T, rel=1e-12)
+
     def test_tuple_of_arrays_state(self):
         rates = np.array([1.0, -2.0])
         state = (np.ones(2), 0.0)
