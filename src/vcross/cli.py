@@ -370,7 +370,7 @@ def cmd_sweep(args):
         radii = cfg.get_floats("base", "radii", [0.05, 0.1, 0.2])
         for tau in values:
             p = arm_anomaly(grid, tau)
-            rep = perturbation_field_bounds(p, cfg.get_float("base", "inner", 1e-3), radii)
+            rep = perturbation_field_bounds(p, None, radii)
             rec = {"hessian_sup": rep.hessian_sup, "origin_ratio": rep.origin_value / rep.field_max}
             for r, s in zip(rep.radii, rep.sup_ratio):
                 rec[f"sup_ratio_r{r:g}"] = float(s)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import ZERO_PERTURBATION, rk4_steps
 from .series import DiagnosticSeries, RateFit, linear_fit
-from .solver import hessian_sup_of_inverse_laplacian
+from .solver import hessian_sup_of_inverse_laplacian, velocity_from_vorticity
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -337,11 +337,11 @@ class PerturbationBoundsReport:
 def perturbation_field_bounds(p, x_min, radii, arm_width=None):
     """Induced velocity bounds for a cross-supported vorticity anomaly.
 
-    Computes F1, the gradient of the inverse Laplacian of p, spectrally;
-    reports sup |F1| / r over 720 points on each circle around the stagnation
-    point, the Hessian sup, and |F1(0)| (forced to zero by even symmetry).  If
-    ``arm_width`` is given the support of p must stay within that distance of
-    the arms.
+    F1, the gradient of the inverse Laplacian of p, is the velocity p induces
+    turned by a right angle, so |F1| = |u|.  Reports sup |F1| / r over 720
+    points on each circle around the stagnation point, the Hessian sup, and
+    |F1(0)| (forced to zero by even symmetry).  If ``arm_width`` is given the
+    support of p must stay within that distance of the arms; x_min is unread.
     """
     from .initial_data import cross_arm_distance
 
@@ -355,9 +355,8 @@ def perturbation_field_bounds(p, x_min, radii, arm_width=None):
             raise ValueError(
                 f"anomaly support leaks {leak:.4g} from the arms, width is {arm_width:.4g}"
             )
-    psi_hat = -p.spectrum * g.inv_k2
-    f1x = np.fft.irfft2(1j * g.kx * psi_hat, s=(g.n, g.n))
-    f1y = np.fft.irfft2(1j * g.ky * psi_hat, s=(g.n, g.n))
+    vel = velocity_from_vorticity(p)
+    f1x, f1y = vel.v.values, vel.u.values  # F1 = (v, -u); the sign drops out
     mag = np.hypot(f1x, f1y)
     field_max = float(np.max(mag))
     origin_value = float(mag[0, 0])

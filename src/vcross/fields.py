@@ -31,6 +31,9 @@ class UnresolvedScaleError(ValueError):
         super().__init__(message)
         self.required_n = required_n
 
+    def __reduce__(self):  # pickle rebuilds from the constructor's arguments
+        return type(self), (str(self), self.required_n)
+
 
 def next_power_of_two(m):
     n = 16

@@ -10,10 +10,11 @@ The leading variant keeps only (-x ln y, y ln y); it has constant divergence
 and exists as an analytic oracle (its trajectories, Jacobians and enclosed
 areas all have elementary closed forms).
 
-Trajectories integrate in logarithmic coordinates so that the
-double-exponential contraction toward the axis never goes stiff or underflows
-before y reaches the float floor; the flow-map Jacobian co-evolves in linear
-coordinates alongside.
+Trajectories integrate in logarithmic coordinates, so the double-exponential
+contraction toward the axis never goes stiff or underflows.  Each variant is
+one formula from (ln x, ln y), for arrays and again for plain floats, giving
+the rates (u/x, v/y) and the partials that drive the flow-map Jacobian, so
+both hold for starts far below float range.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .series import DiagnosticSeries, write_table
 
 AXIS_GUARD = 1e-12
+HALF_PI = math.pi / 2.0
 
 
 class NearAxisError(ValueError):
@@ -44,98 +46,90 @@ class CrossFieldVariant:
         if self.kind not in ("exact", "leading"):
             raise ValueError(f"unknown variant kind {self.kind!r}")
 
+    def rates_and_partials(self, lx, ly):
+        """(u/x, v/y, u_x, u_y, v_x, v_y) from log coordinates, vectorized.
+
+        Everything comes from ln x - ln y, so points far below float range
+        work; beyond aspect ratio e^30 the arctangents take asymptotic forms.
+        """
+        lx = np.asarray(lx, dtype=float)
+        ly = np.asarray(ly, dtype=float)
+        ldiff = lx - ly
+        if self.kind == "leading":
+            c = self.c2
+            zero = np.zeros_like(ldiff)
+            return -c * ly, c * ly, -c * ly, -c * np.exp(ldiff), zero, c * (ly + 1.0)
+        # ln(x^2 + y^2) = 2 max(lx, ly) + log1p(exp(-2 |lx - ly|))
+        lr2 = 2.0 * np.maximum(lx, ly) + np.log1p(np.exp(-2.0 * np.abs(ldiff)))
+        # a = arctan(x/y), b = arctan(y/x), yx = (y/x) a, xy = (x/y) b
+        a, b, yx, xy = (np.empty_like(ldiff) for _ in range(4))
+        lo = ldiff < -30.0  # x much smaller than y
+        hi = ldiff > 30.0
+        mid = ~(lo | hi)
+        s = np.exp(ldiff[mid])
+        a[mid], b[mid] = np.arctan(s), np.arctan(1.0 / s)
+        yx[mid], xy[mid] = a[mid] / s, s * b[mid]
+        s = np.exp(ldiff[lo])
+        a[lo], b[lo], yx[lo], xy[lo] = s, HALF_PI - s, 1.0, HALF_PI * s
+        s = np.exp(-ldiff[hi])
+        a[hi], b[hi], yx[hi], xy[hi] = HALF_PI - s, s, HALF_PI * s, 1.0
+        c = self.c1
+        return (
+            -c * (lr2 - 2.0 + 2.0 * yx),
+            c * (lr2 - 2.0 + 2.0 * xy),
+            -c * lr2,
+            -2.0 * c * a,
+            2.0 * c * b,
+            c * lr2,
+        )
+
+    def rates_and_partials_scalar(self, lx, ly):
+        """:meth:`rates_and_partials` on plain floats, for the scalar integrators."""
+        ldiff = lx - ly
+        if self.kind == "leading":
+            c = self.c2
+            # past float range u_y is -inf, which the Jacobian guard reports
+            x_over_y = math.exp(ldiff) if ldiff < 709.0 else math.inf
+            return -c * ly, c * ly, -c * ly, -c * x_over_y, 0.0, c * (ly + 1.0)
+        ad = ldiff if ldiff >= 0.0 else -ldiff
+        lr2 = 2.0 * (lx if lx > ly else ly) + math.log1p(math.exp(-2.0 * ad))
+        if ldiff < -30.0:
+            s = math.exp(ldiff)
+            a, b, yx, xy = s, HALF_PI - s, 1.0, HALF_PI * s
+        elif ldiff > 30.0:
+            s = math.exp(-ldiff)
+            a, b, yx, xy = HALF_PI - s, s, HALF_PI * s, 1.0
+        else:
+            s = math.exp(ldiff)
+            a, b = math.atan(s), math.atan(1.0 / s)
+            yx, xy = a / s, s * b
+        c = self.c1
+        return (
+            -c * (lr2 - 2.0 + 2.0 * yx),
+            c * (lr2 - 2.0 + 2.0 * xy),
+            -c * lr2,
+            -2.0 * c * a,
+            2.0 * c * b,
+            c * lr2,
+        )
+
     def velocity(self, x, y):
         """(u, v) at points of the open first quadrant, vectorized."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.any(x < AXIS_GUARD) or np.any(y < AXIS_GUARD):
             raise NearAxisError("evaluation within the axis guard band")
-        if self.kind == "leading":
-            ly = np.log(y)
-            return -self.c2 * x * ly, self.c2 * y * ly
-        lr2 = np.log(x * x + y * y)
-        u = -self.c1 * (x * lr2 - 2.0 * x + 2.0 * y * np.arctan(x / y))
-        v = self.c1 * (y * lr2 - 2.0 * y + 2.0 * x * np.arctan(y / x))
-        return u, v
-
-    def log_rates(self, lx, ly):
-        """(u/x, v/y) arrays from log coordinates, stable for extreme aspect ratios."""
-        if self.kind == "leading":
-            return -self.c2 * ly, self.c2 * ly
-        lx = np.atleast_1d(np.asarray(lx, dtype=float))
-        ly = np.atleast_1d(np.asarray(ly, dtype=float))
-        ldiff = lx - ly
-        # ln(x^2 + y^2) = 2 max(lx, ly) + log1p(exp(-2 |lx - ly|))
-        lr2 = 2.0 * np.maximum(lx, ly) + np.log1p(np.exp(-2.0 * np.abs(ldiff)))
-        # yx = (y/x) arctan(x/y), xy = (x/y) arctan(y/x); asymptotics beyond
-        # aspect ratio e^30 where the direct formulas would overflow/underflow
-        yx = np.empty_like(ldiff)
-        xy = np.empty_like(ldiff)
-        lo = ldiff < -30.0  # x much smaller than y
-        hi = ldiff > 30.0
-        mid = ~(lo | hi)
-        s = np.exp(ldiff[mid])
-        yx[mid] = np.arctan(s) / s
-        xy[mid] = s * np.arctan(1.0 / s)
-        yx[lo] = 1.0
-        xy[lo] = (np.pi / 2.0) * np.exp(ldiff[lo])
-        yx[hi] = (np.pi / 2.0) * np.exp(-ldiff[hi])
-        xy[hi] = 1.0
-        rate_x = -self.c1 * (lr2 - 2.0 + 2.0 * yx)
-        rate_y = self.c1 * (lr2 - 2.0 + 2.0 * xy)
-        return rate_x, rate_y
+        rx, ry = self.rates_and_partials(np.log(x), np.log(y))[:2]
+        return x * rx, y * ry
 
     def jacobian(self, x, y):
-        """Analytic partials ((u_x, u_y), (v_x, v_y)), vectorized."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.kind == "leading":
-            ly = np.log(y)
-            zero = np.zeros_like(ly)
-            return (
-                (-self.c2 * ly, -self.c2 * x / y),
-                (zero, self.c2 * (ly + 1.0)),
-            )
-        lr2 = np.log(x * x + y * y)
-        return (
-            (-self.c1 * lr2, -2.0 * self.c1 * np.arctan(x / y)),
-            (2.0 * self.c1 * np.arctan(y / x), self.c1 * lr2),
-        )
-
-    # scalar fast paths for the ODE integrators (plain floats, no array cost)
+        """Analytic partials ((u_x, u_y), (v_x, v_y)) at linear points, vectorized."""
+        _, _, ux, uy, vx, vy = self.rates_and_partials(np.log(x), np.log(y))
+        return (ux, uy), (vx, vy)
 
     def log_rates_scalar(self, lx, ly):
-        if self.kind == "leading":
-            return -self.c2 * ly, self.c2 * ly
-        ldiff = lx - ly
-        ad = ldiff if ldiff >= 0.0 else -ldiff
-        lr2 = 2.0 * (lx if lx > ly else ly) + math.log1p(math.exp(-2.0 * ad))
-        if ldiff < -30.0:
-            yx = 1.0
-            xy = (math.pi / 2.0) * math.exp(ldiff)
-        elif ldiff > 30.0:
-            yx = (math.pi / 2.0) * math.exp(-ldiff)
-            xy = 1.0
-        else:
-            s = math.exp(ldiff)
-            yx = math.atan(s) / s
-            xy = s * math.atan(1.0 / s)
-        return (
-            -self.c1 * (lr2 - 2.0 + 2.0 * yx),
-            self.c1 * (lr2 - 2.0 + 2.0 * xy),
-        )
-
-    def jacobian_scalar(self, x, y):
-        if self.kind == "leading":
-            ly = math.log(y)
-            return -self.c2 * ly, -self.c2 * x / y, 0.0, self.c2 * (ly + 1.0)
-        lr2 = math.log(x * x + y * y)
-        return (
-            -self.c1 * lr2,
-            -2.0 * self.c1 * math.atan(x / y),
-            2.0 * self.c1 * math.atan(y / x),
-            self.c1 * lr2,
-        )
+        """(u/x, v/y) from log coordinates on plain floats."""
+        return self.rates_and_partials_scalar(lx, ly)[:2]
 
 
 EXACT = CrossFieldVariant("exact")
@@ -359,10 +353,9 @@ def integrate_trajectory(
     drift_free = perturbation.is_zero
 
     def rates(s, t_):
-        rx, ry = variant.log_rates_scalar(*s)
+        rx, ry = variant.rates_and_partials_scalar(*s)[:2]
         if not drift_free:
-            x = math.exp(s[0])
-            y = math.exp(s[1])
+            x, y = math.exp(s[0]), math.exp(s[1])
             n1, n2 = perturbation.eval(x, y, t_)
             rx += float(n1) / x
             ry += float(n2) / y
@@ -417,11 +410,9 @@ def integrate_variational(
 
     def rhs(s, t_):
         lx_, ly_, j11, j12, j21, j22 = s
-        rx, ry = variant.log_rates_scalar(lx_, ly_)
-        x = math.exp(lx_)
-        y = math.exp(ly_)
-        ux, uy, vx, vy = variant.jacobian_scalar(x, y)
+        rx, ry, ux, uy, vx, vy = variant.rates_and_partials_scalar(lx_, ly_)
         if not drift_free:
+            x, y = math.exp(lx_), math.exp(ly_)
             n1, n2 = perturbation.eval(x, y, t_)
             rx += float(n1) / x
             ry += float(n2) / y
@@ -490,11 +481,9 @@ def integrate_variational_batch(
 
     def rhs(s, t_):
         lx_, ly_, j11, j12, j21, j22 = s[0]
-        rx, ry = variant.log_rates(lx_, ly_)
-        x = np.exp(lx_)
-        y = np.exp(ly_)
-        (ux, uy), (vx, vy) = variant.jacobian(x, y)
+        rx, ry, ux, uy, vx, vy = variant.rates_and_partials(lx_, ly_)
         if not drift_free:
+            x, y = np.exp(lx_), np.exp(ly_)
             n1, n2 = perturbation.eval(x, y, t_)
             rx = rx + n1 / x
             ry = ry + n2 / y
@@ -633,7 +622,7 @@ def fit_leading_order_bound(path, upsilon=None):
     if path.exit_time is not None:
         keep = t <= path.exit_time + 1e-15  # the bounds only apply inside the wedge
         lx, ly, t = lx[keep], ly[keep], t[keep]
-    rx, ry = path.variant.log_rates(lx, ly)
+    rx, ry = path.variant.rates_and_partials(lx, ly)[:2]
     dx, dy = _drift_log_rates(path.perturbation, lx, ly, t)
     rate_x = rx + dx  # x'/x
     rate_y = ry + dy  # y'/y

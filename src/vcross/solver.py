@@ -34,7 +34,11 @@ class CFLViolation(RuntimeError):
         super().__init__(
             f"dt={dt:.6g} exceeds CFL limit; admissible dt <= {admissible_dt:.6g}"
         )
+        self.dt = dt
         self.admissible_dt = admissible_dt
+
+    def __reduce__(self):  # pickle rebuilds from the constructor's arguments
+        return type(self), (self.dt, self.admissible_dt)
 
 
 class BlowUpError(FloatingPointError):
@@ -43,6 +47,9 @@ class BlowUpError(FloatingPointError):
     def __init__(self, time):
         super().__init__(f"solution lost finiteness at t={time:.6g}")
         self.time = time
+
+    def __reduce__(self):  # pickle rebuilds from the constructor's arguments
+        return type(self), (self.time,)
 
 
 @dataclass(frozen=True)

@@ -381,6 +381,30 @@ dir = {out}
             outs.append((out / "aggregate.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_pooled_member_failure_stays_its_own(self, tmp_path):
+        # n = 64 cannot resolve sigma = 0.4; its error must cross the pool
+        # without taking the n = 128 member down with it
+        cfg_text = """
+[sweep]
+axis = n
+values = 64 128
+[base]
+sigma = 0.4
+T = 0.05
+[output]
+dir = {out}
+"""
+        outs = []
+        for name, threads in (("ser", "1"), ("par", "2")):
+            out = tmp_path / name
+            cfg = write(tmp_path, f"{name}.cfg", cfg_text.format(out=out))
+            assert main(["sweep", "--config", cfg, "--threads", threads]) == 0
+            outs.append((out / "aggregate.csv").read_bytes())
+            rows = outs[-1].decode().splitlines()
+            error = rows[0].split(",").index("error")
+            assert [r.split(",")[error] for r in rows[1:]] == ["1", "nan"]
+        assert outs[0] == outs[1]
+
     def test_omega_sweep_appends_fit(self, tmp_path):
         out = tmp_path / "s3"
         cfg_text = """

@@ -84,6 +84,19 @@ class TestCrossVelocity:
                 assert rx == pytest.approx(float(u) / x, rel=1e-12)
                 assert ry == pytest.approx(float(v) / y, rel=1e-12)
 
+    @pytest.mark.parametrize("variant", [EXACT, LEADING], ids=["exact", "leading"])
+    def test_scalar_formula_matches_vector(self, variant):
+        # both asymptotic branches (|ln x - ln y| > 30) and the middle one
+        ldiffs = [-40.0, -30.5, -29.5, -1.0, 0.0, 1.0, 29.5, 30.5, 40.0]
+        lys = np.array([-0.5, -40.0, -700.0])
+        ly = np.repeat(lys, len(ldiffs))
+        lx = ly + np.tile(ldiffs, len(lys))
+        vector = variant.rates_and_partials(lx, ly)
+        for i in range(lx.size):
+            scalar = variant.rates_and_partials_scalar(float(lx[i]), float(ly[i]))
+            for got, want in zip(scalar, vector):
+                assert got == pytest.approx(float(want[i]), rel=1e-14, abs=0.0)
+
     def test_jacobian_matches_finite_differences(self):
         d = 1e-8
         for variant in (EXACT, LEADING):
@@ -188,6 +201,29 @@ class TestVariational:
         minus = integrate_trajectory((x0 - d, y0), 1.0, perturbation=pert, dt=1e-3)
         fd = (plus.x[-1] - minus.x[-1]) / (2 * d)
         assert path.jac[-1, 0, 0] == pytest.approx(fd, rel=1e-4)
+
+    def test_exact_start_below_float_range(self):
+        # x0 = e^-1520 underflows to 0; the partials come from ln x - ln y
+        p0 = (-1520.0, math.log(0.0099))
+        kwargs = dict(variant=EXACT, dt=1e-3, p0_is_log=True)
+        path = integrate_variational(p0, 1.0, **kwargs)
+        assert np.array_equal(path.log_x, integrate_trajectory(p0, 1.0, **kwargs).log_x)
+        assert np.max(np.abs(path.det_jac - 1.0)) <= 1e-9
+        # d ln x(T) / d ln x0 = J11 x0 / x(T), against a log-space difference
+        h = 1e-4
+        plus = integrate_trajectory((p0[0] + h, p0[1]), 1.0, **kwargs)
+        minus = integrate_trajectory((p0[0] - h, p0[1]), 1.0, **kwargs)
+        fd = (plus.log_x[-1] - minus.log_x[-1]) / (2.0 * h)
+        dlog = path.jac[-1, 0, 0] * math.exp(p0[0] - path.log_x[-1])
+        assert dlog == pytest.approx(fd, rel=1e-8)
+
+    def test_leading_start_below_float_range(self):
+        # ln y = ln y0 e^t and J11 = exp(-ln y0 (e^t - 1)), while y(T) = e^-855
+        T = 0.2
+        path = integrate_variational((-800.0, -700.0), T, variant=LEADING, dt=1e-4,
+                                     p0_is_log=True)
+        assert path.log_y[-1] == pytest.approx(-700.0 * math.exp(T), rel=1e-12)
+        assert path.jac[-1, 0, 0] == pytest.approx(math.exp(700.0 * math.expm1(T)), rel=1e-4)
 
 
 class TestVariationalBatch:

@@ -1,5 +1,7 @@
 """Solver tests: inversion closed forms, stepping, conservation, norms."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy import fft
@@ -7,7 +9,7 @@ from scipy import fft
 import vcross as vc
 from conftest import evenness_error
 from vcross import solver
-from vcross.experiments import shear_state, smooth_random_field
+from vcross.experiments import rescaling_pair, shear_state, smooth_random_field
 from vcross.solver import diagnostics_with_norms
 
 TWO_PI = 2.0 * np.pi
@@ -187,6 +189,24 @@ class TestAdvectionKernel:
         assert abs(q1 - q0) <= 1e-10 * q0
 
 
+class TestErrors:
+    @pytest.mark.parametrize(
+        "error, attribute",
+        [
+            (vc.UnresolvedScaleError("feature below 8 cells", 256), "required_n"),
+            (solver.BlowUpError(0.375), "time"),
+            (solver.CFLViolation(0.1, 0.025), "admissible_dt"),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else v,
+    )
+    def test_errors_survive_pickle(self, error, attribute):
+        # a process pool sends a failed member's error back pickled
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert getattr(copy, attribute) == getattr(error, attribute)
+
+
 class TestRun:
     def test_noop_run(self, grid64):
         state = vc.SimState(smooth_random_field(grid64, seed=2), time=1.0)
@@ -254,6 +274,12 @@ class TestRun:
         g1 = base.series["grad_sup"].values
         g2 = scaled.series["grad_sup"].values
         assert np.max(np.abs(mu * g1 - g2)) <= 1e-12 * np.max(g2)
+
+    def test_rescaling_pair_coincides_exactly(self, grid64):
+        # mu = 2 scales every stage exactly, so both runs round identically
+        base, scaled = rescaling_pair(smooth_random_field(grid64, seed=1), 1.0, mu=2.0)
+        assert np.array_equal(base.values, scaled.values)
+        assert np.array_equal(base.t, 2.0 * scaled.t)
 
     def test_cfl_holds_at_every_step_start(self, grid64, monkeypatch):
         # the max speed grows over this run, so a dt taken from the speed of
