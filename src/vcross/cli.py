@@ -28,7 +28,7 @@ from .experiments import (
     shear_state,
     smooth_random_field,
 )
-from .fields import Grid, UnresolvedScaleError
+from .fields import Grid, UnresolvedScaleError, point_reflection
 from .initial_data import BumpSpec, compose_initial_data, make_bump, mollified_cross
 from .ladder import LadderError, resolve_ladder, seed_region_violations
 from .model import (
@@ -157,8 +157,7 @@ def cmd_simulate(args):
         parity_tol = cfg.get_float("checks", "parity", None)
         if parity_tol is not None:
             v = result.state.theta.values
-            mirrored = np.roll(v[::-1, ::-1], (1, 1), (0, 1))
-            err = float(np.max(np.abs(v - mirrored)))
+            err = float(np.max(np.abs(v - point_reflection(v))))
             rows.append(("parity_sup_error", err, parity_tol, err <= parity_tol))
         write_table(
             manifest.add_output(os.path.join(out, "checks.csv")),
@@ -169,6 +168,8 @@ def cmd_simulate(args):
 
     manifest.timings["total"] = time.perf_counter() - t_start
     manifest.note(f"steps = {result.steps}")
+    manifest.note(f"kernel = {result.kernel}")
+    manifest.note(f"rhs_evals = {result.rhs_evals}")
     manifest.write()
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 

@@ -35,6 +35,11 @@ class UnresolvedScaleError(ValueError):
         return type(self), (str(self), self.required_n)
 
 
+def point_reflection(values):
+    """Grid image of z -> -z: index (i, j) -> (-i, -j) mod n."""
+    return np.roll(values[::-1, ::-1], (1, 1), (0, 1))
+
+
 def next_power_of_two(m):
     n = 16
     while n < m:

@@ -284,6 +284,18 @@ def _drift_log_rates(pert, lx, ly, t):
     return n1 / x, n2 / y
 
 
+def _linear_point(lx, ly):
+    """(e^lx, e^ly) for a drift evaluation; NearAxisError if either is 0.0."""
+    x, y = math.exp(lx), math.exp(ly)
+    for name, log_v, v in (("x", lx, x), ("y", ly, y)):
+        if v == 0.0:
+            raise NearAxisError(
+                f"the drift needs linear x and y, and exp(ln {name}) = "
+                f"exp({log_v:.6g}) underflowed to 0"
+            )
+    return x, y
+
+
 def _check_start(p0, region, p0_is_log):
     if p0_is_log:
         lx, ly = float(p0[0]), float(p0[1])
@@ -355,7 +367,7 @@ def integrate_trajectory(
     def rates(s, t_):
         rx, ry = variant.rates_and_partials_scalar(*s)[:2]
         if not drift_free:
-            x, y = math.exp(s[0]), math.exp(s[1])
+            x, y = _linear_point(*s)
             n1, n2 = perturbation.eval(x, y, t_)
             rx += float(n1) / x
             ry += float(n2) / y
@@ -412,7 +424,7 @@ def integrate_variational(
         lx_, ly_, j11, j12, j21, j22 = s
         rx, ry, ux, uy, vx, vy = variant.rates_and_partials_scalar(lx_, ly_)
         if not drift_free:
-            x, y = math.exp(lx_), math.exp(ly_)
+            x, y = _linear_point(lx_, ly_)
             n1, n2 = perturbation.eval(x, y, t_)
             rx += float(n1) / x
             ry += float(n2) / y

@@ -10,6 +10,12 @@ mean is conserved bit-for-bit.  At alpha = 1 theta is the vorticity of u and
 the product takes Basdevant's form dxdy(v^2 - u^2) + (dxx - dyy)(uv), four
 transforms per RHS; at alpha != 1 that identity fails and u . grad theta
 costs five.
+
+Starting values equal to their point reflection theta(-x, -y), as all
+cross+bump data are, are stepped in a point-even mode: the spectrum stays
+real, so each transform is a pair of half-size real ones, about half the FFT
+work.  The state stays exactly symmetric, so the parity error ``simulate``
+checks is then the rounding of the final inverse transform alone.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Grid, InvalidFieldError, ScalarField, VelocityField
+from .fields import Grid, InvalidFieldError, ScalarField, VelocityField, point_reflection
 from .series import SeriesRecorder
 
 SNAPSHOT_MAGIC = b"VCRS"
@@ -110,46 +116,76 @@ class _AdvectionKernel:
     hold those ``width`` columns only and the first-axis transforms skip the
     rest.  Transforms are numpy.fft calls writing into preallocated arrays,
     so no transform allocates a fresh output.
+
+    In ``point_even`` mode the state is the real half-spectrum and physical
+    buffers hold rows 0..n/2 in the mirrored frame (row r <-> x = -x_r).  An
+    inverse is rfft down the band, times i/n (u, v, theta_x, theta_y are odd),
+    then irfft along rows; a forward is rfft along rows, then irfft down the
+    band (the hfft identity), its 1/n undone by the product multipliers.
     """
 
-    def __init__(self, grid, inversion_exponent):
-        n, m = grid.n, grid.n // 3 + 1
+    def __init__(self, grid, inversion_exponent, point_even=False):
+        n, m, h = grid.n, grid.n // 3 + 1, grid.n // 2 + 1
         kx, ky, keep = grid.kx, grid.ky[:, :m], grid.dealias[:, :m]
         inv = grid.inv_k2_power(inversion_exponent)[:, :m] * keep
-        self.n, self.width = n, m
+        self.grid, self.n, self.width, self.point_even = grid, n, m, point_even
+        self.mode, self.evaluations = ("point-even" if point_even else "general"), 0
+        # spectra of odd fields are i * real when point-even, the i left to _inverse
+        odd, fwd, dtype = (1.0, float(n), float) if point_even else (1j, 1.0, complex)
         # u = -psi_y, v = psi_x with psi_hat = -|k|^(-2 alpha) theta_hat
-        self.to_u, self.to_v = 1j * ky * inv, -1j * kx * inv
+        self.to_u, self.to_v = odd * ky * inv, -odd * kx * inv
         self.basdevant = inversion_exponent == 1.0
         if self.basdevant:  # RHS = kx ky F(v^2 - u^2) + (kx^2 - ky^2) F(uv)
-            self.products = (kx * ky * keep, (kx * kx - ky * ky) * keep)
+            self.products = (fwd * kx * ky * keep, fwd * (kx * kx - ky * ky) * keep)
         else:  # RHS = -F(u theta_x + v theta_y)
-            self.products = (1j * kx * keep, 1j * ky * keep, -1.0 * keep)
-        self.stage, self.k = np.empty((n, m), complex), np.empty((n, m), complex)
-        self._spec_in = np.zeros((n, n // 2 + 1), complex)  # columns >= m stay 0
+            self.products = (odd * kx * keep, odd * ky * keep, -fwd * keep)
+        self.stage, self.k = np.empty((n, m), dtype), np.empty((n, m), dtype)
+        rows = h if point_even else n
+        self._spec_in = np.zeros((rows, h), complex)  # columns >= m stay 0
         self._spec_out = np.empty_like(self._spec_in)
-        self._u, self._v, self._scratch = (np.empty((n, n)) for _ in range(3))
+        self._band = np.empty((n, m)) if point_even else None  # forward output
+        self._u, self._v, self._scratch = (np.empty((rows, n)) for _ in range(3))
+
+    def pack(self, spectrum):
+        """RK4 state of an rfft2 spectrum: itself, or its real part if point-even."""
+        return np.ascontiguousarray(spectrum.real) if self.point_even else spectrum
+
+    def field(self, state_hat):
+        """ScalarField of an RK4 state, the inverse of :meth:`pack`."""
+        return ScalarField.from_spectrum(
+            self.grid, state_hat + 0j if self.point_even else state_hat
+        )
 
     def _inverse(self, band, out):
-        """irfft2 of a spectrum that is zero beyond the band columns."""
-        np.fft.ifft(band, axis=0, out=self._spec_in[:, : self.width])
+        """Physical values of an (odd, if point-even) band spectrum."""
+        half = self._spec_in[:, : self.width]
+        if self.point_even:
+            np.fft.rfft(band, axis=0, out=half)
+            half *= 1j / self.n
+        else:
+            np.fft.ifft(band, axis=0, out=half)
         return np.fft.irfft(self._spec_in, self.n, axis=1, out=out)
 
     def _forward(self, values):
-        """Band columns of rfft2(values), a view into a reused buffer."""
+        """Band columns of rfft2(values) (over n if point-even) in a reused buffer."""
         np.fft.rfft(values, axis=1, out=self._spec_out)
         band = self._spec_out[:, : self.width]
+        if self.point_even:
+            return np.fft.irfft(band, self.n, axis=0, out=self._band)
         return np.fft.fft(band, axis=0, out=band)
 
-    def rhs(self, theta_hat, out):
+    def rhs(self, theta_hat, out, with_speed=True):
         """Write the RHS band into ``out`` (n x width); return the max speed.
 
         ``theta_hat`` may be a full half-spectrum or a band; ``out`` is also
         the scratch for transform inputs, so it must not alias ``theta_hat``.
+        Without ``with_speed`` the speed is not reduced and None is returned.
         """
+        self.evaluations += 1
         band, scratch = theta_hat[:, : self.width], self._scratch
         u = self._inverse(np.multiply(band, self.to_u, out=out), self._u)
         v = self._inverse(np.multiply(band, self.to_v, out=out), self._v)
-        speed = max(u.max(), -u.min(), v.max(), -v.min())
+        speed = float(max(u.max(), -u.min(), v.max(), -v.min())) if with_speed else None
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow here is the blow-up signal; the caller checks finiteness
             if self.basdevant:
@@ -169,7 +205,14 @@ class _AdvectionKernel:
                 u += v
                 np.multiply(self._forward(u), m_minus, out=out)
         out[0, 0] = 0.0
-        return float(speed)
+        return speed
+
+
+def _kernel_for(state):
+    """Kernel for the state's grid and exponent; point-even iff its values are."""
+    v = state.theta.values
+    even = np.array_equal(v, point_reflection(v))
+    return _AdvectionKernel(state.grid, state.inversion_exponent, point_even=even)
 
 
 def _rk4_spectrum(theta_hat, kernel, dt_for_speed):
@@ -187,7 +230,7 @@ def _rk4_spectrum(theta_hat, kernel, dt_for_speed):
         if shift is not None:
             np.multiply(k, shift * dt, out=stage)
             stage += band
-            kernel.rhs(stage, k)  # k2, k3, k4
+            kernel.rhs(stage, k, with_speed=False)  # k2, k3, k4
     out[0, 0] = theta_hat[0, 0]  # mean preserved bit-for-bit
     return out, dt
 
@@ -213,13 +256,11 @@ def step_rk4(state, dt):
                 raise CFLViolation(dt, admissible)
         return dt
 
-    kernel = _AdvectionKernel(g, state.inversion_exponent)
-    new_hat, _ = _rk4_spectrum(theta.spectrum, kernel, checked_dt)
+    kernel = _kernel_for(state)
+    new_hat, _ = _rk4_spectrum(kernel.pack(theta.spectrum), kernel, checked_dt)
     if not np.all(np.isfinite(new_hat)):
         raise BlowUpError(state.time)
-    return replace(
-        state, theta=ScalarField.from_spectrum(g, new_hat), time=state.time + dt
-    )
+    return replace(state, theta=kernel.field(new_hat), time=state.time + dt)
 
 
 # --- diagnostics on fields -------------------------------------------------
@@ -325,12 +366,18 @@ def diagnostics_with_norms():
 
 @dataclass
 class RunResult:
-    """Final state plus sampled diagnostic series (and optional velocity log)."""
+    """Final state, sampled diagnostic series and optional velocity log.
+
+    ``kernel`` is the stepping mode that ran (``none`` if nothing was
+    stepped) and ``rhs_evals`` its count of RHS evaluations.
+    """
 
     state: SimState
     series: dict
     steps: int = 0
     velocity_log: list = None
+    kernel: str = "none"
+    rhs_evals: int = 0
 
     def series_list(self):
         return [self.series[name] for name in sorted(self.series)]
@@ -362,7 +409,7 @@ def run(
         return RunResult(state, recorder.to_series(), steps=0, velocity_log=[] if log_velocity else None)
 
     g = state.grid
-    kernel = _AdvectionKernel(g, state.inversion_exponent)
+    kernel = _kernel_for(state)
     if sample_every is None:
         sample_every = (t_end - state.time) / 50.0
     t0 = state.time
@@ -380,7 +427,7 @@ def run(
         return min(dt, t_sample - t)
 
     sample(state)
-    theta_hat = state.theta.spectrum
+    theta_hat = kernel.pack(state.theta.spectrum)
     t = t0
     steps = 0
     next_idx = 1
@@ -392,12 +439,13 @@ def run(
         t += dt
         steps += 1
         if t >= t_sample - 1e-13:
-            st = replace(state, theta=ScalarField.from_spectrum(g, theta_hat), time=t)
-            sample(st)
+            sample(replace(state, theta=kernel.field(theta_hat), time=t))
             while t0 + next_idx * sample_every <= t + 1e-13:
                 next_idx += 1
-    final = replace(state, theta=ScalarField.from_spectrum(g, theta_hat), time=t)
-    return RunResult(final, recorder.to_series(), steps=steps, velocity_log=vel_log)
+    final = replace(state, theta=kernel.field(theta_hat), time=t)
+    return RunResult(
+        final, recorder.to_series(), steps, vel_log, kernel.mode, kernel.evaluations
+    )
 
 
 # --- snapshot format --------------------------------------------------------

@@ -110,6 +110,9 @@ class TestSimulate:
         assert series == {}  # no-op run: empty series
         assert (out / "initial.vcrs").exists()
         assert not (out / "final.vcrs").exists()  # initial snapshot only
+        _, _, blocks = read_manifest(out / "manifest.txt")
+        assert "kernel = none" in blocks["notes"]
+        assert "rhs_evals = 0" in blocks["notes"]
 
     def test_shear_run_constant_gradient_and_checks(self, tmp_path):
         out = tmp_path / "run1"
@@ -158,6 +161,10 @@ dir = {out}
         _, outputs, blocks = read_manifest(out / "manifest.txt")
         assert any("log10_inner" in line for line in blocks["ladder"])
         assert "series.csv" in outputs
+        # cross+bump data is point-even, so the half-size kernel steps it
+        assert "kernel = point-even" in blocks["notes"]
+        steps = next(l for l in blocks["notes"] if l.startswith("steps = "))
+        assert f"rhs_evals = {4 * int(steps.split()[-1])}" in blocks["notes"]
 
     def test_deterministic_outputs(self, tmp_path):
         outs = []

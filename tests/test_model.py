@@ -155,6 +155,19 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="outside"):
             integrate_trajectory((0.04, 0.05), 1.0, region=region)
 
+    @pytest.mark.parametrize(
+        "integrate", [integrate_trajectory, integrate_variational]
+    )
+    def test_drift_from_sub_float_start_names_underflow(self, integrate):
+        # the drift is evaluated at linear x = exp(-1520), which is 0.0
+        with pytest.raises(NearAxisError, match=r"linear x and y.*exp\(ln x\)"):
+            integrate(
+                (-1520.0, math.log(0.0099)),
+                0.01,
+                perturbation=_demo_perturbation(1e-3),
+                p0_is_log=True,
+            )
+
     def test_csv_columns(self, tmp_path):
         path = integrate_variational((1e-6, 0.1), 0.2, variant=LEADING, dt=1e-3)
         out = tmp_path / "path.csv"

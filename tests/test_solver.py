@@ -7,9 +7,15 @@ import pytest
 from scipy import fft
 
 import vcross as vc
-from conftest import evenness_error
+from conftest import evenness_error, mirror
 from vcross import solver
-from vcross.experiments import rescaling_pair, shear_state, smooth_random_field
+from vcross.experiments import (
+    default_growth_family,
+    rescaling_pair,
+    run_growth_member,
+    shear_state,
+    smooth_random_field,
+)
 from vcross.solver import diagnostics_with_norms
 
 TWO_PI = 2.0 * np.pi
@@ -140,6 +146,19 @@ def transport_rhs(theta_hat, grid, alpha):
     return rhs, max(np.max(np.abs(u)), np.max(np.abs(v)))
 
 
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every kernel that ``run`` and ``step_rk4`` build, in order."""
+    built, choose = [], solver._kernel_for
+
+    def spy(state):
+        built.append(choose(state))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "_kernel_for", spy)
+    return built
+
+
 class TestAdvectionKernel:
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -156,6 +175,36 @@ class TestAdvectionKernel:
         assert np.max(np.abs(out - ref[:, :m])) <= 1e-10 * np.max(np.abs(ref))
         assert np.all(ref[:, m:] == 0.0)  # nothing is dropped beyond the band
         assert speed == pytest.approx(ref_speed, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_point_even_rhs_matches_general_and_transport(self, n, alpha):
+        # the real part of a spectrum is the spectrum of the field's even part
+        grid = vc.Grid(n)
+        theta_hat = band_limited_spectrum(grid, 5).real + 0j
+        even = solver._AdvectionKernel(grid, alpha, point_even=True)
+        general = solver._AdvectionKernel(grid, alpha)
+        out = np.empty((n, even.width))
+        speed = even.rhs(even.pack(theta_hat), out)
+        general_out = np.empty((n, general.width), dtype=complex)
+        general_speed = general.rhs(theta_hat, general_out)
+        ref, ref_speed = transport_rhs(theta_hat, grid, alpha)
+        bound = 1e-10 * np.max(np.abs(ref))
+        assert np.max(np.abs(out - general_out)) <= bound
+        assert np.max(np.abs(out - ref[:, : even.width])) <= bound
+        assert speed == pytest.approx(general_speed, rel=1e-12)
+        assert speed == pytest.approx(ref_speed, rel=1e-12)
+
+    @pytest.mark.parametrize("point_even", [False, True])
+    def test_speed_only_on_request(self, grid64, point_even):
+        kernel = solver._AdvectionKernel(grid64, 1.0, point_even=point_even)
+        theta_hat = kernel.pack(band_limited_spectrum(grid64, 2).real + 0j)
+        out = np.empty_like(kernel.k)
+        assert kernel.rhs(theta_hat, out) > 0.0
+        first = out.copy()
+        assert kernel.rhs(theta_hat, out, with_speed=False) is None
+        assert np.array_equal(out, first)
+        assert kernel.evaluations == 2
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_zero_mode_exactly_zero(self, grid64, alpha):
@@ -262,6 +311,40 @@ class TestRun:
         assert evenness_error(state.theta.values) <= 2e-15
         result = vc.run(state, 0.5, sample_every=0.5)
         assert evenness_error(result.state.theta.values) <= 1e-10
+
+    def test_point_even_data_takes_point_even_path(self, grid64, kernels):
+        random = smooth_random_field(grid64, seed=2).values
+        state = vc.SimState(vc.ScalarField.from_values(grid64, 0.5 * (random + mirror(random))))
+        assert evenness_error(state.theta.values) == 0.0
+        result = vc.run(state, 0.5, sample_every=0.5)
+        vc.step_rk4(state, 0.01)
+        assert [k.mode for k in kernels] == ["point-even", "point-even"]
+        assert result.kernel == "point-even"
+        assert result.rhs_evals == 4 * result.steps
+        assert evenness_error(result.state.theta.values) <= 1e-14
+
+    def test_random_data_takes_general_path(self, grid64, kernels):
+        result = vc.run(vc.SimState(smooth_random_field(grid64, seed=2)), 0.1)
+        vc.step_rk4(vc.SimState(smooth_random_field(grid64, seed=3)), 0.01)
+        assert [k.mode for k in kernels] == ["general", "general"]
+        assert result.kernel == "general"
+        assert result.rhs_evals == 4 * result.steps
+
+    def test_point_even_march_matches_general(self, kernels, monkeypatch):
+        # c07's steepness-200 member on the n = 256 grid, 56 steps each way
+        member = default_growth_family(vc.Grid(256))[-1]
+        even = run_growth_member(256, member, T=0.5)
+
+        def general_only(state):
+            kernels.append(solver._AdvectionKernel(state.grid, state.inversion_exponent))
+            return kernels[-1]
+
+        monkeypatch.setattr(solver, "_kernel_for", general_only)
+        general = run_growth_member(256, member, T=0.5)
+        assert [k.mode for k in kernels] == ["point-even", "general"]
+        assert [k.evaluations for k in kernels] == [4 * 56, 4 * 56]
+        diff = even.state.theta.values - general.state.theta.values
+        assert np.max(np.abs(diff)) <= 1e-11
 
     @pytest.mark.parametrize("mu", [2.0, 0.5])
     def test_rescaling_symmetry(self, grid64, mu):
