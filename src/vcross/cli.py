@@ -324,6 +324,14 @@ def _sweep_member_runner(payload):
         result = run(state, params["T"], sample_every=params["T"] / 8.0)
         g = result.series["grad_sup"].values
         return value, {"grad_growth": float(g.max() / g[0])}
+    if kind == "tau":
+        anomaly = arm_anomaly(Grid(params["n"]), value)
+        rep = perturbation_field_bounds(anomaly, None, params["radii"])
+        rec = {"hessian_sup": rep.hessian_sup, "origin_ratio": rep.origin_value / rep.field_max}
+        for r, s in zip(rep.radii, rep.sup_ratio):
+            rec[f"sup_ratio_r{r:g}"] = float(s)
+        rec["tau_log_tau"] = float(value * abs(math.log(value)))
+        return value, rec
     raise ValueError(f"unknown sweep member kind {kind!r}")
 
 
@@ -337,11 +345,12 @@ def cmd_sweep(args):
     rows = []
     fit_note = None
 
-    if axis in ("steepness", "n", "alpha"):
+    if axis in ("steepness", "n", "alpha", "tau"):
         params = {
-            "n": cfg.get_int("base", "n", 256),
+            "n": cfg.get_int("base", "n", 1024 if axis == "tau" else 256),
             "T": cfg.get_float("base", "T", 1.0),
             "sigma": cfg.get_float("base", "sigma", 0.25),
+            "radii": cfg.get_floats("base", "radii", [0.05, 0.1, 0.2]),
             "seed": args.seed,
         }
         payloads = [(axis, v, params) for v in values]
@@ -365,18 +374,6 @@ def cmd_sweep(args):
                 b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]) if not math.isnan(b)
             )
             fit_note = f"ratio_monotone = {int(ok)}"
-    elif axis == "tau":
-        n = cfg.get_int("base", "n", 1024)
-        grid = Grid(n)
-        radii = cfg.get_floats("base", "radii", [0.05, 0.1, 0.2])
-        for tau in values:
-            p = arm_anomaly(grid, tau)
-            rep = perturbation_field_bounds(p, None, radii)
-            rec = {"hessian_sup": rep.hessian_sup, "origin_ratio": rep.origin_value / rep.field_max}
-            for r, s in zip(rep.radii, rep.sup_ratio):
-                rec[f"sup_ratio_r{r:g}"] = float(s)
-            rec["tau_log_tau"] = float(tau * abs(math.log(tau)))
-            rows.append((tau, rec))
     elif axis == "omega":
         n = cfg.get_int("base", "n", 1024)
         grid = Grid(n)

@@ -27,49 +27,35 @@ class RunConfig:
             return section in self.sections
         return section in self.sections and key in self.sections[section]
 
-    def _raw(self, section, key, default):
+    def _converted(self, section, key, default, convert, kind):
+        """``convert`` of the [section] key text; ``default`` if the key is absent."""
         if not self.has(section, key):
             if default is _REQUIRED:
                 raise ConfigError(f"{self.path}: missing [{section}] {key}")
-            return None
-        return self.sections[section][key]
+            return default
+        raw = self.sections[section][key]
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{self.path}: [{section}] {key} must be {kind}, got {raw!r}"
+            ) from None
 
     def get_str(self, section, key, default=_REQUIRED):
-        raw = self._raw(section, key, default)
-        return raw if raw is not None else default
+        return self._converted(section, key, default, str, "text")
 
     def get_float(self, section, key, default=_REQUIRED):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}: [{section}] {key} must be a number, got {raw!r}"
-            ) from None
+        return self._converted(section, key, default, float, "a number")
 
     def get_int(self, section, key, default=_REQUIRED):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}: [{section}] {key} must be an integer, got {raw!r}"
-            ) from None
+        return self._converted(section, key, default, int, "an integer")
 
     def get_floats(self, section, key, default=_REQUIRED):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}: [{section}] {key} must be a number list, got {raw!r}"
-            ) from None
+        return self._converted(section, key, default, _float_list, "a number list")
+
+
+def _float_list(raw):
+    return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
 def parse_config_text(text, path="<config>"):

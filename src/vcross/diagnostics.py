@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ZERO_PERTURBATION, rk4_steps
+from .fields import TWO_PI
+from .initial_data import cross_arm_distance
+from .model import rk4_steps
 from .series import DiagnosticSeries, RateFit, linear_fit
-from .solver import hessian_sup_of_inverse_laplacian, velocity_from_vorticity
+from .solver import grad_sup_norm, hessian_sup_of_inverse_laplacian, velocity_from_vorticity
 
-TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
 
 
@@ -55,20 +56,13 @@ def periodic_bilinear(arr, px, py, grid):
 
 
 class ModelFlow:
-    """Velocity source backed by a cross-field variant plus perturbation."""
+    """Velocity source backed by a cross-field variant."""
 
-    def __init__(self, variant, perturbation=ZERO_PERTURBATION):
+    def __init__(self, variant):
         self.variant = variant
-        self.perturbation = perturbation
 
     def __call__(self, t, pts):
-        x, y = pts[:, 0], pts[:, 1]
-        u, v = self.variant.velocity(x, y)
-        if not self.perturbation.is_zero:
-            n1, n2 = self.perturbation.eval(x, y, t)
-            u = u + n1
-            v = v + n2
-        return np.column_stack([u, v])
+        return np.column_stack(self.variant.velocity(pts[:, 0], pts[:, 1]))
 
 
 class SnapshotFlow:
@@ -138,9 +132,9 @@ def advect_polyline(
         p, exit_times = points, np.full(points.shape[0], np.nan)
         for t, (p,) in rk4_steps(rhs, (points,), T, dt):
             if region is not None:
-                outside = ~np.fromiter(
-                    (region.contains(px, py) for px, py in p), bool, p.shape[0]
-                )
+                # ln of 0 is -inf and of a negative is NaN: both read as outside
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    outside = ~region.contains_log(np.log(p[:, 0]), np.log(p[:, 1]))
                 fresh = outside & np.isnan(exit_times)
                 exit_times[fresh] = t
         return p, exit_times
@@ -290,7 +284,7 @@ def _envelope_log(kind, C, t, base):
     raise ValueError(f"unknown envelope kind {kind!r}")
 
 
-def fit_growth_envelope(series, kind, base_norms, tol=1e-9):
+def fit_growth_envelope(series, kind, base_norms):
     """Smallest constant C whose envelope dominates every sample.
 
     The envelope families are monotone in C, so the fit is a bisection on the
@@ -313,7 +307,7 @@ def fit_growth_envelope(series, kind, base_norms, tol=1e-9):
         if hi > 1e6:
             raise ValueError("no envelope constant below 1e6 dominates the series")
     lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > 1e-9 * max(1.0, hi):
         midC = 0.5 * (lo + hi)
         if dominates(midC):
             hi = midC
@@ -343,8 +337,6 @@ def perturbation_field_bounds(p, x_min, radii, arm_width=None):
     |F1(0)| (forced to zero by even symmetry).  If ``arm_width`` is given the
     support of p must stay within that distance of the arms; x_min is unread.
     """
-    from .initial_data import cross_arm_distance
-
     p.require_zero_mean(what="anomaly field")
     g = p.grid
     if arm_width is not None:
@@ -395,8 +387,6 @@ def bump_hessian_scaling(bump_fields):
     """
     if len(bump_fields) < 2:
         raise ValueError("need at least two bumps to fit a slope")
-    from .solver import grad_sup_norm
-
     omegas, Ms, Hs = [], [], []
     for b in bump_fields:
         omegas.append(b.l2_norm())

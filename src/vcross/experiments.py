@@ -15,10 +15,14 @@ import numpy as np
 from .diagnostics import growth_ratio_probe, ratio_series
 from .fields import Grid, ScalarField
 from .initial_data import (
+    MIN_CELLS,
     BumpSpec,
+    arm_distance_1d,
+    bump_profile_constants,
     compose_initial_data,
     cross_arm_distance,
     mollified_cross,
+    mollifier_slope_at_jump,
 )
 from .ladder import resolve_ladder
 from .solver import SimState, grad_sup_norm, run
@@ -53,19 +57,19 @@ def smooth_random_field(grid, seed=0, k_peak=3.0, l2=2.0):
     return ScalarField.from_values(grid, f.values * scale)
 
 
-def arm_anomaly(grid, width, amplitude=1.0):
+def arm_anomaly(grid, width):
     """Even, zero-mean vorticity anomaly supported within ``width`` of the arms.
 
     A smooth ridge profile across the horizontal arm lines, modulated by
-    cos(x) along them; bounded by ``amplitude``.
+    cos(x) along them; bounded by 1.
     """
-    from .initial_data import arm_distance_1d
-
+    if width <= 0.0:
+        raise ValueError(f"arm anomaly width must be positive, got {width}")
     d = arm_distance_1d(grid)  # distance to nearest arm line, per index
     rho = d / width
     profile = np.where(rho < 1.0, np.exp(-(rho**2) / np.maximum(1e-300, 1.0 - rho**2)), 0.0)
     x = grid.x
-    values = amplitude * np.outer(np.cos(x), profile)  # ridge on y in {0, pi}
+    values = np.outer(np.cos(x), profile)  # ridge on y in {0, pi}
     return ScalarField.from_values(grid, values)
 
 
@@ -95,24 +99,22 @@ class GrowthMember:
     center: tuple
 
 
-def default_growth_family(grid, requested=(50.0, 100.0, 200.0), center=(0.12, 0.42)):
+def default_growth_family(grid, requested=(50.0, 100.0, 200.0)):
     """Monotone realization of the requested steepness ladder on this grid."""
-    from .initial_data import bump_profile_constants, mollifier_slope_at_jump
-
     requested = sorted(requested)
-    h1 = 8.0 * grid.spacing
+    h1 = MIN_CELLS * grid.spacing  # bump support, and the mollifier width's floor
     slope_const = mollifier_slope_at_jump()
     max_dg = bump_profile_constants()["max_abs_slope"]
     members = []
     for s in requested:
         # width ladder 0.25 * sqrt(50 / S): calibrated so every member's front
         # stays resolved over the run while the contraction depths separate
-        sigma = max(1.76777 / math.sqrt(s), 8.0 * grid.spacing)
+        sigma = max(1.76777 / math.sqrt(s), h1)
         front_slope = slope_const / sigma
         # bump slope pinned at the member's front slope
         height = front_slope * h1 / (2.0 * max_dg)
         members.append(
-            GrowthMember(float(s), float(sigma), float(height), float(h1), center)
+            GrowthMember(float(s), float(sigma), float(height), float(h1), (0.12, 0.42))
         )
     return members
 
@@ -125,9 +127,7 @@ class GrowthRunRecord:
     state: SimState
 
 
-def run_growth_member(
-    n, member, T=1.25, cfl=0.4, sample_every=0.0625, inversion_exponent=1.0
-):
+def run_growth_member(n, member, T=1.25):
     """Compose cross+bump data for one member and march it to T."""
     grid = Grid(n)
     # wider outer scale so the placement depth sits inside the wedge
@@ -136,9 +136,8 @@ def run_growth_member(
     )
     spec = BumpSpec(member.center, member.support, member.height)
     theta = compose_initial_data(grid, ladder, spec, member.sigma)
-    state = SimState(theta, inversion_exponent=inversion_exponent)
     grad0 = grad_sup_norm(theta)
-    result = run(state, T, cfl=cfl, sample_every=sample_every)
+    result = run(SimState(theta), T, sample_every=0.0625)
     return GrowthRunRecord(member, result.series, grad0, result.state)
 
 
@@ -156,7 +155,7 @@ def growth_experiment(n=512, requested=(50.0, 100.0, 200.0), T=1.25):
 # --- stationarity of the mollified cross ----------------------------------------
 
 
-def cross_stationarity_residual(n, sigma=0.2, t_end=0.5, cfl=0.4):
+def cross_stationarity_residual(n, sigma=0.2, t_end=0.5):
     """Sup change of the evolved mollified cross away from the arm band.
 
     The comparison mask keeps points farther than 3 sigma from the arms
@@ -166,8 +165,7 @@ def cross_stationarity_residual(n, sigma=0.2, t_end=0.5, cfl=0.4):
     """
     grid = Grid(n)
     theta0 = mollified_cross(grid, sigma)
-    state = SimState(theta0)
-    result = run(state, t_end, cfl=cfl, sample_every=t_end)
+    result = run(SimState(theta0), t_end, sample_every=t_end)
     mask = cross_arm_distance(grid) > 3.0 * sigma
     diff = np.abs(result.state.theta.values - theta0.values)
     return float(diff[mask].max())
@@ -176,17 +174,15 @@ def cross_stationarity_residual(n, sigma=0.2, t_end=0.5, cfl=0.4):
 # --- rescaling probe -------------------------------------------------------------
 
 
-def rescaling_pair(theta, T, mu=2.0, cfl=0.4, samples=8):
+def rescaling_pair(theta, T, mu=2.0):
     """Growth-ratio series for (theta, T) and (mu theta, T/mu) on matched clocks.
 
     The rescaling symmetry makes the two gradient-amplification series equal;
     with mu a power of two the discrete trajectories coincide to rounding.
     """
-    base = run(SimState(theta), T, cfl=cfl, sample_every=T / samples)
+    base = run(SimState(theta), T, sample_every=T / 8)
     scaled_field = ScalarField.from_values(theta.grid, mu * theta.values)
-    scaled = run(
-        SimState(scaled_field), T / mu, cfl=cfl, sample_every=T / (mu * samples)
-    )
+    scaled = run(SimState(scaled_field), T / mu, sample_every=T / (mu * 8))
     r1 = ratio_series(base.series["grad_sup"])
     r2 = ratio_series(scaled.series["grad_sup"])
     return r1, r2

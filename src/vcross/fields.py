@@ -157,9 +157,9 @@ class ScalarField:
     def mean(self):
         return float(self.spectrum[0, 0].real) / (self.grid.n * self.grid.n)
 
-    def require_zero_mean(self, tol=1e-12, what="field"):
+    def require_zero_mean(self, what="field"):
         scale = max(1.0, float(np.max(np.abs(self.values))))
-        if abs(self.mean) > tol * scale:
+        if abs(self.mean) > 1e-12 * scale:
             raise InvalidFieldError(
                 f"{what} must have zero mean, got {self.mean:.3e}"
             )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    TWO_PI,
     InvalidFieldError,
     ScalarField,
     UnresolvedScaleError,
@@ -24,7 +25,7 @@ from .fields import (
 )
 from .ladder import seed_region_violations
 
-TWO_PI = 2.0 * np.pi
+MIN_CELLS = 8  # grid cells a mollifier width or a bump support must span
 
 
 # --- square wave and arm geometry -------------------------------------------
@@ -148,17 +149,17 @@ def mollifier_slope_at_jump():
 def mollified_cross(grid, sigma):
     """Convolution of the singular cross with a radial unit-mass bump of width sigma.
 
-    Requires 0 < sigma < 0.5 and at least 8 grid cells across sigma.  Equals
-    the singular cross exactly at grid points farther than sigma from the
-    arms; odd across each axis and even under simultaneous negation, hence
-    zero mean.
+    Requires 0 < sigma < 0.5 and at least MIN_CELLS grid cells across sigma.
+    Equals the singular cross exactly at grid points farther than sigma from
+    the arms; odd across each axis and even under simultaneous negation,
+    hence zero mean.
     """
     if not (0.0 < sigma < 0.5):
         raise ValueError(f"sigma must lie in (0, 0.5), got {sigma}")
-    if sigma < 8.0 * grid.spacing:
-        required = next_power_of_two(math.ceil(8.0 * TWO_PI / sigma))
+    if sigma < MIN_CELLS * grid.spacing:
+        required = next_power_of_two(math.ceil(MIN_CELLS * TWO_PI / sigma))
         raise UnresolvedScaleError(
-            f"sigma={sigma} needs >= 8 cells, grid n={grid.n} is too coarse "
+            f"sigma={sigma} needs >= {MIN_CELLS} cells, grid n={grid.n} is too coarse "
             f"(need n >= {required})",
             required,
         )
@@ -279,21 +280,21 @@ def _sample_bump_patch(grid, radius_cells, support_radius, height):
     return height * B * (1.0 - ring * rho**2)
 
 
-def make_bump(grid, spec, ladder=None, min_cells=8):
+def make_bump(grid, spec, ladder=None):
     """Realize an even, zero-mean bump pair on the grid.
 
     The center is snapped to the nearest grid node (so the sup equals the
     requested height exactly) and the negative ring is calibrated on the
     sampled patch so the discrete mean vanishes to rounding.  Rejects bumps
-    whose support spans fewer than ``min_cells`` cells, and, when a ladder is
+    whose support spans fewer than MIN_CELLS cells, and, when a ladder is
     given, centers outside its admissible seed box.
     """
-    if spec.support_diameter < min_cells * grid.spacing * (1.0 - 1e-12):
+    if spec.support_diameter < MIN_CELLS * grid.spacing * (1.0 - 1e-12):
         required = next_power_of_two(
-            math.ceil(min_cells * TWO_PI / spec.support_diameter)
+            math.ceil(MIN_CELLS * TWO_PI / spec.support_diameter)
         )
         raise UnresolvedScaleError(
-            f"support {spec.support_diameter:.4g} spans fewer than {min_cells} "
+            f"support {spec.support_diameter:.4g} spans fewer than {MIN_CELLS} "
             f"cells at n={grid.n} (need n >= {required})",
             required,
         )

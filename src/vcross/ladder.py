@@ -17,16 +17,6 @@ LN10 = math.log(10.0)
 RELAXED_FLOOR_LOG10 = -8.0
 SLACK_LOG10 = 1.0  # "much less than" realized as <= with a factor-10 margin
 
-CONSTRAINT_NAMES = (
-    "inner_below_outer_power",   # eps1 < eps2 ** (8 e^{2T})
-    "drift_monotonicity",        # upsilon <~ eps1 |ln eps2| / eps2
-    "drift_confinement",         # upsilon < eps1 ** 10
-    "drift_vs_horizon",          # upsilon << 1 / (T + 1)
-    "cross_width_bound",         # eps1^-2 tau |ln tau| <= eps1 ** 10
-    "mollifier_below_inner",     # sigma << eps1
-    "outer_vs_growth_factor",    # eps2 << lambda ** -2
-)
-
 # the growth-factor row calibrates how much amplification the chain claims;
 # it does not gate the chain's internal validity, so it is report-only
 ADVISORY_CONSTRAINTS = ("outer_vs_growth_factor",)

@@ -214,11 +214,11 @@ class FlowPerturbation:
     def is_zero(self):
         return self.nu1 is None and self.nu2 is None
 
-    def grad_fd(self, x, y, t, rel=1e-6):
+    def grad_fd(self, x, y, t):
         """Central-difference gradients of both components."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        d = rel * np.maximum(np.hypot(x, y), 1e-9)
+        d = 1e-6 * np.maximum(np.hypot(x, y), 1e-9)
         out = []
         for f in (self.nu1, self.nu2):
             if f is None:
@@ -620,7 +620,7 @@ class BoundFit:
     required: DiagnosticSeries
 
 
-def fit_leading_order_bound(path, upsilon=None):
+def fit_leading_order_bound(path):
     """Fit the constant C in the two-sided leading-order drift bounds.
 
     Along the path, x(-ln y - C) - u y < x' < x(-ln y + C) + u y and
@@ -628,8 +628,6 @@ def fit_leading_order_bound(path, upsilon=None):
     pass is returned together with the per-sample requirement.  For a leading
     variant path with zero perturbation the fit is zero to rounding.
     """
-    if upsilon is None:
-        upsilon = path.perturbation.upsilon
     lx, ly, t = path.log_x, path.log_y, path.t
     if path.exit_time is not None:
         keep = t <= path.exit_time + 1e-15  # the bounds only apply inside the wedge
@@ -641,7 +639,7 @@ def fit_leading_order_bound(path, upsilon=None):
     # bounds divided through by x (resp. y), in log-stable form:
     # |x'/x + ln y| <= C + u y/x  and  |y'/y + |ln y|| <= C
     y_over_x = np.exp(np.minimum(ly - lx, 700.0))
-    need_x = np.abs(rate_x + ly) - upsilon * y_over_x
+    need_x = np.abs(rate_x + ly) - path.perturbation.upsilon * y_over_x
     need_y = np.abs(rate_y - ly)  # ln y < 0 in the wedge, |ln y| = -ln y
     need = np.maximum(np.maximum(need_x, 0.0), need_y)
     series = DiagnosticSeries("required_envelope_C", t, need)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -233,6 +234,30 @@ dir = {out}
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "version, nx, ny, message",
+        [
+            (2, 16, 16, "unsupported snapshot version 2"),
+            (1, 16, 32, "grid must be square, got 16x32"),
+        ],
+    )
+    def test_bad_snapshot_header_refused(self, tmp_path, version, nx, ny, message, capsys):
+        snapshot = tmp_path / "bad.vcrs"
+        header = struct.pack("<4sIQQdd", b"VCRS", version, nx, ny, 0.0, 1.0)
+        snapshot.write_bytes(header + bytes(8 * nx * ny))
+        assert main(["simulate", "--config", self._snapshot_config(tmp_path, snapshot)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "bad.vcrs" in err
+
+    def test_log10_ladder_override_reaches_the_run(self, tmp_path):
+        init = self.INIT_BLOCKS["cross+bump"]
+        text = self.INIT_CFG.format(init=init, out=tmp_path / "out")
+        text = text.replace("outer = 0.7", "log10_outer = -0.25")
+        assert main(["simulate", "--config", write(tmp_path, "l.cfg", text)]) == 0
+        _, _, blocks = read_manifest(tmp_path / "out" / "manifest.txt")
+        assert "log10_outer = -0.25" in [line.strip() for line in blocks["ladder"]]
+
+
 class TestModel:
     def test_single_point_matches_closed_form(self, tmp_path):
         out = tmp_path / "m1"
@@ -316,6 +341,63 @@ dir = {out}
 
 
 class TestSweep:
+    TAU_CFG = """
+[sweep]
+axis = tau
+values = {values}
+[base]
+n = 256
+[output]
+dir = {out}
+"""
+
+    def _serial_and_pooled(self, tmp_path, cfg_text):
+        """aggregate.csv bytes of a serial and a two-process run of one config."""
+        outs = []
+        for name, threads in (("ser", "1"), ("par", "2")):
+            out = tmp_path / name
+            cfg = write(tmp_path, f"{name}.cfg", cfg_text.format(out=out))
+            assert main(["sweep", "--config", cfg, "--threads", threads]) == 0
+            outs.append((out / "aggregate.csv").read_bytes())
+        return outs
+
+    def test_tau_sweep_writes_every_column(self, tmp_path):
+        out = tmp_path / "tau"
+        text = self.TAU_CFG.format(values="0.04 0.02", out=out)
+        assert main(["sweep", "--config", write(tmp_path, "t.cfg", text)]) == 0
+        rows = (out / "aggregate.csv").read_text().splitlines()
+        assert rows[0].split(",") == [
+            "value", "hessian_sup", "origin_ratio", "sup_ratio_r0.05",
+            "sup_ratio_r0.1", "sup_ratio_r0.2", "tau_log_tau",
+        ]
+        assert len(rows) == 3
+        assert all(math.isfinite(float(c)) for r in rows[1:] for c in r.split(","))
+
+    def test_tau_sweep_records_a_zero_width_member_as_error(self, tmp_path, capsys):
+        ser, par = self._serial_and_pooled(tmp_path, self.TAU_CFG.replace("{values}", "0.04 0"))
+        assert ser == par
+        rows = ser.decode().splitlines()
+        error = rows[0].split(",").index("error")
+        assert [r.split(",")[error] for r in rows[1:]] == ["nan", "1"]
+        _, _, blocks = read_manifest(tmp_path / "ser" / "manifest.txt")
+        assert "member 0.0 failed: arm anomaly width must be positive, got 0.0" in blocks["notes"]
+        assert capsys.readouterr().err == ""
+
+    def test_alpha_sweep_pooled_matches_serial(self, tmp_path):
+        cfg_text = """
+[sweep]
+axis = alpha
+values = 1 1.5
+[base]
+n = 64
+T = 0.1
+[output]
+dir = {out}
+"""
+        ser, par = self._serial_and_pooled(tmp_path, cfg_text)
+        assert ser == par
+        assert len(ser.decode().splitlines()) == 3
+
     def test_single_member_matches_direct_run(self, tmp_path):
         out = tmp_path / "s1"
         cfg_text = """
@@ -501,6 +583,28 @@ dir = {out}
         err = capsys.readouterr().err.splitlines()
         assert code == vcross.cli.EXIT_BLOWUP
         assert len(err) == 1 and err[0].startswith("numerical blow-up:")
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("simulate", "[grid]\nn = 64\n[init]\nkind = vortex\n", "[init] kind 'vortex'"),
+            ("model", "[perturbation]\nkind = wobble\n", "[perturbation] kind 'wobble'"),
+            ("sweep", "[sweep]\naxis = bogus\nvalues = 1\n", "sweep axis 'bogus'"),
+        ],
+    )
+    def test_unknown_kind_exits_usage_and_is_named(self, tmp_path, command, text, message, capsys):
+        cfg = write(tmp_path, "k.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: unknown {message}\n"
+
+    def test_out_under_a_regular_file_exits_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "plain.txt"
+        blocker.write_text("not a directory")
+        cfg = write(tmp_path, "s.cfg", SIM_CFG.format(t_end=0.0, out=tmp_path / "s"))
+        code = main(["simulate", "--config", cfg, "--out", str(blocker / "sub")])
+        err = capsys.readouterr().err
+        assert code == vcross.cli.EXIT_USAGE == 2
+        assert err.startswith("i/o error:") and "plain.txt" in err
 
     def test_unexpected_exception_exits_internal(self, tmp_path, monkeypatch, capsys):
         def broken(args):

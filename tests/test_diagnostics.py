@@ -284,6 +284,11 @@ class TestPerturbationFieldBounds:
         assert rep.field_max == 0.0
         assert rep.hessian_sup == 0.0
 
+    @pytest.mark.parametrize("width", [0.0, -0.1])
+    def test_nonpositive_anomaly_width_refused(self, grid256, width):
+        with pytest.raises(ValueError, match=f"width must be positive, got {width}"):
+            arm_anomaly(grid256, width)
+
     def test_origin_forced_by_symmetry(self, grid256):
         p = arm_anomaly(grid256, 0.3)
         rep = perturbation_field_bounds(p, 1e-3, [0.1, 0.2], arm_width=0.3)

@@ -323,6 +323,17 @@ class TestRun:
         assert result.rhs_evals == 4 * result.steps
         assert evenness_error(result.state.theta.values) <= 1e-14
 
+    def test_chained_steps_stay_point_even(self, grid64, kernels):
+        # each step hands the next exactly even values, not an irfft2 of them
+        random = smooth_random_field(grid64, seed=2).values
+        state = vc.SimState(vc.ScalarField.from_values(grid64, 0.5 * (random + mirror(random))))
+        for _ in range(4):
+            state = vc.step_rk4(state, 0.01)
+        assert [k.mode for k in kernels] == ["point-even"] * 4
+        assert np.array_equal(state.theta.values, mirror(state.theta.values))
+        final = vc.run(state, state.time + 0.1).state.theta.values
+        assert np.array_equal(final, mirror(final))
+
     def test_random_data_takes_general_path(self, grid64, kernels):
         result = vc.run(vc.SimState(smooth_random_field(grid64, seed=2)), 0.1)
         vc.step_rk4(vc.SimState(smooth_random_field(grid64, seed=3)), 0.01)
