@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError, load_config
-from .diagnostics import bump_hessian_scaling, perturbation_field_bounds
+from .diagnostics import bump_scales, fit_hessian_scaling, perturbation_field_bounds
 from .experiments import (
     arm_anomaly,
     default_growth_family,
@@ -117,20 +118,22 @@ def _build_initial(cfg, grid, ladder):
 
 
 def cmd_simulate(args):
+    t_start = time.perf_counter()
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
-    t_start = time.perf_counter()
     grid = Grid(cfg.get_int("grid", "n"))
     ladder = _build_ladder(cfg)
     theta = _build_initial(cfg, grid, ladder)
     alpha = cfg.get_float("solver", "alpha", 1.0)
     state = SimState(theta, inversion_exponent=alpha)
+    t_init = time.perf_counter()
     manifest = RunManifest(
         "simulate", cfg.raw_text, out, grid_n=grid.n, ladder_text=ladder.serialize()
     )
     save_state(manifest.add_output(os.path.join(out, "initial.vcrs")), state)
 
     t_end = cfg.get_float("time", "t_end")
+    t_run_start = time.perf_counter()
     result = run(
         state,
         t_end,
@@ -138,6 +141,7 @@ def cmd_simulate(args):
         sample_every=cfg.get_float("time", "sample_every", None),
         diagnostics=diagnostics_with_norms(),
     )
+    t_run_end = time.perf_counter()
     if t_end > state.time:
         save_state(manifest.add_output(os.path.join(out, "final.vcrs")), result.state)
     write_series_csv(
@@ -166,10 +170,17 @@ def cmd_simulate(args):
         )
         failures = sum(1 for r in rows if not r[3])
 
-    manifest.timings["total"] = time.perf_counter() - t_start
+    t_done = time.perf_counter()
+    manifest.timings["init"] = t_init - t_start
+    manifest.timings["run"] = t_run_end - t_run_start
+    manifest.timings["write"] = (t_run_start - t_init) + (t_done - t_run_end)
+    manifest.timings["total"] = t_done - t_start
     manifest.note(f"steps = {result.steps}")
     manifest.note(f"kernel = {result.kernel}")
     manifest.note(f"rhs_evals = {result.rhs_evals}")
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    manifest.note(f"peak_rss_mb = {peak_mb:.1f}")
     manifest.write()
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
@@ -369,34 +380,30 @@ def cmd_sweep(args):
                     manifest.note(f"member {p[1]} failed: {exc}")
                     rows.append((p[1], {"error": 1.0}))
         if axis == "steepness":
-            ratios = [r.get("max_ratio", math.nan) for _, r in rows]
-            ok = all(
-                b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]) if not math.isnan(b)
-            )
-            fit_note = f"ratio_monotone = {int(ok)}"
+            ratios = [r["max_ratio"] for _, r in rows if "error" not in r]
+            ok = all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
+            skipped = len(rows) - len(ratios)
+            fit_note = f"ratio_monotone = {int(ok)} (failed members skipped: {skipped})"
     elif axis == "omega":
         n = cfg.get_int("base", "n", 1024)
         grid = Grid(n)
         base_support = cfg.get_float("base", "support", 0.5)
         aspect = cfg.get_float("base", "aspect", 3.0)  # height / support
-        bumps = []
-        for k in range(len(values)):
-            h1 = base_support / (2.0 ** (k / 2.0))  # halves the L2 norm each step
-            spec = BumpSpec((1.8, 2.6), h1, aspect * h1)
-            bumps.append(make_bump(grid, spec))
-        scaling = bump_hessian_scaling(bumps)
+        scales = []  # one (l2, grad_sup, hessian_sup) row per resolved bump
         for k, v in enumerate(values):
-            rows.append(
-                (
-                    v,
-                    {
-                        "l2": float(scaling.l2_norms[k]),
-                        "grad_sup": float(scaling.grad_sups[k]),
-                        "hessian_sup": float(scaling.hessian_sups[k]),
-                    },
-                )
-            )
-        fit_note = f"hessian_slope = {scaling.fit.slope:.6g}"
+            h1 = base_support / (2.0 ** (k / 2.0))  # halves the L2 norm each step
+            try:
+                bump = make_bump(grid, BumpSpec((1.8, 2.6), h1, aspect * h1))
+                scales.append(bump_scales(bump))
+                rows.append((v, dict(zip(("l2", "grad_sup", "hessian_sup"), scales[-1]))))
+            except Exception as exc:  # partial failures recorded, sweep continues
+                manifest.note(f"member {v} failed: {exc}")
+                rows.append((v, {"error": 1.0}))
+        if len(scales) >= 2:
+            fit = fit_hessian_scaling(scales).fit
+            fit_note = f"hessian_slope = {fit.slope:.6g}"
+        else:
+            fit_note = f"hessian_slope not fitted: resolved members = {len(scales)} < 2"
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
 

@@ -379,24 +379,26 @@ class HessianScalingResult:
     hessian_sups: np.ndarray
 
 
-def bump_hessian_scaling(bump_fields):
-    """Regress log Hessian sup against log L2 norm across a bump family.
+def bump_scales(field):
+    """(L2 norm, gradient sup, inverse-Laplacian Hessian sup) of one bump."""
+    return field.l2_norm(), grad_sup_norm(field), hessian_sup_of_inverse_laplacian(field)
+
+
+def fit_hessian_scaling(scales):
+    """Regress log Hessian sup against log L2 norm over ``bump_scales`` rows.
 
     The family should vary the L2 norm at controlled gradient sup; the slope
     estimates the square-root exponent of the optimized two-scale bound.
     """
-    if len(bump_fields) < 2:
+    if len(scales) < 2:
         raise ValueError("need at least two bumps to fit a slope")
-    omegas, Ms, Hs = [], [], []
-    for b in bump_fields:
-        omegas.append(b.l2_norm())
-        Ms.append(grad_sup_norm(b))
-        Hs.append(hessian_sup_of_inverse_laplacian(b))
-    omegas = np.asarray(omegas)
-    Ms = np.asarray(Ms)
-    Hs = np.asarray(Hs)
-    fit = linear_fit(np.log(omegas), np.log(Hs))
-    return HessianScalingResult(fit, omegas, Ms, Hs)
+    omegas, Ms, Hs = (np.asarray(column) for column in zip(*scales))
+    return HessianScalingResult(linear_fit(np.log(omegas), np.log(Hs)), omegas, Ms, Hs)
+
+
+def bump_hessian_scaling(bump_fields):
+    """``fit_hessian_scaling`` over a family of bump fields."""
+    return fit_hessian_scaling([bump_scales(b) for b in bump_fields])
 
 
 # --- growth-ratio probe --------------------------------------------------------

@@ -81,20 +81,33 @@ def _mollifier_tail_table():
     Q(p, q) integrates the (normalized) bump over {a > p, b > q} for
     p, q >= 0 on a 1025^2 node grid; normalization uses Q(0, 0) = 1/4 so
     the discrete table carries exactly unit total mass.
+
+    Built in place so that no more than about four table-sized arrays are
+    alive at once; each temporary is dropped as soon as the next is filled.
     """
     res = 1024
     axis = np.linspace(0.0, 1.0, res + 1)
-    aa, bb = np.meshgrid(axis, axis, indexing="ij")
-    r2 = aa * aa + bb * bb
+    r2 = np.add.outer(axis * axis, axis * axis)
     w = np.zeros_like(r2)
     inside = r2 < 1.0
     w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    # suffix trapezoid in both directions
+    del r2, inside
+    # suffix trapezoid in both directions: ((w[k+1] + w[k]) * 0.5) * h summed
+    # from the far edge, the cumsum written straight into its reversed slot
     h = 1.0 / res
     col = np.zeros_like(w)
-    col[:, :-1] = np.cumsum((w[:, :0:-1] + w[:, -2::-1]) * 0.5 * h, axis=1)[:, ::-1]
-    q = np.zeros_like(w)
-    q[:-1, :] = np.cumsum((col[:0:-1, :] + col[-2::-1, :]) * 0.5 * h, axis=0)[::-1, :]
+    term = np.add(w[:, :0:-1], w[:, -2::-1])
+    del w
+    term *= 0.5
+    term *= h
+    np.cumsum(term, axis=1, out=col[:, -2::-1])
+    del term
+    q = np.zeros_like(col)
+    term = np.add(col[:0:-1, :], col[-2::-1, :])
+    del col
+    term *= 0.5
+    term *= h
+    np.cumsum(term, axis=0, out=q[-2::-1, :])
     q /= 4.0 * q[0, 0]
     return axis, q
 

@@ -133,6 +133,11 @@ class TestSimulate:
         produced = sorted(p for p in os.listdir(out) if p != "manifest.txt")
         assert sorted(outputs) == produced
         assert "ladder" in blocks and "config" in blocks
+        header, _, _ = read_manifest(out / "manifest.txt")
+        for phase in ("init", "run", "write", "total"):
+            assert float(header[f"timing_{phase}_s"]) >= 0.0
+        peak = [l for l in blocks["notes"] if l.startswith("peak_rss_mb = ")]
+        assert len(peak) == 1 and float(peak[0].split()[-1]) >= 0.0
 
     def test_cross_bump_manifest_echoes_ladder(self, tmp_path):
         out = tmp_path / "run3"
@@ -514,6 +519,72 @@ dir = {out}
         assert "hessian_slope" in notes
         slope = float(notes.split("hessian_slope =")[1].split()[0])
         assert 0.3 <= slope <= 0.7
+
+    OMEGA_CFG = """
+[sweep]
+axis = omega
+values = {values}
+[base]
+n = 128
+support = 0.6
+[output]
+dir = {out}
+"""
+
+    def test_omega_unresolved_members_become_error_rows(self, tmp_path, capsys):
+        # supports 0.6 / 2^(k/2) fall below 8 cells at n = 128 from k = 2 on
+        outs = {}
+        for name, values in (("all", "1 2 3 4 5 6 7 8 9"), ("ok", "1 2")):
+            out = tmp_path / name
+            text = self.OMEGA_CFG.format(values=values, out=out)
+            assert main(["sweep", "--config", write(tmp_path, f"{name}.cfg", text)]) == 0
+            outs[name] = out
+        assert capsys.readouterr().err == ""
+        rows = [r.split(",") for r in (outs["all"] / "aggregate.csv").read_text().splitlines()]
+        assert len(rows) == 10
+        error = rows[0].index("error")
+        assert [r[error] for r in rows[1:]] == ["nan"] * 2 + ["1"] * 7
+        assert all(c == "nan" for r in rows[3:] for i, c in enumerate(r) if i not in (0, error))
+        kept = [",".join(c for i, c in enumerate(r) if i != error) for r in rows[:3]]
+        assert kept == (outs["ok"] / "aggregate.csv").read_text().splitlines()
+        _, _, blocks = read_manifest(outs["all"] / "manifest.txt")
+        _, _, ok_blocks = read_manifest(outs["ok"] / "manifest.txt")
+        assert "member 3.0 failed: support 0.3 spans fewer than 8 cells at n=128 " \
+            "(need n >= 256)" in blocks["notes"]
+        assert sum(line.startswith("member ") for line in blocks["notes"]) == 7
+        slope = [line for line in blocks["notes"] if line.startswith("hessian_slope")]
+        assert slope == [line for line in ok_blocks["notes"] if line.startswith("hessian_slope")]
+
+    def test_omega_single_resolved_member_notes_no_fit(self, tmp_path):
+        out = tmp_path / "one"
+        text = self.OMEGA_CFG.format(values="1 2 3", out=out).replace("0.6", "0.42")
+        assert main(["sweep", "--config", write(tmp_path, "one.cfg", text)]) == 0
+        rows = (out / "aggregate.csv").read_text().splitlines()
+        assert len(rows) == 4
+        _, _, blocks = read_manifest(out / "manifest.txt")
+        assert "hessian_slope not fitted: resolved members = 1 < 2" in blocks["notes"]
+
+    def test_steepness_monotone_note_skips_failed_members(self, tmp_path):
+        # steepness 1 asks for sigma = 1.77, outside (0, 0.5): that member fails
+        out = tmp_path / "gap"
+        text = """
+[sweep]
+axis = steepness
+values = 100 1 50
+[base]
+n = 256
+T = 0.05
+[output]
+dir = {out}
+""".format(out=out)
+        assert main(["sweep", "--config", write(tmp_path, "gap.cfg", text)]) == 0
+        rows = [r.split(",") for r in (out / "aggregate.csv").read_text().splitlines()]
+        error, ratio = rows[0].index("error"), rows[0].index("max_ratio")
+        assert [r[error] for r in rows[1:]] == ["nan", "1", "nan"]
+        assert rows[2][ratio] == "nan"
+        assert float(rows[1][ratio]) <= float(rows[3][ratio])
+        _, _, blocks = read_manifest(out / "manifest.txt")
+        assert "ratio_monotone = 1 (failed members skipped: 1)" in blocks["notes"]
 
 
 class TestReport:

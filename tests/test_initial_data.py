@@ -1,6 +1,7 @@
 """Initial-data constructors: cross fields, bumps, composition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import vcross as vc
 from conftest import evenness_error
 from vcross.initial_data import (
     BumpSpec,
+    _mollifier_tail_table,
     bump_profile_constants,
     compose_initial_data,
     cross_arm_distance,
@@ -123,6 +125,32 @@ class TestMollifiedCross:
     def test_jump_slope_constant(self):
         # the 1D profile slope at the arm is the mollifier marginal density
         assert mollifier_slope_at_jump() == pytest.approx(1.9035, abs=2e-3)
+
+
+class TestMollifierTailTable:
+    def test_build_peak_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            _, table = _mollifier_tail_table.__wrapped__()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * table.nbytes
+
+    def test_total_quarter_mass_at_origin(self):
+        _, table = _mollifier_tail_table()
+        assert table[0, 0] == 0.25
+
+    def test_nonincreasing_along_both_axes(self):
+        _, table = _mollifier_tail_table()
+        assert np.all(np.diff(table, axis=0) <= 0.0)
+        assert np.all(np.diff(table, axis=1) <= 0.0)
+
+    def test_zero_outside_unit_disc(self):
+        axis, table = _mollifier_tail_table()
+        outside = np.add.outer(axis**2, axis**2) >= 1.0
+        assert outside.any()
+        assert np.all(table[outside] == 0.0)
 
 
 class TestMakeBump:
