@@ -14,9 +14,6 @@ import os
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-from functools import partial
 
 import numpy as np
 
@@ -26,6 +23,7 @@ from .experiments import (
     arm_anomaly,
     default_growth_family,
     run_growth_member,
+    run_members,
     shear_state,
     smooth_random_field,
 )
@@ -241,6 +239,8 @@ def cmd_model(args):
 
     if cfg.has("trajectory", "count"):
         count = cfg.get_int("trajectory", "count")
+        if count <= 0:
+            raise ConfigError(f"[trajectory] count must be positive, got {count}")
         rng = np.random.default_rng(args.seed)
         points = _sample_seed_box(ladder, count, rng)
     else:
@@ -308,7 +308,7 @@ def _sample_seed_box(ladder, count, rng):
 
 
 def _sweep_member_runner(payload):
-    kind, value, params = payload
+    kind, k, value, params = payload
     if kind == "steepness":
         n = params["n"]
         grid = Grid(n)
@@ -316,14 +316,14 @@ def _sweep_member_runner(payload):
         rec = run_growth_member(n, member, T=params["T"])
         series = rec.series["grad_sup"]
         ratio = float(np.max(series.values) / series.values[0])
-        return value, {"grad0": float(series.values[0]), "max_ratio": ratio}
+        return {"grad0": float(series.values[0]), "max_ratio": ratio}
     if kind == "n":
         n = int(value)
         grid = Grid(n)
         theta = mollified_cross(grid, params["sigma"])
         result = run(SimState(theta), params["T"], sample_every=params["T"])
         en = result.series["enstrophy"].values
-        return value, {
+        return {
             "grad_final": float(result.series["grad_sup"].values[-1]),
             "enstrophy_drift": float(abs(en[-1] - en[0]) / en[0]),
         }
@@ -334,7 +334,7 @@ def _sweep_member_runner(payload):
         state = SimState(theta, inversion_exponent=float(value))
         result = run(state, params["T"], sample_every=params["T"] / 8.0)
         g = result.series["grad_sup"].values
-        return value, {"grad_growth": float(g.max() / g[0])}
+        return {"grad_growth": float(g.max() / g[0])}
     if kind == "tau":
         anomaly = arm_anomaly(Grid(params["n"]), value)
         rep = perturbation_field_bounds(anomaly, None, params["radii"])
@@ -342,7 +342,11 @@ def _sweep_member_runner(payload):
         for r, s in zip(rep.radii, rep.sup_ratio):
             rec[f"sup_ratio_r{r:g}"] = float(s)
         rec["tau_log_tau"] = float(value * abs(math.log(value)))
-        return value, rec
+        return rec
+    if kind == "omega":
+        h1 = params["support"] / (2.0 ** (k / 2.0))  # halves the L2 norm each step
+        bump = make_bump(Grid(params["n"]), BumpSpec((1.8, 2.6), h1, params["aspect"] * h1))
+        return dict(zip(("l2", "grad_sup", "hessian_sup"), bump_scales(bump)))
     raise ValueError(f"unknown sweep member kind {kind!r}")
 
 
@@ -352,60 +356,37 @@ def cmd_sweep(args):
     t_start = time.perf_counter()
     axis = cfg.get_str("sweep", "axis")
     values = cfg.get_floats("sweep", "values")
-    manifest = RunManifest("sweep", cfg.raw_text, out)
-    rows = []
-    fit_note = None
-
-    if axis in ("steepness", "n", "alpha", "tau"):
-        params = {
-            "n": cfg.get_int("base", "n", 1024 if axis == "tau" else 256),
-            "T": cfg.get_float("base", "T", 1.0),
-            "sigma": cfg.get_float("base", "sigma", 0.25),
-            "radii": cfg.get_floats("base", "radii", [0.05, 0.1, 0.2]),
-            "seed": args.seed,
-        }
-        payloads = [(axis, v, params) for v in values]
-        with ProcessPoolExecutor(args.threads) if args.threads > 1 else nullcontext() as pool:
-            # a pool starts every member at once; serially each runs when called
-            calls = [
-                pool.submit(_sweep_member_runner, p).result
-                if pool
-                else partial(_sweep_member_runner, p)
-                for p in payloads
-            ]
-            for p, call in zip(payloads, calls):
-                try:
-                    rows.append(call())
-                except Exception as exc:  # partial failures recorded, sweep continues
-                    manifest.note(f"member {p[1]} failed: {exc}")
-                    rows.append((p[1], {"error": 1.0}))
-        if axis == "steepness":
-            ratios = [r["max_ratio"] for _, r in rows if "error" not in r]
-            ok = all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
-            skipped = len(rows) - len(ratios)
-            fit_note = f"ratio_monotone = {int(ok)} (failed members skipped: {skipped})"
-    elif axis == "omega":
-        n = cfg.get_int("base", "n", 1024)
-        grid = Grid(n)
-        base_support = cfg.get_float("base", "support", 0.5)
-        aspect = cfg.get_float("base", "aspect", 3.0)  # height / support
-        scales = []  # one (l2, grad_sup, hessian_sup) row per resolved bump
-        for k, v in enumerate(values):
-            h1 = base_support / (2.0 ** (k / 2.0))  # halves the L2 norm each step
-            try:
-                bump = make_bump(grid, BumpSpec((1.8, 2.6), h1, aspect * h1))
-                scales.append(bump_scales(bump))
-                rows.append((v, dict(zip(("l2", "grad_sup", "hessian_sup"), scales[-1]))))
-            except Exception as exc:  # partial failures recorded, sweep continues
-                manifest.note(f"member {v} failed: {exc}")
-                rows.append((v, {"error": 1.0}))
-        if len(scales) >= 2:
-            fit = fit_hessian_scaling(scales).fit
-            fit_note = f"hessian_slope = {fit.slope:.6g}"
-        else:
-            fit_note = f"hessian_slope not fitted: resolved members = {len(scales)} < 2"
-    else:
+    if axis not in ("steepness", "n", "alpha", "tau", "omega"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    manifest = RunManifest("sweep", cfg.raw_text, out)
+    params = {
+        "n": cfg.get_int("base", "n", 1024 if axis in ("tau", "omega") else 256),
+        "T": cfg.get_float("base", "T", 1.0),
+        "sigma": cfg.get_float("base", "sigma", 0.25),
+        "radii": cfg.get_floats("base", "radii", [0.05, 0.1, 0.2]),
+        "support": cfg.get_float("base", "support", 0.5),
+        "aspect": cfg.get_float("base", "aspect", 3.0),  # height / support
+        "seed": args.seed,
+    }
+    payloads = [(axis, k, v, params) for k, v in enumerate(values)]
+    rows = []
+    for v, (rec, exc) in zip(values, run_members(_sweep_member_runner, payloads, args.threads)):
+        if exc is not None:  # partial failures recorded, sweep continues
+            manifest.note(f"member {v} failed: {exc}")
+            rec = {"error": 1.0}
+        rows.append((v, rec))
+    resolved = [rec for _, rec in rows if "error" not in rec]
+    if axis == "steepness":
+        ratios = [r["max_ratio"] for r in resolved]
+        ok = all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
+        skipped = len(rows) - len(ratios)
+        manifest.note(f"ratio_monotone = {int(ok)} (failed members skipped: {skipped})")
+    elif axis == "omega" and len(resolved) >= 2:
+        scales = [(r["l2"], r["grad_sup"], r["hessian_sup"]) for r in resolved]
+        fit = fit_hessian_scaling(scales).fit
+        manifest.note(f"hessian_slope = {fit.slope:.6g}")
+    elif axis == "omega":
+        manifest.note(f"hessian_slope not fitted: resolved members = {len(resolved)} < 2")
 
     keys = sorted({k for _, rec in rows for k in rec})
     write_table(
@@ -415,8 +396,6 @@ def cmd_sweep(args):
             [[value] + [rec.get(k, math.nan) for k in keys] for value, rec in rows], dtype=float
         ),
     )
-    if fit_note:
-        manifest.note(fit_note)
     manifest.timings["total"] = time.perf_counter() - t_start
     manifest.write()
     return EXIT_OK

@@ -8,7 +8,11 @@ a command-line run and a test exercise identical code.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,7 +77,26 @@ def arm_anomaly(grid, width):
     return ScalarField.from_values(grid, values)
 
 
-# --- growth experiment ---------------------------------------------------------
+# --- growth experiment: members run side by side -------------------------------
+
+
+def run_members(fn, payloads, workers):
+    """One ``(fn(p), None)`` or ``(None, exception)`` per payload, in payload order.
+
+    ``workers > 1`` runs the payloads in that many processes (at most one per
+    payload), bit-identical to the in-process run of ``workers <= 1``.
+    """
+    workers = min(workers, len(payloads))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        # a pool starts every member at once; serially each runs when called
+        calls = [pool.submit(fn, p).result if pool else partial(fn, p) for p in payloads]
+        outcomes = []
+        for call in calls:
+            try:
+                outcomes.append((call(), None))
+            except Exception as exc:  # a member's failure stays its own
+                outcomes.append((None, exc))
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -142,10 +165,15 @@ def run_growth_member(n, member, T=1.25):
 
 
 def growth_experiment(n=512, requested=(50.0, 100.0, 200.0), T=1.25):
-    """Run the full steepness family and tabulate gradient amplification."""
+    """Run the full steepness family, one process per core, and tabulate growth."""
     grid = Grid(n)
     members = default_growth_family(grid, requested)
-    records = [run_growth_member(n, m, T=T) for m in members]
+    workers = min(len(members), os.cpu_count() or 1)
+    records = []
+    for rec, exc in run_members(partial(run_growth_member, n, T=T), members, workers):
+        if exc is not None:
+            raise exc
+        records.append(rec)
     probe = growth_ratio_probe(
         [(rec.member.steepness, rec.series["grad_sup"]) for rec in records]
     )

@@ -415,10 +415,12 @@ def run(
     if t_end <= state.time:
         return RunResult(state, recorder.to_series(), steps=0, velocity_log=[] if log_velocity else None)
 
-    g = state.grid
-    kernel = _kernel_for(state)
     if sample_every is None:
         sample_every = (t_end - state.time) / 50.0
+    if not sample_every > 0.0:  # also NaN: the sample clock would never advance
+        raise ValueError(f"sample_every must be positive, got {sample_every}")
+    g = state.grid
+    kernel = _kernel_for(state)
     t0 = state.time
     vel_log = [] if log_velocity else None
 

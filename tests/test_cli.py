@@ -115,6 +115,15 @@ class TestSimulate:
         assert "kernel = none" in blocks["notes"]
         assert "rhs_evals = 0" in blocks["notes"]
 
+    @pytest.mark.parametrize("every", ["0", "-0.01"])
+    def test_non_positive_sample_every_exits_usage(self, tmp_path, capsys, every):
+        out = tmp_path / "bad"
+        text = SIM_CFG.format(t_end=0.1, out=out)
+        text = text.replace("sample_every = 0.25", f"sample_every = {every}")
+        assert main(["simulate", "--config", write(tmp_path, "bad.cfg", text)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: sample_every must be positive, got {float(every)}" in err
+
     def test_shear_run_constant_gradient_and_checks(self, tmp_path):
         out = tmp_path / "run1"
         cfg = write(tmp_path, "sim.cfg", SIM_CFG.format(t_end=1.0, out=out))
@@ -301,6 +310,16 @@ class TestModel:
         assert main(["model", "--config", cfg]) == 0
         assert calls == [1, 5]
         assert len(list((tmp_path / "m2").glob("path_*.csv"))) == 5
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_count_refused(self, tmp_path, capsys, count):
+        out = tmp_path / "mc"
+        text = MODEL_CFG.format(x0=1e-6, T=0.3, out=out)
+        text = text.replace("x0 = 1e-06\ny0 = 0.1", f"count = {count}")
+        assert main(["model", "--config", write(tmp_path, "mc.cfg", text)]) == 2
+        err = capsys.readouterr().err
+        assert f"[trajectory] count must be positive, got {count}" in err
+        assert not (out / "summary.csv").exists()
 
     def test_point_outside_seed_box_refused(self, tmp_path):
         out = tmp_path / "m2"
@@ -554,6 +573,20 @@ dir = {out}
         assert sum(line.startswith("member ") for line in blocks["notes"]) == 7
         slope = [line for line in blocks["notes"] if line.startswith("hessian_slope")]
         assert slope == [line for line in ok_blocks["notes"] if line.startswith("hessian_slope")]
+
+    def test_omega_sweep_pooled_matches_serial(self, tmp_path):
+        # k = 2 (support 0.3) is unresolved at n = 128 and fails inside the pool
+        ser, par = self._serial_and_pooled(tmp_path, self.OMEGA_CFG.replace("{values}", "1 2 3"))
+        assert ser == par
+        rows = ser.decode().splitlines()
+        error = rows[0].split(",").index("error")
+        assert [r.split(",")[error] for r in rows[1:]] == ["nan", "nan", "1"]
+        notes = [
+            read_manifest(tmp_path / name / "manifest.txt")[2]["notes"] for name in ("ser", "par")
+        ]
+        assert notes[0] == notes[1]
+        assert notes[0][0].startswith("member 3.0 failed: support 0.3 spans fewer than 8 cells")
+        assert notes[0][1].startswith("hessian_slope = ")
 
     def test_omega_single_resolved_member_notes_no_fit(self, tmp_path):
         out = tmp_path / "one"

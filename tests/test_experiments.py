@@ -1,0 +1,87 @@
+"""Member runner: pool sizing, order and failures, and the growth family through it."""
+
+import math
+from concurrent.futures import Future
+
+import numpy as np
+import pytest
+
+import vcross.experiments
+from vcross.experiments import (
+    default_growth_family,
+    growth_experiment,
+    run_growth_member,
+    run_members,
+)
+from vcross.fields import Grid
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs calls inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(vcross.experiments, "ProcessPoolExecutor", InlinePool)
+    return InlinePool.sizes
+
+
+def test_pool_size_capped_at_member_count(inline_pool):
+    assert run_members(abs, [-1.0, 2.0], 64) == [(1.0, None), (2.0, None)]
+    assert run_members(abs, [1.0, -2.0, 3.0, -4.0, 5.0], 3)[3] == (4.0, None)
+    assert run_members(abs, [-7.0], 64) == [(7.0, None)]  # one member: no pool
+    assert run_members(abs, [], 64) == []
+    assert inline_pool == [2, 3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_outcomes_in_payload_order_with_failures_kept(workers):
+    outcomes = run_members(math.sqrt, [4.0, -1.0, 9.0], workers)
+    assert [value for value, _ in outcomes] == [2.0, None, 3.0]
+    assert [type(exc) for _, exc in outcomes] == [type(None), ValueError, type(None)]
+    assert str(outcomes[1][1]) == "math domain error"
+
+
+def test_growth_family_matches_serial_members():
+    records, _ = growth_experiment(n=256, requested=(50.0, 100.0), T=0.05)
+    members = default_growth_family(Grid(256), (50.0, 100.0))
+    assert [rec.member for rec in records] == members
+    for rec, member in zip(records, members):
+        ref = run_growth_member(256, member, T=0.05)
+        assert rec.grad0 == ref.grad0
+        assert rec.state.time == ref.state.time
+        assert np.array_equal(rec.state.theta.values, ref.state.theta.values)
+        assert sorted(rec.series) == sorted(ref.series)
+        for name, series in ref.series.items():
+            assert np.array_equal(rec.series[name].t, series.t)
+            assert np.array_equal(rec.series[name].values, series.values)
+
+
+def test_growth_family_reraises_member_exception():
+    # steepness 1 asks for sigma = 1.77, outside (0, 0.5)
+    member = default_growth_family(Grid(128), (1.0,))[0]
+    with pytest.raises(ValueError) as direct:
+        run_growth_member(128, member, T=0.05)
+    with pytest.raises(ValueError) as family:
+        growth_experiment(n=128, requested=(1.0, 50.0), T=0.05)
+    assert str(family.value) == str(direct.value) == "sigma must lie in (0, 0.5), got 1.76777"

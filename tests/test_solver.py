@@ -268,6 +268,14 @@ class TestRun:
         with pytest.raises(ValueError):
             vc.run(state, 1.0, cfl=0.9)
 
+    @pytest.mark.parametrize("every", [0.0, -0.01, float("nan")])
+    def test_rejects_non_positive_sample_every(self, grid64, every):
+        # a sample clock that never advances would step forever
+        state = vc.SimState(smooth_random_field(grid64, seed=2))
+        with pytest.raises(ValueError, match="sample_every must be positive, got"):
+            vc.run(state, 0.1, sample_every=every)
+        assert vc.run(state, 0.0, sample_every=every).steps == 0  # horizon 0: empty result
+
     def test_shear_diagnostics_constant(self, grid128):
         result = vc.run(shear_state(grid128), 1.0, sample_every=0.25)
         grad = result.series["grad_sup"].values
