@@ -10,12 +10,7 @@ from .initial_data import (
     mollified_cross,
     singular_cross,
 )
-from .ladder import (
-    LadderError,
-    ParameterLadder,
-    resolve_ladder,
-    seed_region_contains,
-)
+from .ladder import LadderError, ParameterLadder, resolve_ladder
 from .model import (
     EXACT,
     LEADING,

@@ -73,6 +73,16 @@ def _read_checks(path):
     return rows
 
 
+def _write_manifest(manifest, t_start, **phases):
+    """Record the phase timings, the rest as ``write``, the total and peak RSS; write."""
+    total = time.perf_counter() - t_start
+    manifest.timings.update(phases, write=total - sum(phases.values()), total=total)
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    manifest.note(f"peak_rss_mb = {peak_mb:.1f}")
+    manifest.write()
+
+
 def _build_ladder(cfg):
     mode = cfg.get_str("ladder", "mode", "relaxed")
     horizon = cfg.get_float("ladder", "horizon", 1.0)
@@ -168,18 +178,10 @@ def cmd_simulate(args):
         )
         failures = sum(1 for r in rows if not r[3])
 
-    t_done = time.perf_counter()
-    manifest.timings["init"] = t_init - t_start
-    manifest.timings["run"] = t_run_end - t_run_start
-    manifest.timings["write"] = (t_run_start - t_init) + (t_done - t_run_end)
-    manifest.timings["total"] = t_done - t_start
     manifest.note(f"steps = {result.steps}")
     manifest.note(f"kernel = {result.kernel}")
     manifest.note(f"rhs_evals = {result.rhs_evals}")
-    # ru_maxrss is in KiB on Linux
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    manifest.note(f"peak_rss_mb = {peak_mb:.1f}")
-    manifest.write()
+    _write_manifest(manifest, t_start, init=t_init - t_start, run=t_run_end - t_run_start)
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
@@ -196,9 +198,9 @@ def _demo_perturbation(upsilon):
 
 
 def cmd_model(args):
+    t_start = time.perf_counter()
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
-    t_start = time.perf_counter()
     kind = cfg.get_str("model", "variant", "exact")
     variant = CrossFieldVariant(
         kind,
@@ -257,9 +259,11 @@ def cmd_model(args):
     manifest = RunManifest(
         "model", cfg.raw_text, out, ladder_text=ladder.serialize()
     )
+    t_init = time.perf_counter()
     paths = integrate_variational_batch(
         points, T, perturbation=pert, variant=variant, region=region, dt=dt
     )
+    t_integrated = time.perf_counter()
     summary_rows = []
     for i, ((x0, y0), path) in enumerate(zip(points, paths)):
         path.write_csv(manifest.add_output(os.path.join(out, f"path_{i:03d}.csv")))
@@ -282,8 +286,7 @@ def cmd_model(args):
         ["x0", "y0", "exit_time", "x_final", "y_final", "xa_final", "key_bound", "floor_log"],
         np.array(summary_rows, dtype=float),
     )
-    manifest.timings["total"] = time.perf_counter() - t_start
-    manifest.write()
+    _write_manifest(manifest, t_start, init=t_init - t_start, integrate=t_integrated - t_init)
     return EXIT_OK
 
 
@@ -337,7 +340,7 @@ def _sweep_member_runner(payload):
         return {"grad_growth": float(g.max() / g[0])}
     if kind == "tau":
         anomaly = arm_anomaly(Grid(params["n"]), value)
-        rep = perturbation_field_bounds(anomaly, None, params["radii"])
+        rep = perturbation_field_bounds(anomaly, params["radii"])
         rec = {"hessian_sup": rep.hessian_sup, "origin_ratio": rep.origin_value / rep.field_max}
         for r, s in zip(rep.radii, rep.sup_ratio):
             rec[f"sup_ratio_r{r:g}"] = float(s)
@@ -351,13 +354,15 @@ def _sweep_member_runner(payload):
 
 
 def cmd_sweep(args):
+    t_start = time.perf_counter()
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
-    t_start = time.perf_counter()
     axis = cfg.get_str("sweep", "axis")
     values = cfg.get_floats("sweep", "values")
     if axis not in ("steepness", "n", "alpha", "tau", "omega"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    if not values:
+        raise ConfigError(f"{cfg.path}: [sweep] values must list at least one value")
     manifest = RunManifest("sweep", cfg.raw_text, out)
     params = {
         "n": cfg.get_int("base", "n", 1024 if axis in ("tau", "omega") else 256),
@@ -369,8 +374,11 @@ def cmd_sweep(args):
         "seed": args.seed,
     }
     payloads = [(axis, k, v, params) for k, v in enumerate(values)]
+    t_members = time.perf_counter()
+    outcomes = run_members(_sweep_member_runner, payloads, args.threads)
+    t_members_end = time.perf_counter()
     rows = []
-    for v, (rec, exc) in zip(values, run_members(_sweep_member_runner, payloads, args.threads)):
+    for v, (rec, exc) in zip(values, outcomes):
         if exc is not None:  # partial failures recorded, sweep continues
             manifest.note(f"member {v} failed: {exc}")
             rec = {"error": 1.0}
@@ -396,8 +404,7 @@ def cmd_sweep(args):
             [[value] + [rec.get(k, math.nan) for k in keys] for value, rec in rows], dtype=float
         ),
     )
-    manifest.timings["total"] = time.perf_counter() - t_start
-    manifest.write()
+    _write_manifest(manifest, t_start, members=t_members_end - t_members)
     return EXIT_OK
 
 

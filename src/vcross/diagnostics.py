@@ -65,61 +65,11 @@ class ModelFlow:
         return np.column_stack(self.variant.velocity(pts[:, 0], pts[:, 1]))
 
 
-class SnapshotFlow:
-    """Time-indexed solver velocity snapshots, bilinear in space, linear in t.
-
-    ``snapshots`` is a list of (t, u_values, v_values) on one grid; positions
-    wrap periodically.
-    """
-
-    def __init__(self, grid, snapshots):
-        if not snapshots:
-            raise ValueError("need at least one velocity snapshot")
-        self.grid = grid
-        self.times = np.asarray([s[0] for s in snapshots])
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("snapshot times must be strictly increasing")
-        self.us = [s[1] for s in snapshots]
-        self.vs = [s[2] for s in snapshots]
-
-    def __call__(self, t, pts):
-        times = self.times
-        if t <= times[0]:
-            k0 = k1 = 0
-            w = 0.0
-        elif t >= times[-1]:
-            k0 = k1 = len(times) - 1
-            w = 0.0
-        else:
-            k1 = int(np.searchsorted(times, t))
-            k0 = k1 - 1
-            w = (t - times[k0]) / (times[k1] - times[k0])
-        px, py, g = pts[:, 0], pts[:, 1], self.grid
-        u = (1 - w) * periodic_bilinear(self.us[k0], px, py, g)
-        v = (1 - w) * periodic_bilinear(self.vs[k0], px, py, g)
-        if w > 0.0:
-            u += w * periodic_bilinear(self.us[k1], px, py, g)
-            v += w * periodic_bilinear(self.vs[k1], px, py, g)
-        return np.column_stack([u, v])
-
-
-@dataclass
-class AdvectionResult:
-    points: np.ndarray
-    exit_times: np.ndarray = None  # per-vertex first exit from the region
-
-
-def advect_polyline(
-    velocity_source, polyline, T, dt=1e-3, region=None, refine_threshold=None
-):
+def advect_polyline(velocity_source, polyline, T, dt=1e-3):
     """Advect every vertex under the velocity source with ``model.rk4_steps``.
 
-    ``velocity_source(t, pts)`` returns the (N, 2) velocities: a ModelFlow,
-    a SnapshotFlow or any such callable.  Vertex count is preserved unless
-    ``refine_threshold`` is set, in which case source vertices are inserted
-    (parametric midpoints), in up to ten rounds, until no two adjacent images
-    are farther apart than the threshold.  With a region, each vertex
-    records its first exit time.
+    ``velocity_source(t, pts)`` returns the (N, 2) velocities: a ModelFlow
+    or any such callable.  Returns the (N, 2) image of the vertices.
     """
     pts = np.asarray(polyline, dtype=float).copy()
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -128,28 +78,10 @@ def advect_polyline(
     def rhs(state, t):
         return (velocity_source(t, state[0]),)
 
-    def advect(points):
-        p, exit_times = points, np.full(points.shape[0], np.nan)
-        for t, (p,) in rk4_steps(rhs, (points,), T, dt):
-            if region is not None:
-                # ln of 0 is -inf and of a negative is NaN: both read as outside
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    outside = ~region.contains_log(np.log(p[:, 0]), np.log(p[:, 1]))
-                fresh = outside & np.isnan(exit_times)
-                exit_times[fresh] = t
-        return p, exit_times
-
-    image, exits = advect(pts)
-    if refine_threshold is not None:
-        for _ in range(10):
-            gaps = np.linalg.norm(np.diff(image, axis=0), axis=1)
-            bad = np.nonzero(gaps > refine_threshold)[0]
-            if bad.size == 0:
-                break
-            mids = 0.5 * (pts[bad] + pts[bad + 1])
-            pts = np.insert(pts, bad + 1, mids, axis=0)
-            image, exits = advect(pts)
-    return AdvectionResult(image, exits if region is not None else None)
+    image = pts
+    for _, (image,) in rk4_steps(rhs, (pts,), T, dt):
+        pass
+    return image
 
 
 # --- polyline geometry -------------------------------------------------------
@@ -328,14 +260,14 @@ class PerturbationBoundsReport:
     field_max: float
 
 
-def perturbation_field_bounds(p, x_min, radii, arm_width=None):
+def perturbation_field_bounds(p, radii, arm_width=None):
     """Induced velocity bounds for a cross-supported vorticity anomaly.
 
     F1, the gradient of the inverse Laplacian of p, is the velocity p induces
     turned by a right angle, so |F1| = |u|.  Reports sup |F1| / r over 720
     points on each circle around the stagnation point, the Hessian sup, and
     |F1(0)| (forced to zero by even symmetry).  If ``arm_width`` is given the
-    support of p must stay within that distance of the arms; x_min is unread.
+    support of p must stay within that distance of the arms.
     """
     p.require_zero_mean(what="anomaly field")
     g = p.grid

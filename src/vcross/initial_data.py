@@ -216,11 +216,6 @@ class BumpSpec:
         if self.support_diameter >= self.height * 1e6:
             raise ValueError("degenerate bump aspect")
 
-    @property
-    def faithful_regime(self):
-        """Whether the scales sit in the asymptotic regime 0 < h1 < h2 < 1e-4."""
-        return self.support_diameter < self.height < 1e-4
-
 
 def _check_bump_placement(center, ladder):
     """Placement gate for bump centers against the active ladder.

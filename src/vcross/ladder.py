@@ -260,11 +260,6 @@ def resolve_ladder(horizon, growth_factor=10.0, mode="faithful", overrides=None)
     return ladder
 
 
-def seed_region_contains(x0, y0, ladder):
-    """Strict log-space membership of (x0, y0) in the admissible initial box."""
-    return not seed_region_violations(x0, y0, ladder)
-
-
 def seed_region_violations(x0, y0, ladder):
     """Names of the seed-box inequalities (x0, y0) fails; empty if inside."""
     out = []

@@ -122,15 +122,6 @@ class CrossFieldVariant:
         rx, ry = self.rates_and_partials(np.log(x), np.log(y))[:2]
         return x * rx, y * ry
 
-    def jacobian(self, x, y):
-        """Analytic partials ((u_x, u_y), (v_x, v_y)) at linear points, vectorized."""
-        _, _, ux, uy, vx, vy = self.rates_and_partials(np.log(x), np.log(y))
-        return (ux, uy), (vx, vy)
-
-    def log_rates_scalar(self, lx, ly):
-        """(u/x, v/y) from log coordinates on plain floats."""
-        return self.rates_and_partials_scalar(lx, ly)[:2]
-
 
 EXACT = CrossFieldVariant("exact")
 LEADING = CrossFieldVariant("leading")
@@ -174,11 +165,6 @@ class WedgeRegion:
     @property
     def y_max(self):
         return math.exp(self.log_y_max)
-
-    def contains(self, x, y):
-        if x <= 0.0 or y <= 0.0:
-            return False
-        return self.contains_log(math.log(x), math.log(y))
 
     def contains_log(self, lx, ly):
         """Membership from log coordinates; elementwise for arrays."""
@@ -317,8 +303,10 @@ def rk4_steps(rhs, state, T, dt):
     T - t, so the final t is T exactly.  Consumers stop early by leaving the
     loop.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not dt > 0.0:  # also NaN
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     t = 0.0
     for i in range(1, n_steps + 1):
@@ -579,6 +567,8 @@ def check_perturbation_admissible(perturbation, region, samples=200, t_max=1.0, 
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     if perturbation.is_zero:
         return AdmissibilityReport(True, math.inf, math.inf, samples=samples)
     rng = np.random.default_rng(seed)

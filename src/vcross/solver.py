@@ -68,8 +68,8 @@ class SimState:
     inversion_exponent: float = 1.0
 
     def __post_init__(self):
-        if self.inversion_exponent < 1.0:
-            raise ValueError("inversion exponent must be >= 1")
+        if not self.inversion_exponent >= 1.0:  # also NaN
+            raise ValueError(f"inversion exponent must be >= 1, got {self.inversion_exponent}")
 
     @property
     def grid(self):
@@ -89,8 +89,8 @@ def velocity_from_vorticity(theta, inversion_exponent=1.0):
     with -|k|^(-2 alpha); the zero mode is set to zero.  Rejects fields with
     nonzero mean or non-finite values.
     """
-    if inversion_exponent < 1.0:
-        raise ValueError("inversion exponent must be >= 1")
+    if not inversion_exponent >= 1.0:  # also NaN
+        raise ValueError(f"inversion exponent must be >= 1, got {inversion_exponent}")
     _require_vorticity(theta)
     g = theta.grid
     psi_hat = -theta.spectrum * g.inv_k2_power(inversion_exponent)
@@ -373,7 +373,7 @@ def diagnostics_with_norms():
 
 @dataclass
 class RunResult:
-    """Final state, sampled diagnostic series and optional velocity log.
+    """Final state and sampled diagnostic series.
 
     ``kernel`` is the stepping mode that ran (``none`` if nothing was
     stepped) and ``rhs_evals`` its count of RHS evaluations.
@@ -382,7 +382,6 @@ class RunResult:
     state: SimState
     series: dict
     steps: int = 0
-    velocity_log: list = None
     kernel: str = "none"
     rhs_evals: int = 0
 
@@ -396,7 +395,6 @@ def run(
     cfl=0.4,
     sample_every=None,
     diagnostics=None,
-    log_velocity=False,
 ):
     """March to t_end with adaptive dt = cfl * spacing / max speed.
 
@@ -408,12 +406,14 @@ def run(
     """
     if not (0.0 < cfl <= 0.5):
         raise ValueError("cfl must lie in (0, 0.5]")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < state.time - 1e-15:
         raise ValueError("t_end precedes current state time")
     diagnostics = dict(diagnostics or DEFAULT_DIAGNOSTICS)
     recorder = SeriesRecorder(list(diagnostics))
     if t_end <= state.time:
-        return RunResult(state, recorder.to_series(), steps=0, velocity_log=[] if log_velocity else None)
+        return RunResult(state, recorder.to_series())
 
     if sample_every is None:
         sample_every = (t_end - state.time) / 50.0
@@ -422,13 +422,9 @@ def run(
     g = state.grid
     kernel = _kernel_for(state)
     t0 = state.time
-    vel_log = [] if log_velocity else None
 
     def sample(st):
         recorder.record(st.time, {name: fn(st) for name, fn in diagnostics.items()})
-        if vel_log is not None:
-            vel = velocity_from_vorticity(st.theta, st.inversion_exponent)
-            vel_log.append((st.time, vel.u.values.copy(), vel.v.values.copy()))
 
     def dt_for_speed(speed):
         # reads the loop's current t and t_sample; t_sample <= t_end
@@ -452,9 +448,7 @@ def run(
             while t0 + next_idx * sample_every <= t + 1e-13:
                 next_idx += 1
     final = replace(state, theta=kernel.field(theta_hat), time=t)
-    return RunResult(
-        final, recorder.to_series(), steps, vel_log, kernel.mode, kernel.evaluations
-    )
+    return RunResult(final, recorder.to_series(), steps, kernel.mode, kernel.evaluations)
 
 
 # --- snapshot format --------------------------------------------------------

@@ -182,8 +182,8 @@ def test_c04_area_argument():
         )
         seg = np.vstack([seg[0], 0.5 * (seg[0] + seg[1]), seg[1]])
         flow = ModelFlow(EXACT)
-        circle_image = advect_polyline(flow, circle, T, dt=5e-4).points
-        seg_image = advect_polyline(flow, seg, T, dt=5e-4).points
+        circle_image = advect_polyline(flow, circle, T, dt=5e-4)
+        seg_image = advect_polyline(flow, seg, T, dt=5e-4)
         area0 = polygon_area(circle)
         area1 = polygon_area(circle_image)
         assert abs(area1 - area0) / area0 <= 1e-4
@@ -292,7 +292,7 @@ def test_c10_arm_perturbation_bounds():
         ratios = []
         for tau in (0.04, 0.02, 0.01):
             p = arm_anomaly(grid, tau)
-            rep = perturbation_field_bounds(p, 1e-3, radii, arm_width=tau)
+            rep = perturbation_field_bounds(p, radii, arm_width=tau)
             assert rep.origin_value <= 1e-6 * rep.field_max
             ratios.append(rep.sup_ratio / (tau * abs(math.log(tau))))
         ratios = np.asarray(ratios)

@@ -263,6 +263,20 @@ dir = {out}
         err = capsys.readouterr().err
         assert message in err and "bad.vcrs" in err
 
+    @pytest.mark.parametrize("source", ["config", "snapshot"])
+    def test_nan_exponent_exits_usage(self, tmp_path, source, capsys):
+        if source == "config":
+            text = SIM_CFG.format(t_end=0.1, out=tmp_path / "out")
+            cfg = write(tmp_path, "nan.cfg", text.replace("alpha = 1.0", "alpha = nan"))
+        else:
+            snapshot = tmp_path / "nan.vcrs"
+            header = struct.pack("<4sIQQdd", b"VCRS", 1, 16, 16, 0.0, math.nan)
+            snapshot.write_bytes(header + bytes(8 * 16 * 16))
+            cfg = self._snapshot_config(tmp_path, snapshot)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: inversion exponent must be >= 1, got nan\n"
+
     def test_log10_ladder_override_reaches_the_run(self, tmp_path):
         init = self.INIT_BLOCKS["cross+bump"]
         text = self.INIT_CFG.format(init=init, out=tmp_path / "out")
@@ -384,6 +398,13 @@ dir = {out}
             assert main(["sweep", "--config", cfg, "--threads", threads]) == 0
             outs.append((out / "aggregate.csv").read_bytes())
         return outs
+
+    def test_empty_values_refused(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        text = self.TAU_CFG.format(values="", out=out).replace("n = 256", "n = 64")
+        assert main(["sweep", "--config", write(tmp_path, "e.cfg", text)]) == 2
+        assert "[sweep] values must list at least one value" in capsys.readouterr().err
+        assert not (out / "aggregate.csv").exists()
 
     def test_tau_sweep_writes_every_column(self, tmp_path):
         out = tmp_path / "tau"
@@ -701,6 +722,32 @@ dir = {out}
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: unknown {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            ("simulate", "t_end = inf", "t_end must be finite, got inf"),
+            ("simulate", "t_end = nan", "t_end must be finite, got nan"),
+            ("model", "T = inf", "T must be finite, got inf"),
+            ("model", "T = nan", "T must be finite, got nan"),
+            ("model", "dt = nan", "dt must be positive, got nan"),
+        ],
+    )
+    def test_non_finite_time_exits_usage_and_is_named(
+        self, tmp_path, command, setting, message, capsys
+    ):
+        out = tmp_path / "o"
+        if command == "simulate":
+            text = SIM_CFG.format(t_end=0.5, out=out)
+        else:
+            text = MODEL_CFG.format(x0=1e-6, T=0.3, out=out)
+        key = setting.split()[0]
+        default = {"t_end": "t_end = 0.5", "T": "T = 0.3", "dt": "dt = 1e-4"}[key]
+        assert text.count(default) == 1
+        cfg = write(tmp_path, "t.cfg", text.replace(default, setting))
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_out_under_a_regular_file_exits_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "plain.txt"
         blocker.write_text("not a directory")
@@ -719,6 +766,24 @@ dir = {out}
         assert main(["simulate", "--config", cfg]) == vcross.cli.EXIT_INTERNAL == 4
         err = capsys.readouterr().err
         assert err.strip() == "internal error: RuntimeError: planted fault"
+
+
+@pytest.mark.parametrize(
+    "command, phases",
+    [("model", ("init", "integrate", "write", "total")), ("sweep", ("members", "write", "total"))],
+)
+def test_manifest_records_phase_timings_and_peak_rss(tmp_path, command, phases):
+    out = tmp_path / command
+    if command == "model":
+        text = MODEL_CFG.format(x0=1e-6, T=0.3, out=out)
+    else:
+        text = TestSweep.TAU_CFG.format(values="0.04", out=out).replace("n = 256", "n = 64")
+    assert main([command, "--config", write(tmp_path, "c.cfg", text)]) == 0
+    header, _, blocks = read_manifest(out / "manifest.txt")
+    assert [k for k in header if k.startswith("timing_")] == [f"timing_{p}_s" for p in phases]
+    assert all(float(header[f"timing_{p}_s"]) >= 0.0 for p in phases)
+    peak = [l for l in blocks["notes"] if l.startswith("peak_rss_mb = ")]
+    assert len(peak) == 1 and float(peak[0].split()[-1]) > 0.0
 
 
 def test_cli_import_loads_no_scipy():

@@ -12,7 +12,6 @@ from vcross.ladder import (
     ParameterLadder,
     relaxed_seed_exponent,
     resolve_ladder,
-    seed_region_contains,
     seed_region_violations,
 )
 
@@ -122,8 +121,8 @@ class TestSeedRegion:
         ladder = resolve_ladder(1.0, 10.0, "relaxed")
         outer = ladder.value("outer")
         inner = ladder.value("inner")
-        assert not seed_region_contains(inner, outer / 2.0, ladder)  # x0 == inner
-        assert not seed_region_contains(2 * inner, outer, ladder)  # y0 == outer
+        assert seed_region_violations(inner, outer / 2.0, ladder)  # x0 == inner
+        assert seed_region_violations(2 * inner, outer, ladder)  # y0 == outer
         assert "x0_above_inner_scale" in seed_region_violations(
             inner, outer / 2.0, ladder
         )
@@ -135,10 +134,10 @@ class TestSeedRegion:
         ladder = resolve_ladder(1.0, 10.0, "relaxed")
         y0 = 0.45
         x0 = 10.0 ** (0.5 * (ladder.log10_inner + ladder.seed_exponent * math.log10(y0)))
-        assert seed_region_contains(x0, y0, ladder)
+        assert not seed_region_violations(x0, y0, ladder)
         assert seed_region_violations(x0, y0, ladder) == []
 
     def test_faithful_box_is_subfloat(self):
         # every representable float is outside the faithful seed box
         ladder = resolve_ladder(1.0, 10.0, "faithful")
-        assert not seed_region_contains(1e-300, 1e-4, ladder)
+        assert seed_region_violations(1e-300, 1e-4, ladder)

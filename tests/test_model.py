@@ -80,7 +80,7 @@ class TestCrossVelocity:
         for variant in (EXACT, LEADING):
             for x, y in ((1e-4, 0.02), (1e-3, 0.04), (2e-3, 0.045)):
                 u, v = variant.velocity(x, y)
-                rx, ry = variant.log_rates_scalar(math.log(x), math.log(y))
+                rx, ry = variant.rates_and_partials_scalar(math.log(x), math.log(y))[:2]
                 assert rx == pytest.approx(float(u) / x, rel=1e-12)
                 assert ry == pytest.approx(float(v) / y, rel=1e-12)
 
@@ -101,7 +101,7 @@ class TestCrossVelocity:
         d = 1e-8
         for variant in (EXACT, LEADING):
             x, y = 3e-4, 0.03
-            (ux, uy), (vx, vy) = variant.jacobian(x, y)
+            ux, uy, vx, vy = variant.rates_and_partials(np.log(x), np.log(y))[2:]
             u0 = variant.velocity(x, y)
             fd_ux = (variant.velocity(x + d, y)[0] - variant.velocity(x - d, y)[0]) / (2 * d)
             fd_uy = (variant.velocity(x, y + d)[0] - variant.velocity(x, y - d)[0]) / (2 * d)
@@ -395,11 +395,16 @@ class TestAdmissibility:
         report = check_perturbation_admissible(pert, self.region(), seed=1)
         assert not report.passed
         x, y, t = report.value_witness
-        assert self.region().contains(x, y)
+        assert self.region().contains_log(math.log(x), math.log(y))
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             check_perturbation_admissible(ZERO_PERTURBATION, self.region(), samples=10)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_non_finite_horizon_refused(self, t_max):
+        with pytest.raises(ValueError, match=f"t_max must be finite, got {t_max}"):
+            check_perturbation_admissible(ZERO_PERTURBATION, self.region(), t_max=t_max)
 
 
 class TestLeadingOrderBound:

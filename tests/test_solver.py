@@ -404,13 +404,6 @@ class TestRun:
         for (_, dt), speed in zip(steps, speeds):
             assert dt * speed / grid64.spacing <= 0.4 * (1.0 + 1e-12)
 
-    def test_velocity_log(self, grid64):
-        state = vc.SimState(smooth_random_field(grid64, seed=2))
-        result = vc.run(state, 0.2, sample_every=0.1, log_velocity=True)
-        assert len(result.velocity_log) == 3
-        t0, u0, v0 = result.velocity_log[0]
-        assert t0 == 0.0 and u0.shape == (64, 64)
-
 
 class TestNorms:
     def test_grad_sup_constant_is_zero(self, grid64):
