@@ -185,8 +185,9 @@ def cmd_simulate(args):
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
-def _demo_perturbation(upsilon):
-    scale = 0.5e-4 * upsilon
+def _demo_perturbation(upsilon, factor=1.0):
+    """nu = s (x cos y, y cos x) with s = 0.5e-4 upsilon factor, with exact log-form terms."""
+    scale = 0.5e-4 * upsilon * factor
 
     def nu1(x, y, t):
         return scale * x * np.cos(y)
@@ -194,7 +195,12 @@ def _demo_perturbation(upsilon):
     def nu2(x, y, t):
         return scale * y * np.cos(x)
 
-    return FlowPerturbation(nu1, nu2, upsilon)
+    def exact_terms(lx, ly, t):
+        x, y = np.exp(lx), np.exp(ly)  # an underflow to 0 leaves every term finite
+        sx, sy = scale * np.cos(x), scale * np.cos(y)
+        return sy, sx, sy, -scale * x * np.sin(y), -scale * y * np.sin(x), sx
+
+    return FlowPerturbation(nu1, nu2, upsilon, exact_terms)
 
 
 def cmd_model(args):
@@ -210,6 +216,8 @@ def cmd_model(args):
     ladder = _build_ladder(cfg)
     region = WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer)
     T = cfg.get_float("trajectory", "T", 1.0)
+    if T < 0.0:
+        raise ConfigError(f"[trajectory] T must be non-negative, got {T}")
     dt = cfg.get_float("trajectory", "dt", 1e-3)
 
     pert_kind = cfg.get_str("perturbation", "kind", "none")
@@ -217,15 +225,7 @@ def cmd_model(args):
         pert = FlowPerturbation()
     elif pert_kind == "demo":
         upsilon = cfg.get_float("perturbation", "upsilon", ladder.value("drift"))
-        pert = _demo_perturbation(upsilon)
-        factor = cfg.get_float("perturbation", "scale", 1.0)
-        if factor != 1.0:
-            base = pert
-            pert = FlowPerturbation(
-                lambda x, y, t: factor * base.nu1(x, y, t),
-                lambda x, y, t: factor * base.nu2(x, y, t),
-                upsilon,
-            )
+        pert = _demo_perturbation(upsilon, cfg.get_float("perturbation", "scale", 1.0))
         report = check_perturbation_admissible(pert, region, samples=200, t_max=T,
                                                seed=args.seed)
         if not report.passed:
@@ -286,6 +286,9 @@ def cmd_model(args):
         ["x0", "y0", "exit_time", "x_final", "y_final", "xa_final", "key_bound", "floor_log"],
         np.array(summary_rows, dtype=float),
     )
+    manifest.note(f"rhs_evals = {4 * (paths[0].t.size - 1)}")  # four RK4 stages per step
+    drift = "none" if pert.is_zero else "exact" if pert.exact_terms else "finite-difference"
+    manifest.note(f"drift = {drift}")
     _write_manifest(manifest, t_start, init=t_init - t_start, integrate=t_integrated - t_init)
     return EXIT_OK
 
@@ -377,6 +380,10 @@ def cmd_sweep(args):
     t_members = time.perf_counter()
     outcomes = run_members(_sweep_member_runner, payloads, args.threads)
     t_members_end = time.perf_counter()
+    if min(args.threads, len(payloads)) > 1:  # the members ran in a joined pool
+        # the largest child this process has waited for; KiB on Linux
+        children_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        manifest.note(f"peak_rss_children_mb = {children_mb:.1f}")
     rows = []
     for v, (rec, exc) in zip(values, outcomes):
         if exc is not None:  # partial failures recorded, sweep continues

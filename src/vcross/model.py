@@ -14,7 +14,11 @@ Trajectories integrate in logarithmic coordinates, so the double-exponential
 contraction toward the axis never goes stiff or underflows.  Each variant is
 one formula from (ln x, ln y), for arrays and again for plain floats, giving
 the rates (u/x, v/y) and the partials that drive the flow-map Jacobian, so
-both hold for starts far below float range.
+both hold for starts far below float range.  A drift enters the same way,
+through :meth:`FlowPerturbation.terms`: exact log-form terms when the
+perturbation carries them (the demo drift does), and otherwise its values at
+the linear point with central-difference partials, which need x and y in
+float range.
 """
 
 from __future__ import annotations
@@ -60,19 +64,26 @@ class CrossFieldVariant:
             zero = np.zeros_like(ldiff)
             return -c * ly, c * ly, -c * ly, -c * np.exp(ldiff), zero, c * (ly + 1.0)
         # ln(x^2 + y^2) = 2 max(lx, ly) + log1p(exp(-2 |lx - ly|))
-        lr2 = 2.0 * np.maximum(lx, ly) + np.log1p(np.exp(-2.0 * np.abs(ldiff)))
+        ad = np.abs(ldiff)
+        lr2 = 2.0 * np.maximum(lx, ly) + np.log1p(np.exp(-2.0 * ad))
         # a = arctan(x/y), b = arctan(y/x), yx = (y/x) a, xy = (x/y) b
-        a, b, yx, xy = (np.empty_like(ldiff) for _ in range(4))
-        lo = ldiff < -30.0  # x much smaller than y
-        hi = ldiff > 30.0
-        mid = ~(lo | hi)
-        s = np.exp(ldiff[mid])
-        a[mid], b[mid] = np.arctan(s), np.arctan(1.0 / s)
-        yx[mid], xy[mid] = a[mid] / s, s * b[mid]
-        s = np.exp(ldiff[lo])
-        a[lo], b[lo], yx[lo], xy[lo] = s, HALF_PI - s, 1.0, HALF_PI * s
-        s = np.exp(-ldiff[hi])
-        a[hi], b[hi], yx[hi], xy[hi] = HALF_PI - s, s, HALF_PI * s, 1.0
+        far = ad > 30.0
+        if not far.any():  # the usual case, without the masked copies below
+            s = np.exp(ldiff)
+            a, b = np.arctan(s), np.arctan(1.0 / s)
+            yx, xy = a / s, s * b
+        else:
+            a, b, yx, xy = (np.empty_like(ldiff) for _ in range(4))
+            mid = ~far
+            lo = far & (ldiff < 0.0)  # x much smaller than y
+            hi = far & (ldiff > 0.0)
+            s = np.exp(ldiff[mid])
+            a[mid], b[mid] = np.arctan(s), np.arctan(1.0 / s)
+            yx[mid], xy[mid] = a[mid] / s, s * b[mid]
+            s = np.exp(ldiff[lo])
+            a[lo], b[lo], yx[lo], xy[lo] = s, HALF_PI - s, 1.0, HALF_PI * s
+            s = np.exp(-ldiff[hi])
+            a[hi], b[hi], yx[hi], xy[hi] = HALF_PI - s, s, HALF_PI * s, 1.0
         c = self.c1
         return (
             -c * (lr2 - 2.0 + 2.0 * yx),
@@ -185,11 +196,18 @@ class WedgeRegion:
 
 @dataclass(frozen=True)
 class FlowPerturbation:
-    """Smooth admissible drift (nu1, nu2)(x, y, t) with size scale upsilon."""
+    """Smooth admissible drift (nu1, nu2)(x, y, t) with size scale upsilon.
+
+    The integrators read the drift through :meth:`terms`, in log coordinates.
+    ``exact_terms(lx, ly, t)``, when given, supplies those terms in closed
+    form and holds below float range; otherwise they come from ``nu1`` and
+    ``nu2`` at the linear point, with central-difference partials.
+    """
 
     nu1: object = None
     nu2: object = None
     upsilon: float = 0.0
+    exact_terms: object = None
 
     def eval(self, x, y, t):
         n1 = self.nu1(x, y, t) if self.nu1 is not None else np.zeros_like(np.asarray(x, float))
@@ -198,7 +216,28 @@ class FlowPerturbation:
 
     @property
     def is_zero(self):
-        return self.nu1 is None and self.nu2 is None
+        return self.nu1 is None and self.nu2 is None and self.exact_terms is None
+
+    def terms(self, lx, ly, t):
+        """(nu1/x, nu2/y, d nu1/dx, d nu1/dy, d nu2/dx, d nu2/dy) at (e^lx, e^ly).
+
+        Floats or arrays.  Without ``exact_terms`` the drift is evaluated at
+        x = e^lx and y = e^ly, and NearAxisError is raised if either
+        underflows to 0.
+        """
+        if self.exact_terms is not None:
+            return self.exact_terms(lx, ly, t)
+        exp = math.exp if isinstance(lx, float) else np.exp
+        x, y = exp(lx), exp(ly)
+        for name, log_v, v in (("x", lx, x), ("y", ly, y)):
+            if np.any(v == 0.0):
+                raise NearAxisError(
+                    f"the drift needs linear x and y, and exp(ln {name}) = "
+                    f"exp({float(np.min(log_v)):.6g}) underflowed to 0"
+                )
+        n1, n2 = self.eval(x, y, t)
+        (n1x, n1y), (n2x, n2y) = self.grad_fd(x, y, t)
+        return n1 / x, n2 / y, n1x, n1y, n2x, n2y
 
     def grad_fd(self, x, y, t):
         """Central-difference gradients of both components."""
@@ -258,28 +297,6 @@ class TrajectoryPath:
         else:
             tail = [np.full(self.t.size, v) for v in (1.0, 0.0, 0.0, 1.0, 1.0)]
         write_table(path, cols, np.column_stack([self.t, self.x, self.y] + tail))
-
-
-def _drift_log_rates(pert, lx, ly, t):
-    """(nu1/x, nu2/y) evaluated through the log coordinates."""
-    if pert.is_zero:
-        return 0.0, 0.0
-    x = np.exp(lx)
-    y = np.exp(ly)
-    n1, n2 = pert.eval(x, y, t)
-    return n1 / x, n2 / y
-
-
-def _linear_point(lx, ly):
-    """(e^lx, e^ly) for a drift evaluation; NearAxisError if either is 0.0."""
-    x, y = math.exp(lx), math.exp(ly)
-    for name, log_v, v in (("x", lx, x), ("y", ly, y)):
-        if v == 0.0:
-            raise NearAxisError(
-                f"the drift needs linear x and y, and exp(ln {name}) = "
-                f"exp({log_v:.6g}) underflowed to 0"
-            )
-    return x, y
 
 
 def _check_start(p0, region, p0_is_log):
@@ -355,10 +372,9 @@ def integrate_trajectory(
     def rates(s, t_):
         rx, ry = variant.rates_and_partials_scalar(*s)[:2]
         if not drift_free:
-            x, y = _linear_point(*s)
-            n1, n2 = perturbation.eval(x, y, t_)
-            rx += float(n1) / x
-            ry += float(n2) / y
+            d1, d2 = perturbation.terms(*s, t_)[:2]
+            rx += float(d1)
+            ry += float(d2)
         return rx, ry
 
     ts = [0.0]
@@ -396,10 +412,12 @@ def integrate_variational(
     """Co-integrate the position and the full 2x2 flow-map Jacobian.
 
     The Jacobian obeys J' = A J with A the analytic partials of the variant
-    plus central-difference partials of the perturbation; J(0) = I, so the
-    first column is (x_a, y_a), the derivative with respect to the initial
-    horizontal coordinate.  For the divergence-free exact variant det J stays
-    at 1, which the caller can use as a free consistency check.
+    plus the perturbation's partials from :meth:`FlowPerturbation.terms`
+    (exact when it carries log-form terms, central differences otherwise);
+    J(0) = I, so the first column is (x_a, y_a), the derivative with respect
+    to the initial horizontal coordinate.  For the divergence-free exact
+    variant det J stays at 1, which the caller can use as a free consistency
+    check.
 
     This is the single-start fast path on plain floats; a family of starts
     goes through :func:`integrate_variational_batch` in one vectorised loop.
@@ -412,11 +430,9 @@ def integrate_variational(
         lx_, ly_, j11, j12, j21, j22 = s
         rx, ry, ux, uy, vx, vy = variant.rates_and_partials_scalar(lx_, ly_)
         if not drift_free:
-            x, y = _linear_point(lx_, ly_)
-            n1, n2 = perturbation.eval(x, y, t_)
-            rx += float(n1) / x
-            ry += float(n2) / y
-            (n1x, n1y), (n2x, n2y) = perturbation.grad_fd(x, y, t_)
+            d1, d2, n1x, n1y, n2x, n2y = perturbation.terms(lx_, ly_, t_)
+            rx += float(d1)
+            ry += float(d2)
             ux += float(n1x)
             uy += float(n1y)
             vx += float(n2x)
@@ -483,11 +499,9 @@ def integrate_variational_batch(
         lx_, ly_, j11, j12, j21, j22 = s[0]
         rx, ry, ux, uy, vx, vy = variant.rates_and_partials(lx_, ly_)
         if not drift_free:
-            x, y = np.exp(lx_), np.exp(ly_)
-            n1, n2 = perturbation.eval(x, y, t_)
-            rx = rx + n1 / x
-            ry = ry + n2 / y
-            (n1x, n1y), (n2x, n2y) = perturbation.grad_fd(x, y, t_)
+            d1, d2, n1x, n1y, n2x, n2y = perturbation.terms(lx_, ly_, t_)
+            rx = rx + d1
+            ry = ry + d2
             ux = ux + n1x
             uy = uy + n1y
             vx = vx + n2x
@@ -622,10 +636,11 @@ def fit_leading_order_bound(path):
     if path.exit_time is not None:
         keep = t <= path.exit_time + 1e-15  # the bounds only apply inside the wedge
         lx, ly, t = lx[keep], ly[keep], t[keep]
-    rx, ry = path.variant.rates_and_partials(lx, ly)[:2]
-    dx, dy = _drift_log_rates(path.perturbation, lx, ly, t)
-    rate_x = rx + dx  # x'/x
-    rate_y = ry + dy  # y'/y
+    rate_x, rate_y = path.variant.rates_and_partials(lx, ly)[:2]  # x'/x, y'/y
+    if not path.perturbation.is_zero:
+        dx, dy = path.perturbation.terms(lx, ly, t)[:2]
+        rate_x = rate_x + dx
+        rate_y = rate_y + dy
     # bounds divided through by x (resp. y), in log-stable form:
     # |x'/x + ln y| <= C + u y/x  and  |y'/y + |ln y|| <= C
     y_over_x = np.exp(np.minimum(ly - lx, 700.0))

@@ -335,6 +335,25 @@ class TestModel:
         assert f"[trajectory] count must be positive, got {count}" in err
         assert not (out / "summary.csv").exists()
 
+    def test_negative_horizon_refused(self, tmp_path, capsys):
+        out = tmp_path / "mt"
+        text = MODEL_CFG.format(x0=1e-6, T=-1, out=out).replace("horizon = -1", "horizon = 1")
+        assert main(["model", "--config", write(tmp_path, "mt.cfg", text)]) == 2
+        assert capsys.readouterr().err == "error: [trajectory] T must be non-negative, got -1.0\n"
+        assert not list(out.glob("path_*.csv"))
+
+    @pytest.mark.parametrize(
+        "perturbation, drift",
+        [("", "none"), ("[perturbation]\nkind = demo\nupsilon = 1e-3\n", "exact")],
+    )
+    def test_manifest_notes_rhs_evals_and_drift(self, tmp_path, perturbation, drift):
+        out = tmp_path / "mn"
+        text = MODEL_CFG.format(x0=1e-6, T=0.3, out=out) + perturbation
+        assert main(["model", "--config", write(tmp_path, "mn.cfg", text)]) == 0
+        notes = read_manifest(out / "manifest.txt")[2]["notes"]
+        assert "rhs_evals = 12000" in notes  # four stages per step, T / dt = 3000 steps
+        assert f"drift = {drift}" in notes
+
     def test_point_outside_seed_box_refused(self, tmp_path):
         out = tmp_path / "m2"
         cfg = write(
@@ -515,6 +534,19 @@ dir = {out}
             outs.append((out / "aggregate.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_pooled_manifest_notes_children_peak_rss(self, tmp_path):
+        for name, threads in (("ser", "1"), ("par", "2")):
+            out = tmp_path / name
+            text = self.TAU_CFG.format(values="0.04 0.08", out=out).replace("n = 256", "n = 64")
+            cfg = write(tmp_path, f"{name}.cfg", text)
+            assert main(["sweep", "--config", cfg, "--threads", threads]) == 0
+            notes = read_manifest(out / "manifest.txt")[2]["notes"]
+            children = [l for l in notes if l.startswith("peak_rss_children_mb = ")]
+            if threads == "1":
+                assert children == []
+            else:
+                assert len(children) == 1 and float(children[0].split()[-1]) > 0.0
+
     def test_pooled_member_failure_stays_its_own(self, tmp_path):
         # n = 64 cannot resolve sigma = 0.4; its error must cross the pool
         # without taking the n = 128 member down with it
@@ -602,8 +634,14 @@ dir = {out}
         rows = ser.decode().splitlines()
         error = rows[0].split(",").index("error")
         assert [r.split(",")[error] for r in rows[1:]] == ["nan", "nan", "1"]
+        # the memory notes describe the processes, which differ by design
         notes = [
-            read_manifest(tmp_path / name / "manifest.txt")[2]["notes"] for name in ("ser", "par")
+            [
+                line
+                for line in read_manifest(tmp_path / name / "manifest.txt")[2]["notes"]
+                if not line.startswith("peak_rss")
+            ]
+            for name in ("ser", "par")
         ]
         assert notes[0] == notes[1]
         assert notes[0][0].startswith("member 3.0 failed: support 0.3 spans fewer than 8 cells")

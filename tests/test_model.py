@@ -96,6 +96,10 @@ class TestCrossVelocity:
             scalar = variant.rates_and_partials_scalar(float(lx[i]), float(ly[i]))
             for got, want in zip(scalar, vector):
                 assert got == pytest.approx(float(want[i]), rel=1e-14, abs=0.0)
+        # an array with no asymptotic point takes the unmasked path, bit for bit
+        mid = np.abs(lx - ly) <= 30.0
+        for got, want in zip(variant.rates_and_partials(lx[mid], ly[mid]), vector):
+            assert np.array_equal(got, want[mid])
 
     def test_jacobian_matches_finite_differences(self):
         d = 1e-8
@@ -159,14 +163,32 @@ class TestTrajectories:
         "integrate", [integrate_trajectory, integrate_variational]
     )
     def test_drift_from_sub_float_start_names_underflow(self, integrate):
-        # the drift is evaluated at linear x = exp(-1520), which is 0.0
+        # a drift given only as nu1, nu2 is evaluated at linear x = exp(-1520),
+        # which is 0.0
+        demo = _demo_perturbation(1e-3)
         with pytest.raises(NearAxisError, match=r"linear x and y.*exp\(ln x\)"):
             integrate(
                 (-1520.0, math.log(0.0099)),
                 0.01,
-                perturbation=_demo_perturbation(1e-3),
+                perturbation=FlowPerturbation(demo.nu1, demo.nu2, demo.upsilon),
                 p0_is_log=True,
             )
+
+    def test_demo_drift_runs_from_sub_float_start(self):
+        # the demo's exact log-form terms need no linear x; div nu =
+        # s (cos x + cos y) lies in [0, 2s] and the exact flow is
+        # divergence-free, so 0 <= ln det J <= 2 s T.  At dt = 2.5e-4 the
+        # drift-free RK4 keeps |ln det J| near 3e-14, inside the 1e-12 slack.
+        upsilon, T = 1e-3, 1.0
+        s = 0.5e-4 * upsilon
+        kwargs = dict(perturbation=_demo_perturbation(upsilon), dt=2.5e-4, p0_is_log=True)
+        p0 = (-1520.0, math.log(0.0099))
+        path = integrate_variational(p0, T, **kwargs)
+        assert np.array_equal(path.log_x, integrate_trajectory(p0, T, **kwargs).log_x)
+        assert np.all(np.isfinite(path.jac))
+        log_det = np.log(path.det_jac)
+        assert np.min(log_det) >= 0.0
+        assert np.max(log_det) <= 2.0 * s * T + 1e-12
 
     def test_csv_columns(self, tmp_path):
         path = integrate_variational((1e-6, 0.1), 0.2, variant=LEADING, dt=1e-3)
@@ -237,6 +259,25 @@ class TestVariational:
                                      p0_is_log=True)
         assert path.log_y[-1] == pytest.approx(-700.0 * math.exp(T), rel=1e-12)
         assert path.jac[-1, 0, 0] == pytest.approx(math.exp(700.0 * math.expm1(T)), rel=1e-4)
+
+
+class TestDriftTerms:
+    @pytest.mark.parametrize("factor", [1.0, 0.3])
+    def test_demo_exact_terms_match_finite_differences(self, factor):
+        demo = _demo_perturbation(1e-3, factor)
+        plain = FlowPerturbation(demo.nu1, demo.nu2, demo.upsilon)
+        pts = WedgeRegion(1e-8, 0.05).sample(200, np.random.default_rng(5))
+        lx, ly = np.log(pts[:, 0]), np.log(pts[:, 1])
+        for t in (0.0, 0.4, 1.0):
+            exact = demo.terms(lx, ly, t)
+            fd = plain.terms(lx, ly, t)
+            for k in (0, 1):  # nu1/x and nu2/y
+                np.testing.assert_allclose(exact[k], fd[k], rtol=1e-14, atol=0.0)
+            # each partial against the size of the gradient it belongs to
+            for gx, gy, fx, fy in ((*exact[2:4], *fd[2:4]), (*exact[4:6], *fd[4:6])):
+                scale = np.hypot(gx, gy)
+                assert np.max(np.abs(fx - gx) / scale) <= 1e-6
+                assert np.max(np.abs(fy - gy) / scale) <= 1e-6
 
 
 class TestVariationalBatch:
