@@ -20,7 +20,6 @@ from .model import (
     check_perturbation_admissible,
     contraction_floor,
     fit_leading_order_bound,
-    integrate_trajectory,
     integrate_variational,
     integrate_variational_batch,
 )

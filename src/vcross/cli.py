@@ -207,12 +207,7 @@ def cmd_model(args):
     t_start = time.perf_counter()
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
-    kind = cfg.get_str("model", "variant", "exact")
-    variant = CrossFieldVariant(
-        kind,
-        c1=cfg.get_float("model", "c1", 0.5),
-        c2=cfg.get_float("model", "c2", 1.0),
-    )
+    variant = CrossFieldVariant(cfg.get_str("model", "variant", "exact"))
     ladder = _build_ladder(cfg)
     region = WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer)
     T = cfg.get_float("trajectory", "T", 1.0)
@@ -324,6 +319,8 @@ def _sweep_member_runner(payload):
         ratio = float(np.max(series.values) / series.values[0])
         return {"grad0": float(series.values[0]), "max_ratio": ratio}
     if kind == "n":
+        if not float(value).is_integer():  # int() would truncate 128.9 to 128
+            raise ValueError(f"grid size must be an integer, got {value}")
         n = int(value)
         grid = Grid(n)
         theta = mollified_cross(grid, params["sigma"])

@@ -14,14 +14,13 @@ import numpy as np
 
 from .fields import TWO_PI
 from .initial_data import cross_arm_distance
-from .model import rk4_steps
 from .series import DiagnosticSeries, RateFit, linear_fit
 from .solver import grad_sup_norm, hessian_sup_of_inverse_laplacian, velocity_from_vorticity
 
 EPS = np.finfo(float).eps
 
 
-# --- velocity sources for polyline advection --------------------------------
+# --- grid interpolation ------------------------------------------------------
 
 
 def periodic_bilinear(arr, px, py, grid):
@@ -53,35 +52,6 @@ def periodic_bilinear(arr, px, py, grid):
         + arr[i0, j1] * (1 - fx) * fy
         + arr[i1, j1] * fx * fy
     )
-
-
-class ModelFlow:
-    """Velocity source backed by a cross-field variant."""
-
-    def __init__(self, variant):
-        self.variant = variant
-
-    def __call__(self, t, pts):
-        return np.column_stack(self.variant.velocity(pts[:, 0], pts[:, 1]))
-
-
-def advect_polyline(velocity_source, polyline, T, dt=1e-3):
-    """Advect every vertex under the velocity source with ``model.rk4_steps``.
-
-    ``velocity_source(t, pts)`` returns the (N, 2) velocities: a ModelFlow
-    or any such callable.  Returns the (N, 2) image of the vertices.
-    """
-    pts = np.asarray(polyline, dtype=float).copy()
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("polyline must be an (N, 2) array")
-
-    def rhs(state, t):
-        return (velocity_source(t, state[0]),)
-
-    image = pts
-    for _, (image,) in rk4_steps(rhs, (pts,), T, dt):
-        pass
-    return image
 
 
 # --- polyline geometry -------------------------------------------------------

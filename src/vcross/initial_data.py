@@ -211,8 +211,9 @@ class BumpSpec:
     height: float
 
     def __post_init__(self):
-        if self.support_diameter <= 0.0 or self.height <= 0.0:
-            raise ValueError("bump height and support must be positive")
+        for name, value in (("support", self.support_diameter), ("height", self.height)):
+            if not 0.0 < value < math.inf:  # also NaN
+                raise ValueError(f"bump {name} must be finite and positive, got {value}")
         if self.support_diameter >= self.height * 1e6:
             raise ValueError("degenerate bump aspect")
 

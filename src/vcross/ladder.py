@@ -195,13 +195,16 @@ def resolve_ladder(horizon, growth_factor=10.0, mode="faithful", overrides=None)
     mollifier) to log10 values; contradictory overrides raise
     :class:`LadderError` naming the violated inequalities.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if growth_factor <= 1.0:
-        raise ValueError("growth factor must exceed 1")
+    if not 0.0 < horizon < math.inf:  # also NaN
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not 1.0 < growth_factor < math.inf:
+        raise ValueError(f"growth factor must be finite and exceed 1, got {growth_factor}")
     if mode not in ("faithful", "relaxed"):
         raise ValueError(f"unknown ladder mode {mode!r}")
     overrides = dict(overrides or {})
+    for name, value in overrides.items():
+        if not math.isfinite(value):
+            raise ValueError(f"ladder override {name} must be finite, got {value}")
     T = horizon
     # seed-box exponent may be pinned by callers that know their regime is
     # confined more tightly than the conservative default cap

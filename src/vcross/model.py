@@ -260,16 +260,15 @@ ZERO_PERTURBATION = FlowPerturbation()
 
 @dataclass
 class TrajectoryPath:
-    """Sampled trajectory with the first exit time from the wedge, if any."""
+    """Sampled trajectory, its flow-map Jacobian and first wedge exit time, if any."""
 
     t: np.ndarray
     log_x: np.ndarray
     log_y: np.ndarray
     variant: CrossFieldVariant
     perturbation: FlowPerturbation
-    region: object = None
-    exit_time: float = None
-    jac: np.ndarray = None  # (N, 2, 2) when variational data was requested
+    exit_time: float
+    jac: np.ndarray  # (N, 2, 2)
 
     @property
     def x(self):
@@ -281,8 +280,6 @@ class TrajectoryPath:
 
     @property
     def det_jac(self):
-        if self.jac is None:
-            return None
         return (
             self.jac[:, 0, 0] * self.jac[:, 1, 1]
             - self.jac[:, 0, 1] * self.jac[:, 1, 0]
@@ -291,11 +288,8 @@ class TrajectoryPath:
     def write_csv(self, path):
         """Columns t,x,y,xa,ya,xb,yb,detJ through ``series.write_table``."""
         cols = ["t", "x", "y", "xa", "ya", "xb", "yb", "detJ"]
-        if self.jac is not None:
-            jac = self.jac
-            tail = [jac[:, 0, 0], jac[:, 1, 0], jac[:, 0, 1], jac[:, 1, 1], self.det_jac]
-        else:
-            tail = [np.full(self.t.size, v) for v in (1.0, 0.0, 0.0, 1.0, 1.0)]
+        jac = self.jac
+        tail = [jac[:, 0, 0], jac[:, 1, 0], jac[:, 0, 1], jac[:, 1, 1], self.det_jac]
         write_table(path, cols, np.column_stack([self.t, self.x, self.y] + tail))
 
 
@@ -349,57 +343,6 @@ def _check_jacobian(jac_entries):
         )
 
 
-def integrate_trajectory(
-    p0,
-    T,
-    perturbation=ZERO_PERTURBATION,
-    variant=EXACT,
-    region=None,
-    dt=1e-3,
-    p0_is_log=False,
-):
-    """RK4 path of (x, y) under the chosen variant plus perturbation.
-
-    Integration runs in log coordinates through :func:`rk4_steps`; with
-    ``p0_is_log`` the start is given as (ln x0, ln y0), which admits the
-    faithful regime's sub-float scales.  If a region is supplied, the first
-    time the point leaves it is recorded; integration continues to T
-    regardless, stopping early only if log x would overflow float range.
-    """
-    lx, ly = _check_start(p0, region, p0_is_log)
-    drift_free = perturbation.is_zero
-
-    def rates(s, t_):
-        rx, ry = variant.rates_and_partials_scalar(*s)[:2]
-        if not drift_free:
-            d1, d2 = perturbation.terms(*s, t_)[:2]
-            rx += float(d1)
-            ry += float(d2)
-        return rx, ry
-
-    ts = [0.0]
-    lxs = [lx]
-    lys = [ly]
-    exit_time = None
-    for t, (lx, ly) in rk4_steps(rates, (lx, ly), T, dt):
-        ts.append(t)
-        lxs.append(lx)
-        lys.append(ly)
-        if exit_time is None and region is not None and not region.contains_log(lx, ly):
-            exit_time = t
-        if lx > 700.0 or ly < -700.0:
-            break
-    return TrajectoryPath(
-        np.asarray(ts),
-        np.asarray(lxs),
-        np.asarray(lys),
-        variant,
-        perturbation,
-        region,
-        exit_time,
-    )
-
-
 def integrate_variational(
     p0,
     T,
@@ -409,7 +352,12 @@ def integrate_variational(
     dt=1e-3,
     p0_is_log=False,
 ):
-    """Co-integrate the position and the full 2x2 flow-map Jacobian.
+    """RK4 path of (x, y) and its full 2x2 flow-map Jacobian.
+
+    Integration runs in log coordinates through :func:`rk4_steps`; with
+    ``p0_is_log`` the start is given as (ln x0, ln y0), which admits the
+    faithful regime's sub-float scales.  If a region is supplied, the first
+    time the point leaves it is recorded and integration continues to T.
 
     The Jacobian obeys J' = A J with A the analytic partials of the variant
     plus the perturbation's partials from :meth:`FlowPerturbation.terms`
@@ -465,7 +413,6 @@ def integrate_variational(
         arr[:, 1],
         variant,
         perturbation,
-        region,
         exit_time,
         jac=jac,
     )
@@ -541,7 +488,6 @@ def integrate_variational_batch(
             arr[:, 1],
             variant,
             perturbation,
-            region,
             exit_times[i],
             jac=arr[:, 2:].reshape(-1, 2, 2),
         )
@@ -577,7 +523,8 @@ def check_perturbation_admissible(perturbation, region, samples=200, t_max=1.0, 
     """Sample the region and check |nu| < 1e-4 u r and |grad nu| < 1e-4 u.
 
     Gradients use central differences.  Returns worst margins and witness
-    points; a zero perturbation passes with infinite margin.
+    points; a zero perturbation passes with infinite margin, and any other
+    needs a finite upsilon > 0.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
@@ -585,6 +532,8 @@ def check_perturbation_admissible(perturbation, region, samples=200, t_max=1.0, 
         raise ValueError(f"t_max must be finite, got {t_max}")
     if perturbation.is_zero:
         return AdmissibilityReport(True, math.inf, math.inf, samples=samples)
+    if not 0.0 < perturbation.upsilon < math.inf:  # a bound <= 0 would pass any drift
+        raise ValueError(f"upsilon must be finite and positive, got {perturbation.upsilon}")
     rng = np.random.default_rng(seed)
     pts = region.sample(samples, rng)
     ts = rng.uniform(0.0, t_max, size=samples)

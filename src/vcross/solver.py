@@ -22,6 +22,7 @@ error ``simulate`` checks reads exactly 0.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -59,6 +60,13 @@ class BlowUpError(FloatingPointError):
         return type(self), (self.time,)
 
 
+def _require_exponent(alpha):
+    """A usable inversion exponent: finite and >= 1 (at inf only |k| = 1 moves)."""
+    if not 1.0 <= alpha < math.inf:  # also NaN
+        need = "finite" if alpha == math.inf else ">= 1"
+        raise ValueError(f"inversion exponent must be {need}, got {alpha}")
+
+
 @dataclass(frozen=True)
 class SimState:
     """Vorticity field plus clock and inversion exponent."""
@@ -68,8 +76,7 @@ class SimState:
     inversion_exponent: float = 1.0
 
     def __post_init__(self):
-        if not self.inversion_exponent >= 1.0:  # also NaN
-            raise ValueError(f"inversion exponent must be >= 1, got {self.inversion_exponent}")
+        _require_exponent(self.inversion_exponent)
 
     @property
     def grid(self):
@@ -89,8 +96,7 @@ def velocity_from_vorticity(theta, inversion_exponent=1.0):
     with -|k|^(-2 alpha); the zero mode is set to zero.  Rejects fields with
     nonzero mean or non-finite values.
     """
-    if not inversion_exponent >= 1.0:  # also NaN
-        raise ValueError(f"inversion exponent must be >= 1, got {inversion_exponent}")
+    _require_exponent(inversion_exponent)
     _require_vorticity(theta)
     g = theta.grid
     psi_hat = -theta.spectrum * g.inv_k2_power(inversion_exponent)

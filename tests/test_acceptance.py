@@ -17,8 +17,6 @@ import vcross as vc
 from conftest import evenness_error
 from vcross.cli import _demo_perturbation, _sample_seed_box
 from vcross.diagnostics import (
-    ModelFlow,
-    advect_polyline,
     fit_double_exponential,
     fit_growth_envelope,
     polygon_area,
@@ -142,8 +140,8 @@ def test_c02_key_estimate_over_seed_box():
         for x0, y0 in points[:5]:
             path = vc.integrate_variational((x0, y0), T, variant=EXACT, dt=2e-3)
             d = 1e-6 * x0
-            plus = vc.integrate_trajectory((x0 + d, y0), T, variant=EXACT, dt=2e-3)
-            minus = vc.integrate_trajectory((x0 - d, y0), T, variant=EXACT, dt=2e-3)
+            plus = vc.integrate_variational((x0 + d, y0), T, variant=EXACT, dt=2e-3)
+            minus = vc.integrate_variational((x0 - d, y0), T, variant=EXACT, dt=2e-3)
             fd = (plus.x[-1] - minus.x[-1]) / (2.0 * d)
             assert path.jac[-1, 0, 0] == pytest.approx(fd, rel=1e-4)
         assert time.perf_counter() - t0 < 10.0
@@ -152,7 +150,7 @@ def test_c02_key_estimate_over_seed_box():
 def test_c03_double_exponential_contraction():
     with criterion(3, "double-exponential contraction rate"):
         region = WedgeRegion.from_log10(-700.0, math.log10(0.01))
-        path = vc.integrate_trajectory(
+        path = vc.integrate_variational(
             (-1520.0, math.log(0.0099)),
             4.5,
             variant=EXACT,
@@ -181,9 +179,11 @@ def test_c04_area_argument():
             [[center[0] - gamma / 2.0, center[1]], [center[0] + gamma / 2.0, center[1]]]
         )
         seg = np.vstack([seg[0], 0.5 * (seg[0] + seg[1]), seg[1]])
-        flow = ModelFlow(EXACT)
-        circle_image = advect_polyline(flow, circle, T, dt=5e-4)
-        seg_image = advect_polyline(flow, seg, T, dt=5e-4)
+        paths = vc.integrate_variational_batch(
+            np.vstack([circle, seg]), T, variant=EXACT, dt=5e-4
+        )
+        image = np.array([(p.x[-1], p.y[-1]) for p in paths])
+        circle_image, seg_image = image[: len(circle)], image[len(circle) :]
         area0 = polygon_area(circle)
         area1 = polygon_area(circle_image)
         assert abs(area1 - area0) / area0 <= 1e-4

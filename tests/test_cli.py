@@ -277,6 +277,33 @@ dir = {out}
         err = capsys.readouterr().err
         assert err == "error: inversion exponent must be >= 1, got nan\n"
 
+    @pytest.mark.parametrize("source", ["config", "snapshot"])
+    def test_infinite_exponent_exits_usage(self, tmp_path, source, capsys):
+        # at alpha = inf only the |k| = 1 modes would move
+        if source == "config":
+            text = SIM_CFG.format(t_end=0.1, out=tmp_path / "out")
+            cfg = write(tmp_path, "inf.cfg", text.replace("alpha = 1.0", "alpha = inf"))
+        else:
+            snapshot = tmp_path / "inf.vcrs"
+            header = struct.pack("<4sIQQdd", b"VCRS", 1, 16, 16, 0.0, math.inf)
+            snapshot.write_bytes(header + bytes(8 * 16 * 16))
+            cfg = self._snapshot_config(tmp_path, snapshot)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: inversion exponent must be finite, got inf\n"
+
+    @pytest.mark.parametrize(
+        "key, value", [("support", "nan"), ("support", "0"), ("height", "inf")]
+    )
+    def test_bad_bump_size_exits_usage_and_is_named(self, tmp_path, key, value, capsys):
+        init = self.INIT_BLOCKS["cross+bump"]
+        default = {"support": "support = 0.4", "height": "height = 0.3"}[key]
+        init = init.replace(default, f"{key} = {value}")
+        text = self.INIT_CFG.format(init=init, out=tmp_path / "out")
+        assert main(["simulate", "--config", write(tmp_path, "b.cfg", text)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bump {key} must be finite and positive, got {float(value)}\n"
+
     def test_log10_ladder_override_reaches_the_run(self, tmp_path):
         init = self.INIT_BLOCKS["cross+bump"]
         text = self.INIT_CFG.format(init=init, out=tmp_path / "out")
@@ -395,6 +422,29 @@ dir = {out}
         )
         cfg = write(tmp_path, "m.cfg", cfg_text)
         assert main(["model", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("upsilon", ["-1", "0", "nan"])
+    def test_non_positive_upsilon_refused(self, tmp_path, upsilon, capsys):
+        # a bound 1e-4 upsilon <= 0 makes every ratio negative, so any drift
+        # would pass the admissibility check
+        out = tmp_path / "mu"
+        cfg_text = MODEL_CFG.format(x0=1e-6, T=0.3, out=out) + (
+            f"[perturbation]\nkind = demo\nupsilon = {upsilon}\nscale = 3\n"
+        )
+        assert main(["model", "--config", write(tmp_path, "mu.cfg", cfg_text)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: upsilon must be finite and positive, got {float(upsilon)}\n"
+        assert not (out / "summary.csv").exists()
+
+    def test_variant_constants_are_not_config_keys(self, tmp_path):
+        summaries = []
+        for name, extra in (("plain", ""), ("keys", "c1 = nan\nc2 = nan\n")):
+            out = tmp_path / name
+            text = MODEL_CFG.format(x0=1e-6, T=0.3, out=out)
+            text = text.replace("variant = leading\n", "variant = leading\n" + extra)
+            assert main(["model", "--config", write(tmp_path, f"{name}.cfg", text)]) == 0
+            summaries.append((out / "summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
 
 
 class TestSweep:
@@ -546,6 +596,28 @@ dir = {out}
                 assert children == []
             else:
                 assert len(children) == 1 and float(children[0].split()[-1]) > 0.0
+
+    def test_non_integer_grid_size_is_an_error_row(self, tmp_path):
+        # int(128.9) would run n = 128 a second time under the label 128.9
+        out = tmp_path / "ni"
+        cfg_text = """
+[sweep]
+axis = n
+values = 128.9 inf
+[base]
+sigma = 0.4
+T = 0.05
+[output]
+dir = {out}
+""".format(out=out)
+        assert main(["sweep", "--config", write(tmp_path, "ni.cfg", cfg_text)]) == 0
+        rows = (out / "aggregate.csv").read_text().splitlines()
+        assert rows[0] == "value,error"
+        table = [[float(c) for c in r.split(",")] for r in rows[1:]]
+        assert table == [[128.9, 1.0], [math.inf, 1.0]]
+        notes = read_manifest(out / "manifest.txt")[2]["notes"]
+        assert "member 128.9 failed: grid size must be an integer, got 128.9" in notes
+        assert "member inf failed: grid size must be an integer, got inf" in notes
 
     def test_pooled_member_failure_stays_its_own(self, tmp_path):
         # n = 64 cannot resolve sigma = 0.4; its error must cross the pool
@@ -785,6 +857,32 @@ dir = {out}
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("horizon = nan", "horizon must be finite and positive, got nan"),
+            ("horizon = inf", "horizon must be finite and positive, got inf"),
+            ("growth_factor = nan", "growth factor must be finite and exceed 1, got nan"),
+            ("seed_exponent = nan", "ladder override seed_exponent must be finite, got nan"),
+            ("inner = inf", "ladder override inner must be finite, got inf"),
+        ],
+        ids=["horizon-nan", "horizon-inf", "growth-nan", "exponent-nan", "inner-inf"],
+    )
+    def test_non_finite_ladder_input_exits_usage_and_is_named(
+        self, tmp_path, setting, message, capsys
+    ):
+        out = tmp_path / "o"
+        text = MODEL_CFG.format(x0=1e-6, T=0.3, out=out)
+        key = setting.split()[0]
+        default = {"horizon": "horizon = 0.3", "seed_exponent": "seed_exponent = 5.0"}
+        old = default.get(key, "mode = relaxed")
+        new = setting if key in default else f"mode = relaxed\n{setting}"
+        assert text.count(old) == 1
+        cfg = write(tmp_path, "l.cfg", text.replace(old, new))
+        assert main(["model", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() or not list(out.iterdir())
 
     def test_out_under_a_regular_file_exits_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "plain.txt"

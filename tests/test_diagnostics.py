@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcross.diagnostics import (
-    ModelFlow,
-    advect_polyline,
     bump_hessian_scaling,
     fit_double_exponential,
     fit_growth_envelope,
@@ -43,36 +41,10 @@ def chord(center, radius):
     )
 
 
-class TestAdvectPolyline:
-    def test_zero_velocity_is_identity(self):
-        pts = circle((1.0, 1.0), 0.1)
-        out = advect_polyline(lambda t, p: np.zeros_like(p), pts, 1.0, dt=0.05)
-        assert np.array_equal(out, pts)
-
-    def test_rigid_rotation_preserves_lengths(self):
-        center = np.array([np.pi, np.pi])
-
-        def rotation(t, pts):
-            rel = pts - center
-            return np.column_stack([-rel[:, 1], rel[:, 0]])
-
-        pts = circle(center, 0.5, n=48)
-        out = advect_polyline(rotation, pts, 2.0 * np.pi, dt=2.0 * np.pi / 8000)
-        assert polyline_length(out) == pytest.approx(
-            polyline_length(pts), rel=1e-8
-        )
-        assert np.max(np.abs(out - pts)) <= 1e-8
-
-    def test_vertex_count_preserved_without_refinement(self):
-        pts = circle((1.0, 1.0), 0.1, n=17)
-        out = advect_polyline(lambda t, p: np.ones_like(p), pts, 0.3, dt=0.01)
-        assert out.shape == (17, 2)
-
-    @pytest.mark.parametrize("dt", [0.0, -1e-3])
-    def test_nonpositive_dt_rejected(self, dt):
-        pts = circle((1.0, 1.0), 0.1, n=8)
-        with pytest.raises(ValueError, match="dt must be positive"):
-            advect_polyline(lambda t, p: np.ones_like(p), pts, 0.3, dt=dt)
+def model_image(variant, pts, T, dt):
+    """Image of every vertex under the model flow, one batch path per vertex."""
+    paths = vc.integrate_variational_batch(pts, T, variant=variant, dt=dt)
+    return np.array([(p.x[-1], p.y[-1]) for p in paths])
 
 
 class TestPeriodicBilinear:
@@ -139,7 +111,7 @@ class TestModelAdvectionGeometry:
     def test_exact_variant_area_preserved(self):
         y0, gamma = 0.3, 1e-3
         pts = circle((2e-3, y0), gamma, n=64)
-        out = advect_polyline(ModelFlow(EXACT), pts, 0.5, dt=5e-4)
+        out = model_image(EXACT, pts, 0.5, dt=5e-4)
         a0 = polygon_area(pts)
         a1 = polygon_area(out)
         assert abs(a1 - a0) / a0 <= 1e-6
@@ -147,7 +119,7 @@ class TestModelAdvectionGeometry:
     def test_leading_variant_area_grows_exponentially(self):
         y0, gamma = 0.3, 1e-3
         pts = circle((2e-3, y0), gamma, n=64)
-        out = advect_polyline(ModelFlow(LEADING), pts, 0.5, dt=5e-4)
+        out = model_image(LEADING, pts, 0.5, dt=5e-4)
         growth = polygon_area(out) / polygon_area(pts)
         assert growth == pytest.approx(math.exp(0.5), rel=0.01)
 
@@ -169,7 +141,7 @@ class TestFitDoubleExponential:
         assert fit.slope == pytest.approx(a, abs=1e-10)
 
     def test_leading_variant_contraction_rate(self):
-        path = vc.integrate_trajectory((1e-8, 0.1), 2.0, variant=LEADING, dt=1e-4)
+        path = vc.integrate_variational((1e-8, 0.1), 2.0, variant=LEADING, dt=1e-4)
         series = DiagnosticSeries("y", path.t, path.y)
         fit = fit_double_exponential(series, window=(0.0, 2.0), kind="decay")
         assert fit.slope == pytest.approx(1.0, abs=1e-6)

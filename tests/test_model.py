@@ -17,7 +17,6 @@ from vcross.model import (
     check_perturbation_admissible,
     contraction_floor,
     fit_leading_order_bound,
-    integrate_trajectory,
     integrate_variational,
     integrate_variational_batch,
     rk4_steps,
@@ -70,7 +69,7 @@ class TestCrossVelocity:
         with pytest.raises(NearAxisError):
             EXACT.velocity(1e-13, 0.01)
         with pytest.raises(NearAxisError):
-            integrate_trajectory((1e-13, 0.01), 0.1)
+            integrate_variational((1e-13, 0.01), 0.1)
 
     def test_variant_kind_validated(self):
         with pytest.raises(ValueError):
@@ -120,13 +119,13 @@ class TestCrossVelocity:
 
 class TestTrajectories:
     def test_leading_closed_forms(self):
-        path = integrate_trajectory((1e-6, 0.1), math.log(2.0), variant=LEADING, dt=1e-4)
+        path = integrate_variational((1e-6, 0.1), math.log(2.0), variant=LEADING, dt=1e-4)
         assert path.y[-1] == pytest.approx(0.01, rel=1e-8)
         assert path.x[-1] == pytest.approx(1e-5, rel=1e-8)
 
     def test_monotone_in_wedge(self):
         region = WedgeRegion(1e-8, 0.05)
-        path = integrate_trajectory((1e-6, 0.04), 1.0, region=region, dt=1e-3)
+        path = integrate_variational((1e-6, 0.04), 1.0, region=region, dt=1e-3)
         inside = path.t <= (path.exit_time if path.exit_time is not None else np.inf)
         x, y = path.x[inside], path.y[inside]
         assert np.all(np.diff(x) >= 0)
@@ -137,7 +136,7 @@ class TestTrajectories:
         # the run's fitted constant
         y0 = 0.0099
         region = WedgeRegion.from_log10(-300.0, math.log10(0.01))
-        path = integrate_trajectory(
+        path = integrate_variational(
             (math.log(1e-200), math.log(y0)), 2.0, region=region, dt=1e-3, p0_is_log=True
         )
         C = fit_leading_order_bound(path).fitted_C
@@ -148,7 +147,7 @@ class TestTrajectories:
 
     def test_exit_recorded(self):
         region = WedgeRegion(1e-8, 0.05)
-        path = integrate_trajectory((1e-4, 0.045), 2.0, region=region, dt=1e-3)
+        path = integrate_variational((1e-4, 0.045), 2.0, region=region, dt=1e-3)
         assert path.exit_time is not None
         lx = np.interp(path.exit_time, path.t, path.log_x)
         ly = np.interp(path.exit_time, path.t, path.log_y)
@@ -157,17 +156,14 @@ class TestTrajectories:
     def test_start_outside_region_rejected(self):
         region = WedgeRegion(1e-8, 0.05)
         with pytest.raises(ValueError, match="outside"):
-            integrate_trajectory((0.04, 0.05), 1.0, region=region)
+            integrate_variational((0.04, 0.05), 1.0, region=region)
 
-    @pytest.mark.parametrize(
-        "integrate", [integrate_trajectory, integrate_variational]
-    )
-    def test_drift_from_sub_float_start_names_underflow(self, integrate):
+    def test_drift_from_sub_float_start_names_underflow(self):
         # a drift given only as nu1, nu2 is evaluated at linear x = exp(-1520),
         # which is 0.0
         demo = _demo_perturbation(1e-3)
         with pytest.raises(NearAxisError, match=r"linear x and y.*exp\(ln x\)"):
-            integrate(
+            integrate_variational(
                 (-1520.0, math.log(0.0099)),
                 0.01,
                 perturbation=FlowPerturbation(demo.nu1, demo.nu2, demo.upsilon),
@@ -184,7 +180,6 @@ class TestTrajectories:
         kwargs = dict(perturbation=_demo_perturbation(upsilon), dt=2.5e-4, p0_is_log=True)
         p0 = (-1520.0, math.log(0.0099))
         path = integrate_variational(p0, T, **kwargs)
-        assert np.array_equal(path.log_x, integrate_trajectory(p0, T, **kwargs).log_x)
         assert np.all(np.isfinite(path.jac))
         log_det = np.log(path.det_jac)
         assert np.min(log_det) >= 0.0
@@ -217,8 +212,8 @@ class TestVariational:
             x0, y0 = 2e-5, 0.3
             path = integrate_variational((x0, y0), 1.0, variant=variant, dt=1e-3)
             d = 1e-6 * x0
-            plus = integrate_trajectory((x0 + d, y0), 1.0, variant=variant, dt=1e-3)
-            minus = integrate_trajectory((x0 - d, y0), 1.0, variant=variant, dt=1e-3)
+            plus = integrate_variational((x0 + d, y0), 1.0, variant=variant, dt=1e-3)
+            minus = integrate_variational((x0 - d, y0), 1.0, variant=variant, dt=1e-3)
             fd = (plus.x[-1] - minus.x[-1]) / (2 * d)
             assert path.jac[-1, 0, 0] == pytest.approx(fd, rel=1e-4)
 
@@ -232,8 +227,8 @@ class TestVariational:
         x0, y0 = 2e-5, 0.3
         path = integrate_variational((x0, y0), 1.0, perturbation=pert, dt=1e-3)
         d = 1e-6 * x0
-        plus = integrate_trajectory((x0 + d, y0), 1.0, perturbation=pert, dt=1e-3)
-        minus = integrate_trajectory((x0 - d, y0), 1.0, perturbation=pert, dt=1e-3)
+        plus = integrate_variational((x0 + d, y0), 1.0, perturbation=pert, dt=1e-3)
+        minus = integrate_variational((x0 - d, y0), 1.0, perturbation=pert, dt=1e-3)
         fd = (plus.x[-1] - minus.x[-1]) / (2 * d)
         assert path.jac[-1, 0, 0] == pytest.approx(fd, rel=1e-4)
 
@@ -242,12 +237,11 @@ class TestVariational:
         p0 = (-1520.0, math.log(0.0099))
         kwargs = dict(variant=EXACT, dt=1e-3, p0_is_log=True)
         path = integrate_variational(p0, 1.0, **kwargs)
-        assert np.array_equal(path.log_x, integrate_trajectory(p0, 1.0, **kwargs).log_x)
         assert np.max(np.abs(path.det_jac - 1.0)) <= 1e-9
         # d ln x(T) / d ln x0 = J11 x0 / x(T), against a log-space difference
         h = 1e-4
-        plus = integrate_trajectory((p0[0] + h, p0[1]), 1.0, **kwargs)
-        minus = integrate_trajectory((p0[0] - h, p0[1]), 1.0, **kwargs)
+        plus = integrate_variational((p0[0] + h, p0[1]), 1.0, **kwargs)
+        minus = integrate_variational((p0[0] - h, p0[1]), 1.0, **kwargs)
         fd = (plus.log_x[-1] - minus.log_x[-1]) / (2.0 * h)
         dlog = path.jac[-1, 0, 0] * math.exp(p0[0] - path.log_x[-1])
         assert dlog == pytest.approx(fd, rel=1e-8)
@@ -333,21 +327,16 @@ class TestVariationalBatch:
 
     def test_write_csv_matches_per_cell_format(self, tmp_path):
         pert = _demo_perturbation(1e-3)
-        with_jac = integrate_variational_batch([(2e-5, 0.03)], 0.3, perturbation=pert)[0]
-        without_jac = integrate_trajectory((2e-5, 0.03), 0.3, perturbation=pert)
-        for k, path in enumerate((with_jac, without_jac)):
-            lines = ["t,x,y,xa,ya,xb,yb,detJ"]
-            for i in range(path.t.size):
-                row = [path.t[i], path.x[i], path.y[i]]
-                if path.jac is None:
-                    row += [1.0, 0.0, 0.0, 1.0, 1.0]
-                else:
-                    j = path.jac[i]
-                    row += [j[0, 0], j[1, 0], j[0, 1], j[1, 1], path.det_jac[i]]
-                lines.append(",".join(format_value(v) for v in row))
-            out = tmp_path / f"path{k}.csv"
-            path.write_csv(out)
-            assert out.read_text() == "\n".join(lines) + "\n"
+        path = integrate_variational_batch([(2e-5, 0.03)], 0.3, perturbation=pert)[0]
+        lines = ["t,x,y,xa,ya,xb,yb,detJ"]
+        for i in range(path.t.size):
+            j = path.jac[i]
+            row = [path.t[i], path.x[i], path.y[i], j[0, 0], j[1, 0], j[0, 1], j[1, 1]]
+            row.append(path.det_jac[i])
+            lines.append(",".join(format_value(v) for v in row))
+        out = tmp_path / "path.csv"
+        path.write_csv(out)
+        assert out.read_text() == "\n".join(lines) + "\n"
 
 
 class TestRK4Steps:
@@ -438,6 +427,14 @@ class TestAdmissibility:
         x, y, t = report.value_witness
         assert self.region().contains_log(math.log(x), math.log(y))
 
+    @pytest.mark.parametrize("upsilon", [-1e-2, 0.0, math.nan, math.inf])
+    def test_bound_needs_finite_positive_upsilon(self, upsilon):
+        # a bound 1e-4 upsilon <= 0 would make every ratio negative and pass
+        pert = FlowPerturbation(lambda x, y, t: 2e-4 * np.hypot(x, y), None, upsilon)
+        message = f"upsilon must be finite and positive, got {upsilon}"
+        with pytest.raises(ValueError, match=message):
+            check_perturbation_admissible(pert, self.region(), seed=1)
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             check_perturbation_admissible(ZERO_PERTURBATION, self.region(), samples=10)
@@ -450,12 +447,12 @@ class TestAdmissibility:
 
 class TestLeadingOrderBound:
     def test_leading_path_needs_no_constant(self):
-        path = integrate_trajectory((1e-6, 0.1), 1.0, variant=LEADING, dt=1e-3)
+        path = integrate_variational((1e-6, 0.1), 1.0, variant=LEADING, dt=1e-3)
         assert fit_leading_order_bound(path).fitted_C <= 1e-12
 
     def test_exact_wedge_constant_below_three(self):
         region = WedgeRegion(1e-9, 0.01)
-        path = integrate_trajectory((1e-8, 0.009), 0.5, region=region, dt=1e-3)
+        path = integrate_variational((1e-8, 0.009), 0.5, region=region, dt=1e-3)
         fit = fit_leading_order_bound(path)
         assert fit.fitted_C <= 3.0
         assert isinstance(fit.required, DiagnosticSeries)
@@ -474,7 +471,7 @@ class TestLeadingOrderBound:
             ]
             C = 0.0
             for p0 in starts:
-                path = integrate_trajectory(p0, 0.2, region=region, dt=1e-3)
+                path = integrate_variational(p0, 0.2, region=region, dt=1e-3)
                 C = max(C, fit_leading_order_bound(path).fitted_C)
             fitted.append(C)
         assert fitted[0] >= fitted[1] >= fitted[2]
