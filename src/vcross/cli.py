@@ -91,6 +91,8 @@ def _build_ladder(cfg):
     for name in ("outer", "inner", "drift", "cross_width", "mollifier"):
         val = cfg.get_float("ladder", name, None)
         if val is not None:
+            if not val > 0.0:  # also NaN
+                raise ConfigError(f"[ladder] {name} must be positive, got {val}")
             overrides[name] = math.log10(val)
         lg = cfg.get_float("ladder", f"log10_{name}", None)
         if lg is not None:
@@ -128,6 +130,12 @@ def _build_initial(cfg, grid, ladder):
 def cmd_simulate(args):
     t_start = time.perf_counter()
     cfg = load_config(args.config)
+    tolerances = {}
+    for key in ("energy_drift", "enstrophy_drift", "parity"):
+        tol = cfg.get_float("checks", key, None)
+        if tol is not None and not 0.0 <= tol < math.inf:  # also NaN
+            raise ConfigError(f"[checks] {key} must be finite and >= 0, got {tol}")
+        tolerances[key] = tol
     out = _out_dir(args, cfg)
     grid = Grid(cfg.get_int("grid", "n"))
     ladder = _build_ladder(cfg)
@@ -160,13 +168,13 @@ def cmd_simulate(args):
     if cfg.has("checks"):
         rows = []
         for name in ("energy", "enstrophy"):
-            tol = cfg.get_float("checks", f"{name}_drift", None)
+            tol = tolerances[f"{name}_drift"]
             if tol is None or len(result.series[name]) == 0:
                 continue
             vals = result.series[name].values
             drift = abs(vals[-1] - vals[0]) / max(abs(vals[0]), 1e-300)
             rows.append((f"{name}_drift", drift, tol, drift <= tol))
-        parity_tol = cfg.get_float("checks", "parity", None)
+        parity_tol = tolerances["parity"]
         if parity_tol is not None:
             v = result.state.theta.values
             err = float(np.max(np.abs(v - point_reflection(v))))
@@ -221,8 +229,7 @@ def cmd_model(args):
     elif pert_kind == "demo":
         upsilon = cfg.get_float("perturbation", "upsilon", ladder.value("drift"))
         pert = _demo_perturbation(upsilon, cfg.get_float("perturbation", "scale", 1.0))
-        report = check_perturbation_admissible(pert, region, samples=200, t_max=T,
-                                               seed=args.seed)
+        report = check_perturbation_admissible(pert, region, t_max=T, seed=args.seed)
         if not report.passed:
             print(
                 f"perturbation inadmissible: value margin {report.value_margin:.3g}, "
@@ -262,7 +269,7 @@ def cmd_model(args):
     summary_rows = []
     for i, ((x0, y0), path) in enumerate(zip(points, paths)):
         path.write_csv(manifest.add_output(os.path.join(out, f"path_{i:03d}.csv")))
-        floor_log = contraction_floor(T, y0, 1.0, as_log=True)
+        floor_log = contraction_floor(T, y0, 1.0)
         key_bound = (1.0 / y0) ** ((math.exp(T) - 1.0) / 2.0)
         summary_rows.append(
             (

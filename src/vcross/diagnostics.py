@@ -79,15 +79,13 @@ def _point_segment_distance(points, a, b):
     return np.linalg.norm(points - proj, axis=1)
 
 
-def polyline_min_distance(poly_a, poly_b, closed_b=False):
-    """Exact minimum vertex-to-segment distance between two polylines."""
+def polyline_min_distance(poly_a, poly_b):
+    """Exact minimum vertex-to-segment distance from a polyline to a closed one."""
     pa = np.asarray(poly_a, dtype=float)
     pb = np.asarray(poly_b, dtype=float)
     if pa.shape[0] < 1 or pb.shape[0] < 2:
         raise ValueError("degenerate polylines")
-    segs_b = list(zip(pb[:-1], pb[1:]))
-    if closed_b:
-        segs_b.append((pb[-1], pb[0]))
+    segs_b = list(zip(pb[:-1], pb[1:])) + [(pb[-1], pb[0])]
     best = math.inf
     for a, b in segs_b:
         best = min(best, float(np.min(_point_segment_distance(pa, a, b))))
@@ -116,7 +114,7 @@ def stretch_and_thickness(segment_image, circle_image):
     L = polyline_length(segment_image)
     if L == 0.0:
         raise ValueError("degenerate segment image")
-    d = polyline_min_distance(segment_image, circle_image, closed_b=True)
+    d = polyline_min_distance(segment_image, circle_image)
     return StretchRecord(L, d)
 
 
@@ -162,9 +160,7 @@ def fit_double_exponential(series, window=None, kind=None):
 
 @dataclass(frozen=True)
 class EnvelopeFit:
-    kind: str
     fitted_C: float
-    holds: bool = True
 
 
 def _envelope_log(kind, C, t, base):
@@ -172,13 +168,6 @@ def _envelope_log(kind, C, t, base):
     if kind == "lipschitz":
         g0 = base["grad0"]
         return C * (1.0 + max(0.0, math.log(max(g0, 1e-300)))) * np.exp(C * t)
-    if kind == "h2":
-        j0 = base["h2_0"]
-        sup = base["theta_sup"]
-        inner = (1.0 + 2.0 * max(0.0, math.log(max(j0, 1e-300)))) * np.exp(
-            C * sup * t
-        ) - 1.0
-        return 0.5 * inner
     if kind == "exponential":
         g0 = base["grad0"]
         sup = base["theta_sup"]
@@ -189,9 +178,9 @@ def _envelope_log(kind, C, t, base):
 def fit_growth_envelope(series, kind, base_norms):
     """Smallest constant C whose envelope dominates every sample.
 
-    The envelope families are monotone in C, so the fit is a bisection on the
-    predicate "envelope >= sample everywhere"; ``holds`` is true by
-    construction and the fitted constant is the diagnostic.
+    ``kind`` is "lipschitz" or "exponential".  Both envelope families are
+    monotone in C, so the fit is a bisection on the predicate "envelope >=
+    sample everywhere"; the fitted constant is the diagnostic.
     """
     if np.any(series.values <= 0.0):
         raise ValueError("envelope fits need positive series")
@@ -202,7 +191,7 @@ def fit_growth_envelope(series, kind, base_norms):
         return bool(np.all(_envelope_log(kind, C, t, base_norms) >= log_vals - 1e-12))
 
     if dominates(0.0):
-        return EnvelopeFit(kind, 0.0)
+        return EnvelopeFit(0.0)
     hi = 1.0
     while not dominates(hi):
         hi *= 2.0
@@ -215,7 +204,7 @@ def fit_growth_envelope(series, kind, base_norms):
             hi = midC
         else:
             lo = midC
-    return EnvelopeFit(kind, hi)
+    return EnvelopeFit(hi)
 
 
 # --- field bound probes -------------------------------------------------------
@@ -239,6 +228,10 @@ def perturbation_field_bounds(p, radii, arm_width=None):
     |F1(0)| (forced to zero by even symmetry).  If ``arm_width`` is given the
     support of p must stay within that distance of the arms.
     """
+    radii = np.asarray(radii, dtype=float)
+    bad = radii[~(np.isfinite(radii) & (radii > 0.0))]
+    if bad.size:
+        raise ValueError(f"probe radii must be finite and positive, got {bad.tolist()}")
     p.require_zero_mean(what="anomaly field")
     g = p.grid
     if arm_width is not None:
@@ -255,7 +248,6 @@ def perturbation_field_bounds(p, radii, arm_width=None):
     field_max = float(np.max(mag))
     origin_value = float(mag[0, 0])
 
-    radii = np.asarray(radii, dtype=float)
     angles = np.linspace(0.0, TWO_PI, 720, endpoint=False)
     sup_ratio = np.empty_like(radii)
     for i, r in enumerate(radii):
@@ -298,20 +290,13 @@ def fit_hessian_scaling(scales):
     return HessianScalingResult(linear_fit(np.log(omegas), np.log(Hs)), omegas, Ms, Hs)
 
 
-def bump_hessian_scaling(bump_fields):
-    """``fit_hessian_scaling`` over a family of bump fields."""
-    return fit_hessian_scaling([bump_scales(b) for b in bump_fields])
-
-
 # --- growth-ratio probe --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GrowthRow:
-    label: float
     grad0: float
     max_grad: float
-    t_at_max: float
 
     @property
     def ratio(self):
@@ -329,21 +314,17 @@ class GrowthProbe:
         return bool(np.all(np.diff(self.ratios()) >= 0.0))
 
 
-def growth_ratio_probe(runs):
-    """Per-run max-over-time gradient amplification, tabulated by family label.
+def growth_ratio_probe(grad_series):
+    """Per-run max-over-time gradient amplification, one row per series in order.
 
-    ``runs`` is a list of (label, grad_series) pairs; the initial sample of
-    each series is the normalization.
+    The initial sample of each series is the normalization.
     """
     rows = []
-    for label, series in runs:
+    for series in grad_series:
         g0 = float(series.values[0])
         if g0 <= 0.0:
             raise ValueError("initial gradient must be positive")
-        i = int(np.argmax(series.values))
-        rows.append(
-            GrowthRow(float(label), g0, float(series.values[i]), float(series.t[i]))
-        )
+        rows.append(GrowthRow(g0, float(np.max(series.values))))
     return GrowthProbe(rows)
 
 

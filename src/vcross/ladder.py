@@ -205,6 +205,9 @@ def resolve_ladder(horizon, growth_factor=10.0, mode="faithful", overrides=None)
     for name, value in overrides.items():
         if not math.isfinite(value):
             raise ValueError(f"ladder override {name} must be finite, got {value}")
+    if overrides.get("outer", 0.0) > 0.0:  # the wedge lies inside the unit square
+        lg = overrides["outer"]
+        raise ValueError(f"ladder override outer must be at most 1, got 10**{lg:.6g}")
     T = horizon
     # seed-box exponent may be pinned by callers that know their regime is
     # confined more tightly than the conservative default cap

@@ -222,8 +222,8 @@ def test_c05_solver_correctness(smooth_conservation_run, lipschitz_pair):
 
 def test_c06_cross_stationarity():
     with criterion(6, "mollified cross is numerically steady"):
-        r256 = cross_stationarity_residual(256, sigma=0.2, t_end=0.5)
-        r512 = cross_stationarity_residual(512, sigma=0.2, t_end=0.5)
+        r256 = cross_stationarity_residual(256)
+        r512 = cross_stationarity_residual(512)
         assert r256 <= 1e-3
         assert r512 < r256
 
@@ -269,14 +269,14 @@ def test_c08_envelopes_stable_under_refinement(lipschitz_pair, alpha15_pair):
 
 def test_c09_bump_hessian_scaling():
     with criterion(9, "two-scale bound: Hessian tracks the root of the L2 norm"):
-        from vcross.diagnostics import bump_hessian_scaling
+        from vcross.diagnostics import bump_scales, fit_hessian_scaling
 
         grid = vc.Grid(1024)
         bumps = []
         for k in range(6):  # five halvings of the squared norm's base
             h1 = 0.6 / 2.0 ** (k / 2.0)
             bumps.append(make_bump(grid, BumpSpec((1.8, 2.6), h1, 0.5 * h1 / 0.6)))
-        result = bump_hessian_scaling(bumps)
+        result = fit_hessian_scaling([bump_scales(b) for b in bumps])
         halving = result.l2_norms[1:] / result.l2_norms[:-1]
         assert np.allclose(halving, 0.5, rtol=1e-3)  # both scales shrink by sqrt(2)
         assert 0.35 <= result.fit.slope <= 0.65
@@ -326,6 +326,6 @@ def test_c12_rescaling_invariance():
         )
         spec = BumpSpec((0.12, 0.42), 8.0 * grid.spacing, 0.32)
         theta = compose_initial_data(grid, ladder, spec, 0.25)
-        base, scaled = rescaling_pair(theta, 1.0, mu=2.0)
+        base, scaled = rescaling_pair(theta, 1.0)
         assert np.allclose(base.t, 2.0 * scaled.t, atol=1e-12)
         assert np.max(np.abs(base.values - scaled.values)) <= 1e-6

@@ -1,15 +1,20 @@
 """Batch-driver tests: configs, manifests, determinism, sweeps, reports."""
 
+import contextlib
+import io
 import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vcross.cli
 from vcross.cli import main
@@ -123,6 +128,19 @@ class TestSimulate:
         assert main(["simulate", "--config", write(tmp_path, "bad.cfg", text)]) == 2
         err = capsys.readouterr().err
         assert f"error: sample_every must be positive, got {float(every)}" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("key", ["energy_drift", "enstrophy_drift", "parity"])
+    def test_bad_check_tolerance_exits_usage_before_the_run(
+        self, tmp_path, capsys, key, value
+    ):
+        out = tmp_path / "tol"
+        text = SIM_CFG.format(t_end=0.5, out=out)
+        text = text.replace("[output]", f"{key} = {value}\n[output]")  # the last one counts
+        assert main(["simulate", "--config", write(tmp_path, "tol.cfg", text)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [checks] {key} must be finite and >= 0, got {float(value)}\n"
+        assert not out.exists()  # refused before any stepping or output
 
     def test_shear_run_constant_gradient_and_checks(self, tmp_path):
         out = tmp_path / "run1"
@@ -883,6 +901,63 @@ dir = {out}
         assert main(["model", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists() or not list(out.iterdir())
+
+    LADDER_CFG = """
+[ladder]
+mode = {mode}
+horizon = 1
+{setting}
+[trajectory]
+T = 0.001
+count = 1
+"""
+    OUTER = "ladder override outer must be at most 1, got 10**"
+
+    @pytest.mark.parametrize(
+        "mode, setting, message",
+        [
+            ("relaxed", "inner = 0", "[ladder] inner must be positive, got 0.0"),
+            ("relaxed", "drift = -1e-9", "[ladder] drift must be positive, got -1e-09"),
+            ("relaxed", "mollifier = nan", "[ladder] mollifier must be positive, got nan"),
+            ("relaxed", "outer = 2", OUTER + "0.30103"),
+            ("relaxed", "outer = 1e10", OUTER + "10"),
+            ("relaxed", "outer = 1e308", OUTER + "308"),
+            ("faithful", "log10_outer = 0.5", OUTER + "0.5"),
+            ("relaxed", "outer = 1", None),
+        ],
+    )
+    def test_ladder_scale_out_of_range_exits_usage_and_is_named(
+        self, tmp_path, mode, setting, message, capsys
+    ):
+        cfg = write(tmp_path, "l.cfg", self.LADDER_CFG.format(mode=mode, setting=setting))
+        code = main(["model", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if message is None:  # the unit outer scale is the wedge's own bound
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"error: {message}\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["outer", "inner", "drift", "cross_width", "mollifier"]),
+        value=st.floats()
+        | st.floats(1e-9, 1.0)
+        | st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e10, 1e308, 5e-324, -1.0]),
+    )
+    @example(name="outer", value=1e308)
+    def test_any_ladder_scale_exits_with_a_named_cause(self, name, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "l.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(self.LADDER_CFG.format(mode="relaxed", setting=f"{name} = {value!r}"))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["model", "--config", cfg, "--out", os.path.join(tmp, "o")])
+        err = err.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err and "internal error" not in err
+        if not 0.0 < value < math.inf or (name == "outer" and value > 1.0):
+            assert name in err
 
     def test_out_under_a_regular_file_exits_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "plain.txt"

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcross.diagnostics import (
-    bump_hessian_scaling,
+    bump_scales,
     fit_double_exponential,
     fit_growth_envelope,
+    fit_hessian_scaling,
     growth_ratio_probe,
     periodic_bilinear,
     perturbation_field_bounds,
@@ -78,7 +79,7 @@ class TestGeometry:
     def test_min_distance_against_dense_oracle(self):
         a = circle((0.0, 0.0), 1.0, n=64)
         b = chord((0.0, 0.0), 1.0)
-        d = polyline_min_distance(b, a, closed_b=True)
+        d = polyline_min_distance(b, a)
         # oracle: dense resampling of both polylines, pairwise point distances
         dense_a = []
         closed = np.vstack([a, a[:1]])
@@ -176,7 +177,6 @@ class TestEnvelopes:
         s = DiagnosticSeries("g", t, np.ones(20))
         fit = fit_growth_envelope(s, "lipschitz", {"grad0": 1.0})
         assert fit.fitted_C == 0.0
-        assert fit.holds
 
     def test_synthetic_lipschitz_constant_near_one(self):
         t = np.linspace(0.0, 6.0, 200)
@@ -197,14 +197,6 @@ class TestEnvelopes:
         g0, C, sup = 2.0, 0.3, 1.5
         s = DiagnosticSeries("g", t, g0 * np.exp(C * sup * t))
         fit = fit_growth_envelope(s, "exponential", {"grad0": g0, "theta_sup": sup})
-        assert fit.fitted_C == pytest.approx(C, rel=1e-6)
-
-    def test_h2_kind_recovers_planted_constant(self):
-        t = np.linspace(0.0, 3.0, 60)
-        j0, sup, C = 5.0, 1.2, 0.4
-        vals = np.exp(((1 + 2 * math.log(j0)) * np.exp(C * sup * t) - 1.0) / 2.0)
-        s = DiagnosticSeries("h2", t, vals)
-        fit = fit_growth_envelope(s, "h2", {"h2_0": j0, "theta_sup": sup})
         assert fit.fitted_C == pytest.approx(C, rel=1e-6)
 
     def test_positive_series_required(self):
@@ -240,6 +232,14 @@ class TestPerturbationFieldBounds:
         assert np.argmax(rep.sup_ratio) == 0
         assert np.all(rep.sup_ratio <= 2.0 * rep.sup_ratio[0])
 
+    @pytest.mark.parametrize("radius", [0.0, -0.1, math.nan, math.inf])
+    def test_radius_must_be_finite_and_positive(self, grid64, radius):
+        # a radius of 0 divided by zero, a negative one gave a negative ratio
+        p = arm_anomaly(grid64, 0.3)
+        message = rf"radii must be finite and positive, got \[{radius}\]"
+        with pytest.raises(ValueError, match=message):
+            perturbation_field_bounds(p, [radius, 0.1])
+
     def test_support_leak_detected(self, grid256):
         bump = make_bump(grid256, BumpSpec((1.8, 2.6), 0.5, 0.5))
         with pytest.raises(ValueError, match="leak"):
@@ -259,19 +259,19 @@ class TestHessianScaling:
             make_bump(grid256, BumpSpec((1.8, 2.6), 0.6 / 2 ** (k / 2), 0.5 / 2 ** (k / 2)))
             for k in range(3)
         ]
-        result = bump_hessian_scaling(bumps)
+        result = fit_hessian_scaling([bump_scales(b) for b in bumps])
         assert 0.3 <= result.fit.slope <= 0.7
         assert np.max(np.abs(result.grad_sups / result.grad_sups[0] - 1.0)) <= 0.05
 
     def test_needs_two_members(self, grid256):
         with pytest.raises(ValueError):
-            bump_hessian_scaling([vc.ScalarField.zeros(grid256)])
+            fit_hessian_scaling([bump_scales(vc.ScalarField.zeros(grid256))])
 
 
 class TestGrowthProbe:
     def test_initial_ratio_is_one(self):
         s = DiagnosticSeries("g", [0.0, 1.0], [2.0, 3.0])
-        probe = growth_ratio_probe([(1.0, s)])
+        probe = growth_ratio_probe([s])
         assert probe.rows[0].ratio == 1.5
         assert ratio_series(s).values[0] == 1.0
 
@@ -283,17 +283,11 @@ class TestGrowthProbe:
     def test_nondecreasing_check(self):
         t = [0.0, 1.0]
         probe = growth_ratio_probe(
-            [
-                (1.0, DiagnosticSeries("a", t, [1.0, 2.0])),
-                (2.0, DiagnosticSeries("b", t, [1.0, 3.0])),
-            ]
+            [DiagnosticSeries("a", t, [1.0, 2.0]), DiagnosticSeries("b", t, [1.0, 3.0])]
         )
         assert probe.nondecreasing()
         probe_bad = growth_ratio_probe(
-            [
-                (1.0, DiagnosticSeries("a", t, [1.0, 3.0])),
-                (2.0, DiagnosticSeries("b", t, [1.0, 2.0])),
-            ]
+            [DiagnosticSeries("a", t, [1.0, 3.0]), DiagnosticSeries("b", t, [1.0, 2.0])]
         )
         assert not probe_bad.nondecreasing()
 

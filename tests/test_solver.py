@@ -379,7 +379,7 @@ class TestRun:
 
     def test_rescaling_pair_coincides_exactly(self, grid64):
         # mu = 2 scales every stage exactly, so both runs round identically
-        base, scaled = rescaling_pair(smooth_random_field(grid64, seed=1), 1.0, mu=2.0)
+        base, scaled = rescaling_pair(smooth_random_field(grid64, seed=1), 1.0)
         assert np.array_equal(base.values, scaled.values)
         assert np.array_equal(base.t, 2.0 * scaled.t)
 
