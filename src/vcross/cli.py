@@ -29,7 +29,7 @@ from .experiments import (
 )
 from .fields import Grid, UnresolvedScaleError, point_reflection
 from .initial_data import BumpSpec, compose_initial_data, make_bump, mollified_cross
-from .ladder import LadderError, resolve_ladder, seed_region_violations
+from .ladder import LadderError, LadderUnderflowError, resolve_ladder, seed_region_violations
 from .model import (
     CrossFieldVariant,
     FlowPerturbation,
@@ -227,7 +227,13 @@ def cmd_model(args):
     if pert_kind == "none":
         pert = FlowPerturbation()
     elif pert_kind == "demo":
-        upsilon = cfg.get_float("perturbation", "upsilon", ladder.value("drift"))
+        if cfg.has("perturbation", "upsilon"):
+            upsilon = cfg.get_float("perturbation", "upsilon")
+        else:
+            try:
+                upsilon = ladder.value("drift")
+            except LadderUnderflowError as exc:
+                raise ConfigError(f"[perturbation] upsilon must be given: {exc}") from None
         pert = _demo_perturbation(upsilon, cfg.get_float("perturbation", "scale", 1.0))
         report = check_perturbation_admissible(pert, region, t_max=T, seed=args.seed)
         if not report.passed:
@@ -299,6 +305,9 @@ def _sample_seed_box(ladder, count, rng):
     """Draw points from the admissible box in log space."""
     lo_l10, out_l10 = ladder.log10_inner, ladder.log10_outer
     E = ladder.seed_exponent
+    # the x bound E ly - 0.05 is monotone in ly, so its larger end decides emptiness
+    if max(E * (out_l10 - 0.15), E * (out_l10 - 0.005)) - 0.05 <= lo_l10 + 0.1:
+        raise LadderError(["seed_box_effectively_empty"])
     points = []
     attempts = 0
     while len(points) < count:

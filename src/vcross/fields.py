@@ -3,8 +3,10 @@
 Everything lives on the square torus [0, 2pi)^2 sampled on an n x n uniform
 grid.  Fields keep a physical representation (real samples, row-major, index
 [i, j] <-> (x_i, y_j)) and a lazily computed half-complex spectrum from
-``rfft2``.  All differential operators in this package are spectral so that
-the solver and the norm evaluators share one differentiation convention.
+``rfft2``.  A :class:`PointEvenField`, which the solver's point-even mode
+hands out, is held as its real half-spectrum and sampled on half the grid.
+All differential operators in this package are spectral so that the solver
+and the norm evaluators share one differentiation convention.
 """
 
 from __future__ import annotations
@@ -38,6 +40,21 @@ class UnresolvedScaleError(ValueError):
 def point_reflection(values):
     """Grid image of z -> -z: index (i, j) -> (-i, -j) mod n."""
     return np.roll(values[::-1, ::-1], (1, 1), (0, 1))
+
+
+def point_even_inverse(spectrum, factor, work, out):
+    """Rows 0..n/2 of the mirrored frame (row r <-> x = -x_r) of a point-even field.
+
+    ``spectrum`` holds the leading m columns of a real half-spectrum, the
+    columns beyond them zero; ``factor`` is 1/n, or i/n for an odd field whose
+    spectrum is i times ``spectrum``.  The transform is rfft down the columns
+    into ``work`` (complex, n/2 + 1 square, its columns from m on zero), then
+    irfft along the rows into ``out`` (real, (n/2 + 1) x n).
+    """
+    half = work[:, : spectrum.shape[1]]
+    np.fft.rfft(spectrum, axis=0, out=half)
+    half *= factor
+    return np.fft.irfft(work, out.shape[1], axis=1, out=out)
 
 
 def next_power_of_two(m):
@@ -154,18 +171,31 @@ class ScalarField:
         return self._spectrum
 
     @property
+    def row_values(self):
+        """The values reductions read: every grid row (see :class:`PointEvenField`)."""
+        return self.values
+
+    def row_sum(self, cells):
+        """Sum over the grid of ``cells``, an array formed pointwise on ``row_values``."""
+        return np.sum(cells)
+
+    def spectral_power(self):
+        """Mode-wise |spectrum|^2 on the rfft2 half-spectrum."""
+        return np.abs(self.spectrum) ** 2
+
+    @property
     def mean(self):
         return float(self.spectrum[0, 0].real) / (self.grid.n * self.grid.n)
 
     def require_zero_mean(self, what="field"):
-        scale = max(1.0, float(np.max(np.abs(self.values))))
+        scale = max(1.0, float(np.max(np.abs(self.row_values))))
         if abs(self.mean) > 1e-12 * scale:
             raise InvalidFieldError(
                 f"{what} must have zero mean, got {self.mean:.3e}"
             )
 
     def gradient_arrays(self):
-        """Physical-space (f_x, f_y) computed spectrally."""
+        """(f_x, f_y) on the rows of ``row_values``, computed spectrally."""
         g = self.grid
         sp = self.spectrum
         fx = np.fft.irfft2(1j * g.kx * sp, s=(g.n, g.n))
@@ -173,11 +203,77 @@ class ScalarField:
         return fx, fy
 
     def l2_norm(self):
-        v = self.values
-        return float(np.sqrt(np.sum(v * v) * self.grid.cell_area))
+        v = self.row_values
+        return float(np.sqrt(self.row_sum(v * v) * self.grid.cell_area))
 
     def linf_norm(self):
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(np.abs(self.row_values)))
+
+
+class PointEvenField(ScalarField):
+    """A field equal to its point reflection, held as its real half-spectrum.
+
+    ``row_values`` are rows 0..n/2 of the mirrored frame (row r <-> x = -x_r),
+    made by one half-size inverse; rows 0 and n/2 are their own mirror images,
+    so the second half of each is copied from the first.  Every grid value is
+    a mirror copy of one of them: grid sums weigh rows 1..n/2-1 twice, and the
+    full ``values`` are assembled by copies only, so they are exactly even.
+    """
+
+    __slots__ = ("real_spectrum", "_rows")
+
+    def __init__(self, grid, real_spectrum):
+        super().__init__(grid)
+        self.real_spectrum = real_spectrum
+        self._rows = None
+
+    @property
+    def row_values(self):
+        if self._rows is None:
+            n, h = self.grid.n, self.grid.n // 2
+            work = np.empty((h + 1, h + 1), complex)
+            rows = point_even_inverse(self.real_spectrum, 1.0 / n, work, np.empty((h + 1, n)))
+            rows[[0, h], h + 1 :] = rows[[0, h], h - 1 : 0 : -1]
+            self._rows = rows
+        return self._rows
+
+    @property
+    def values(self):
+        if self._values is None:
+            n, h, rows = self.grid.n, self.grid.n // 2, self.row_values
+            v = np.empty((n, n))
+            v[0], v[h] = rows[0], rows[h]
+            v[h + 1 :] = rows[h - 1 : 0 : -1]  # grid row n - r is mirrored row r
+            v[1:h, 0] = rows[1:h, 0]  # grid row r is mirrored row r reversed in y
+            v[1:h, 1:] = rows[1:h, :0:-1]
+            self._values = v
+        return self._values
+
+    @property
+    def spectrum(self):
+        if self._spectrum is None:
+            self._spectrum = self.real_spectrum + 0j
+        return self._spectrum
+
+    @property
+    def mean(self):
+        return float(self.real_spectrum[0, 0]) / (self.grid.n * self.grid.n)
+
+    def row_sum(self, cells):
+        sums = np.sum(cells, axis=1)
+        return 2.0 * np.sum(sums[1:-1]) + sums[0] + sums[-1]
+
+    def spectral_power(self):
+        return self.real_spectrum * self.real_spectrum
+
+    def gradient_arrays(self):
+        g = self.grid
+        n, h = g.n, g.n // 2
+        work = np.empty((h + 1, h + 1), complex)
+        return tuple(  # the gradient of an even field is odd
+            point_even_inverse(k * self.real_spectrum, 1j / n, work, np.empty((h + 1, n)))
+            for k in (g.kx, g.ky)
+        )
 
 
 @dataclass(frozen=True)

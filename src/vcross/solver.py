@@ -14,9 +14,11 @@ costs five.
 Starting values equal to their point reflection theta(-x, -y), as all
 cross+bump data are, are stepped in a point-even mode: the spectrum stays
 real, so each transform is a pair of half-size real ones, about half the FFT
-work.  The state stays exactly symmetric and its values are symmetrized on
-the way out, so chained ``step_rk4`` calls stay point-even and the parity
-error ``simulate`` checks reads exactly 0.
+work.  The state comes out as a ``PointEvenField``: its samples are one
+half-size inverse onto rows 0..n/2 of the mirrored frame, and its full values
+are mirror copies of them, exactly even.  So chained ``step_rk4`` calls stay
+point-even without a full-size transform, the parity error ``simulate``
+checks reads exactly 0, and every diagnostic reduces over the half grid.
 """
 
 from __future__ import annotations
@@ -28,7 +30,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Grid, InvalidFieldError, ScalarField, VelocityField, point_reflection
+from .fields import (
+    Grid,
+    InvalidFieldError,
+    PointEvenField,
+    ScalarField,
+    VelocityField,
+    point_even_inverse,
+    point_reflection,
+)
 from .series import SeriesRecorder
 
 SNAPSHOT_MAGIC = b"VCRS"
@@ -84,7 +94,7 @@ class SimState:
 
 
 def _require_vorticity(theta):
-    if not np.all(np.isfinite(theta.values)):
+    if not np.all(np.isfinite(theta.row_values)):
         raise InvalidFieldError("vorticity contains non-finite values")
     theta.require_zero_mean(what="vorticity")
 
@@ -126,9 +136,10 @@ class _AdvectionKernel:
 
     In ``point_even`` mode the state is the real half-spectrum and physical
     buffers hold rows 0..n/2 in the mirrored frame (row r <-> x = -x_r).  An
-    inverse is rfft down the band, times i/n (u, v, theta_x, theta_y are odd),
-    then irfft along rows; a forward is rfft along rows, then irfft down the
-    band (the hfft identity), its 1/n undone by the product multipliers.
+    inverse is ``point_even_inverse`` of the band: rfft down it, times i/n
+    (u, v, theta_x, theta_y are odd), then irfft along rows.  A forward is
+    rfft along rows, then irfft down the band (the hfft identity), its 1/n
+    undone by the product multipliers.
     """
 
     def __init__(self, grid, inversion_exponent, point_even=False):
@@ -160,23 +171,19 @@ class _AdvectionKernel:
     def field(self, state_hat):
         """ScalarField of an RK4 state, the inverse of :meth:`pack`.
 
-        Point-even values are symmetrized, since an irfft2 of a real spectrum
-        is even only to rounding; the next kernel then sees exactly even data.
+        A point-even state becomes a :class:`PointEvenField` with no transform:
+        its values are mirror-assembled from the half grid when first read,
+        exactly even, so the next kernel sees point-even data.
         """
         if not self.point_even:
             return ScalarField.from_spectrum(self.grid, state_hat)
-        spectrum = state_hat + 0j
-        v = np.fft.irfft2(spectrum, s=(self.n, self.n))
-        return ScalarField(self.grid, 0.5 * (v + point_reflection(v)), spectrum)
+        return PointEvenField(self.grid, state_hat)
 
     def _inverse(self, band, out):
         """Physical values of an (odd, if point-even) band spectrum."""
-        half = self._spec_in[:, : self.width]
         if self.point_even:
-            np.fft.rfft(band, axis=0, out=half)
-            half *= 1j / self.n
-        else:
-            np.fft.ifft(band, axis=0, out=half)
+            return point_even_inverse(band, 1j / self.n, self._spec_in, out)
+        np.fft.ifft(band, axis=0, out=self._spec_in[:, : self.width])
         return np.fft.irfft(self._spec_in, self.n, axis=1, out=out)
 
     def _forward(self, values):
@@ -222,9 +229,16 @@ class _AdvectionKernel:
 
 
 def _kernel_for(state):
-    """Kernel for the state's grid and exponent; point-even iff its values are."""
-    v = state.theta.values
-    even = np.array_equal(v, point_reflection(v))
+    """Kernel for the state's grid and exponent; point-even iff its values are.
+
+    A field a point-even kernel built carries that form; only other fields
+    are tested value by value.
+    """
+    theta = state.theta
+    even = isinstance(theta, PointEvenField)
+    if not even:
+        v = theta.values
+        even = np.array_equal(v, point_reflection(v))
     return _AdvectionKernel(state.grid, state.inversion_exponent, point_even=even)
 
 
@@ -280,11 +294,18 @@ def step_rk4(state, dt):
 
 
 def grad_sup_norm(f):
-    """Sup over grid points of |grad f|, derivatives spectral."""
-    if not np.all(np.isfinite(f.values)):
+    """Sup over grid points of |grad f|, derivatives spectral.
+
+    On a point-even field |grad f| is even too, so its sup over the half grid
+    is the full sup.
+    """
+    if not np.all(np.isfinite(f.row_values)):
         raise InvalidFieldError("field contains non-finite values")
     fx, fy = f.gradient_arrays()
-    return float(np.max(np.hypot(fx, fy)))
+    fx *= fx
+    fy *= fy
+    fx += fy
+    return float(np.sqrt(np.max(fx)))
 
 
 def hessian_sup_of_inverse_laplacian(f):
@@ -300,11 +321,9 @@ def hessian_sup_of_inverse_laplacian(f):
 
 
 def h2_seminorm(f):
-    """L2 norm of the spectral Laplacian of f (the H^2 seminorm)."""
+    """L2 norm of the spectral Laplacian of f (the H^2 seminorm), by Parseval."""
     f.require_zero_mean()
-    g = f.grid
-    lap = np.fft.irfft2(-g.k2 * f.spectrum, s=(g.n, g.n))
-    return float(np.sqrt(np.sum(lap * lap) * g.cell_area))
+    return math.sqrt(_parseval_sum(f, 2.0))
 
 
 def _spectral_weights(grid):
@@ -317,25 +336,31 @@ def _spectral_weights(grid):
 
 
 @functools.lru_cache(maxsize=8)
-def _energy_symbol(grid, inversion_exponent):
-    """Parseval weights times |k|^(2 - 4 alpha), zero at k = 0; read-only."""
+def _parseval_symbol(grid, power):
+    """Parseval weights times |k|^(2 power), zero at k = 0; read-only."""
     sym = np.zeros_like(grid.k2)
     nz = grid.k2 > 0
-    sym[nz] = grid.k2[nz] ** (1.0 - 2.0 * inversion_exponent)
+    sym[nz] = grid.k2[nz] ** power
     sym = _spectral_weights(grid) * sym
     sym.flags.writeable = False
     return sym
 
 
+def _parseval_sum(f, power):
+    """Cell-area sum over the grid of |(-Laplacian)^(power / 2) f|^2, from the spectrum."""
+    g = f.grid
+    total = np.sum(_parseval_symbol(g, power) * f.spectral_power())
+    return float((2.0 * np.pi) ** 2 / g.n**4 * total)
+
+
 def kinetic_energy(theta, inversion_exponent=1.0):
     """Half the squared L2 norm of the induced velocity, summed spectrally."""
-    g = theta.grid
-    total = np.sum(_energy_symbol(g, inversion_exponent) * np.abs(theta.spectrum) ** 2)
-    return float(0.5 * (2.0 * np.pi) ** 2 / g.n**4 * total)
+    return 0.5 * _parseval_sum(theta, 1.0 - 2.0 * inversion_exponent)
 
 
 def _cell_sum(state, integrand):
-    return float(np.sum(integrand(state.theta.values)) * state.grid.cell_area)
+    theta = state.theta
+    return float(theta.row_sum(integrand(theta.row_values)) * state.grid.cell_area)
 
 
 def _fourth_power(tv):
@@ -351,7 +376,7 @@ _CONSERVED = {
     "l1": lambda s: _cell_sum(s, np.abs),
     "l2": lambda s: float(np.sqrt(_cell_sum(s, lambda tv: tv * tv))),
     "l4": lambda s: _cell_sum(s, _fourth_power) ** 0.25,
-    "linf": lambda s: float(np.max(np.abs(s.theta.values))),
+    "linf": lambda s: s.theta.linf_norm(),
     "mean": lambda s: s.theta.mean,
 }
 
@@ -438,7 +463,8 @@ def run(
         return min(dt, t_sample - t)
 
     sample(state)
-    theta_hat = kernel.pack(state.theta.spectrum)
+    theta = state.theta
+    theta_hat = kernel.pack(theta.spectrum)
     t = t0
     steps = 0
     next_idx = 1
@@ -450,10 +476,11 @@ def run(
         t += dt
         steps += 1
         if t >= t_sample - 1e-13:
-            sample(replace(state, theta=kernel.field(theta_hat), time=t))
+            theta = kernel.field(theta_hat)
+            sample(replace(state, theta=theta, time=t))
             while t0 + next_idx * sample_every <= t + 1e-13:
                 next_idx += 1
-    final = replace(state, theta=kernel.field(theta_hat), time=t)
+    final = replace(state, theta=theta, time=t)  # the last step lands on t_end, a sample
     return RunResult(final, recorder.to_series(), steps, kernel.mode, kernel.evaluations)
 
 

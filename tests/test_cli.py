@@ -454,6 +454,52 @@ dir = {out}
         assert err == f"error: upsilon must be finite and positive, got {float(upsilon)}\n"
         assert not (out / "summary.csv").exists()
 
+    FAITHFUL_DEMO = """
+[ladder]
+mode = faithful
+horizon = 1
+[perturbation]
+kind = demo
+{upsilon}
+[trajectory]
+T = 0.001
+count = 1
+"""
+
+    def test_given_upsilon_is_read_on_a_faithful_ladder(self, tmp_path, capsys):
+        # the faithful drift 10**-1784 is no float; a given upsilon replaces it
+        text = self.FAITHFUL_DEMO.format(upsilon="upsilon = 1e-3")
+        cfg = write(tmp_path, "f.cfg", text)
+        code = main(["model", "--config", cfg, "--out", str(tmp_path / "f")])
+        err = capsys.readouterr().err
+        assert code != vcross.cli.EXIT_BLOWUP
+        assert "not materialized" not in err
+        cfg = write(tmp_path, "g.cfg", self.FAITHFUL_DEMO.format(upsilon=""))
+        assert main(["model", "--config", cfg, "--out", str(tmp_path / "g")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [perturbation] upsilon must be given: drift = 10**")
+
+    def test_empty_seed_box_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        # x0 < y0**E - 0.05 stays below inner + 0.1 over the whole y0 range
+        draws, default_rng = [], np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def uniform(self, low, high):
+                draws.append((low, high))
+                return self.rng.uniform(low, high)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        text = self.FAITHFUL_DEMO.format(upsilon="").replace("faithful", "relaxed")
+        text = text.replace("[perturbation]\nkind = demo\n", "outer = 0.01\n")
+        cfg = write(tmp_path, "e.cfg", text.replace("count = 1", "count = 1000"))
+        assert main(["model", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ladder constraints violated: seed_box_effectively_empty\n"
+        assert draws == []
+
     def test_variant_constants_are_not_config_keys(self, tmp_path):
         summaries = []
         for name, extra in (("plain", ""), ("keys", "c1 = nan\nc2 = nan\n")):

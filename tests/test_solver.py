@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import fft
 
 import vcross as vc
@@ -342,6 +344,24 @@ class TestRun:
         final = vc.run(state, state.time + 0.1).state.theta.values
         assert np.array_equal(final, mirror(final))
 
+    def test_chained_steps_make_no_full_size_inverse(self, grid64, kernels, monkeypatch):
+        # a point-even step hands on its half-spectrum form, so neither the
+        # next evenness test nor the finiteness check transforms at full size
+        random = smooth_random_field(grid64, seed=4).values
+        state = vc.SimState(vc.ScalarField.from_values(grid64, 0.5 * (random + mirror(random))))
+        calls, irfft2 = [], np.fft.irfft2
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return irfft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft2", counted)
+        for _ in range(4):
+            state = vc.step_rk4(state, 0.01)
+        assert [k.mode for k in kernels] == ["point-even"] * 4
+        assert np.array_equal(state.theta.values, mirror(state.theta.values))
+        assert calls == []
+
     def test_random_data_takes_general_path(self, grid64, kernels):
         result = vc.run(vc.SimState(smooth_random_field(grid64, seed=2)), 0.1)
         vc.step_rk4(vc.SimState(smooth_random_field(grid64, seed=3)), 0.01)
@@ -476,6 +496,39 @@ class TestNorms:
     def test_conserved_quantities_zero_state(self, grid64):
         q = vc.conserved_quantities(vc.SimState(vc.ScalarField.zeros(grid64)))
         assert all(v == 0.0 for v in q.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([16, 32, 64, 128]), seed=st.integers(0, 2**32 - 1))
+def test_half_grid_diagnostics_match_full_grid(n, seed):
+    # a kernel-built point-even field reduces over rows 0..n/2 of the mirrored
+    # frame; the full-grid formulas below read every grid value
+    grid = vc.Grid(n)
+    random = np.random.default_rng(seed).standard_normal((n, n))
+    values = 0.5 * (random + mirror(random))
+    values -= np.mean(values)
+    kernel = solver._AdvectionKernel(grid, 1.0, point_even=True)
+    field = kernel.field(kernel.pack(vc.ScalarField.from_values(grid, values).spectrum))
+    spectrum, area, s = field.spectrum, grid.cell_area, (n, n)
+    full = fft.irfft2(spectrum, s=s)
+    fx = fft.irfft2(1j * grid.kx * spectrum, s=s)
+    fy = fft.irfft2(1j * grid.ky * spectrum, s=s)
+    lap = fft.irfft2(-grid.k2 * spectrum, s=s)
+    expected = {
+        "grad_sup": np.max(np.hypot(fx, fy)),
+        "h2": np.sqrt(np.sum(lap * lap) * area),
+        "enstrophy": np.sum(full * full) * area,
+        "l1": np.sum(np.abs(full)) * area,
+        "l2": np.sqrt(np.sum(full * full) * area),
+        "l4": (np.sum(full**4) * area) ** 0.25,
+        "linf": np.max(np.abs(full)),
+    }
+    diagnostics = diagnostics_with_norms()
+    state = vc.SimState(field)
+    for name, value in expected.items():
+        assert diagnostics[name](state) == pytest.approx(value, rel=1e-13, abs=0.0), name
+    assert np.array_equal(field.values, mirror(field.values))
+    assert np.max(np.abs(field.values - full)) <= 1e-14 * np.max(np.abs(full))
 
 
 class TestGeneralizedExponent:
