@@ -27,7 +27,7 @@ from .experiments import (
     shear_state,
     smooth_random_field,
 )
-from .fields import Grid, UnresolvedScaleError, point_reflection
+from .fields import Grid, UnresolvedScaleError, point_parity_error
 from .initial_data import BumpSpec, compose_initial_data, make_bump, mollified_cross
 from .ladder import LadderError, LadderUnderflowError, resolve_ladder, seed_region_violations
 from .model import (
@@ -136,11 +136,17 @@ def cmd_simulate(args):
         if tol is not None and not 0.0 <= tol < math.inf:  # also NaN
             raise ConfigError(f"[checks] {key} must be finite and >= 0, got {tol}")
         tolerances[key] = tol
+    alpha = cfg.get_float("solver", "alpha", 1.0)
+    # an unusable exponent is named when the state is built
+    if tolerances["energy_drift"] is not None and 1.0 < alpha < math.inf:
+        raise ConfigError(
+            f"[checks] energy_drift needs alpha = 1, got alpha = {alpha}: "
+            "the kinetic energy 1/2 |u|^2 is conserved only at alpha = 1"
+        )
     out = _out_dir(args, cfg)
     grid = Grid(cfg.get_int("grid", "n"))
     ladder = _build_ladder(cfg)
     theta = _build_initial(cfg, grid, ladder)
-    alpha = cfg.get_float("solver", "alpha", 1.0)
     state = SimState(theta, inversion_exponent=alpha)
     t_init = time.perf_counter()
     manifest = RunManifest(
@@ -176,8 +182,7 @@ def cmd_simulate(args):
             rows.append((f"{name}_drift", drift, tol, drift <= tol))
         parity_tol = tolerances["parity"]
         if parity_tol is not None:
-            v = result.state.theta.values
-            err = float(np.max(np.abs(v - point_reflection(v))))
+            err = point_parity_error(result.state.theta.values)
             rows.append(("parity_sup_error", err, parity_tol, err <= parity_tol))
         write_table(
             manifest.add_output(os.path.join(out, "checks.csv")),

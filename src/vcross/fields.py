@@ -37,9 +37,31 @@ class UnresolvedScaleError(ValueError):
         return type(self), (str(self), self.required_n)
 
 
-def point_reflection(values):
-    """Grid image of z -> -z: index (i, j) -> (-i, -j) mod n."""
-    return np.roll(values[::-1, ::-1], (1, 1), (0, 1))
+def _mirror_pairs(values):
+    """View pairs (a, b) with b[k] the image of a[k] under z -> -z, cheapest first.
+
+    The image of index (i, j) is (-i, -j) mod n.  Row 0, column 0 and the
+    interior each map onto themselves; the origin is its own image.
+    """
+    return (
+        (values[0, 1:], values[0, :0:-1]),
+        (values[1:, 0], values[:0:-1, 0]),
+        (values[1:, 1:], values[:0:-1, :0:-1]),
+    )
+
+
+def is_point_even(values):
+    """Whether the grid values equal their image under z -> -z, without a copy."""
+    return all(np.array_equal(a, b) for a, b in _mirror_pairs(values))
+
+
+def point_parity_error(values):
+    """Sup over the grid of |v(z) - v(-z)|."""
+    errors = []
+    for a, b in _mirror_pairs(values):
+        diff = np.subtract(a, b)
+        errors.append(np.max(np.abs(diff, out=diff)))
+    return float(np.max(errors))
 
 
 def point_even_inverse(spectrum, factor, work, out):
@@ -198,9 +220,14 @@ class ScalarField:
         """(f_x, f_y) on the rows of ``row_values``, computed spectrally."""
         g = self.grid
         sp = self.spectrum
-        fx = np.fft.irfft2(1j * g.kx * sp, s=(g.n, g.n))
-        fy = np.fft.irfft2(1j * g.ky * sp, s=(g.n, g.n))
-        return fx, fy
+        work = np.empty_like(sp)
+
+        def derivative(k):  # irfft2's own sequence, through one complex buffer
+            np.multiply(1j * k, sp, out=work)
+            np.fft.ifft(work, axis=0, out=work)
+            return np.fft.irfft(work, g.n, axis=1)
+
+        return derivative(g.kx), derivative(g.ky)
 
     def l2_norm(self):
         v = self.row_values

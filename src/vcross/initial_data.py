@@ -82,32 +82,46 @@ def _mollifier_tail_table():
     p, q >= 0 on a 1025^2 node grid; normalization uses Q(0, 0) = 1/4 so
     the discrete table carries exactly unit total mass.
 
-    Built in place so that no more than about four table-sized arrays are
-    alive at once; each temporary is dropped as soon as the next is filled.
+    Streamed from the far edge in blocks of rows, so that only the table and
+    a few block-sized arrays are alive at once.  Each value comes from the
+    same operations in the same order as a whole-table build, so the bits do
+    not depend on the block size.
     """
-    res = 1024
+    res, block = 1024, 32  # block divides res
     axis = np.linspace(0.0, 1.0, res + 1)
-    r2 = np.add.outer(axis * axis, axis * axis)
-    w = np.zeros_like(r2)
-    inside = r2 < 1.0
-    w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    del r2, inside
-    # suffix trapezoid in both directions: ((w[k+1] + w[k]) * 0.5) * h summed
-    # from the far edge, the cumsum written straight into its reversed slot
+    a2 = axis * axis
     h = 1.0 / res
-    col = np.zeros_like(w)
-    term = np.add(w[:, :0:-1], w[:, -2::-1])
-    del w
-    term *= 0.5
-    term *= h
-    np.cumsum(term, axis=1, out=col[:, -2::-1])
-    del term
-    q = np.zeros_like(col)
-    term = np.add(col[:0:-1, :], col[-2::-1, :])
-    del col
-    term *= 0.5
-    term *= h
-    np.cumsum(term, axis=0, out=q[-2::-1, :])
+
+    def column_tails(lo, hi, out):
+        """Rows lo..hi-1 of the bump's suffix trapezoid along axis 1, into out."""
+        r2 = np.add.outer(a2[lo:hi], a2)
+        w = np.zeros_like(r2)
+        for r2_row, w_row in zip(r2, w):
+            inside = np.searchsorted(r2_row, 1.0)  # r2 < 1 is a prefix: a2 increases
+            w_row[:inside] = np.exp(-1.0 / (1.0 - r2_row[:inside]))
+        # ((w[k+1] + w[k]) * 0.5) * h summed from the far edge, the cumsum
+        # written straight into its reversed slot
+        term = np.add(w[:, :0:-1], w[:, -2::-1])
+        term *= 0.5
+        term *= h
+        out[:, -1] = 0.0
+        np.cumsum(term, axis=1, out=out[:, -2::-1])
+
+    q = np.zeros((res + 1, res + 1))
+    col = np.empty((block + 1, res + 1))  # column tails of rows lo..lo + block
+    column_tails(res, res + 1, col[block:])  # the first carried row, res
+    sums = np.empty_like(col)
+    for lo in range(res - block, -1, -block):
+        column_tails(lo, lo + block, col[:block])
+        # the same suffix trapezoid along axis 0, its cumsum carried on from
+        # q[lo + block]; the last column row pairs with the carried one below
+        sums[0] = q[lo + block]
+        steps = sums[1:]
+        np.add(col[:0:-1], col[-2::-1], out=steps)
+        steps *= 0.5
+        steps *= h
+        np.cumsum(sums, axis=0, out=q[lo : lo + block + 1][::-1])
+        col[block] = col[0]
     q /= 4.0 * q[0, 0]
     return axis, q
 

@@ -40,7 +40,16 @@ class NearAxisError(ValueError):
 
 @dataclass(frozen=True)
 class CrossFieldVariant:
-    """Velocity field of the cross near the origin: exact or leading form."""
+    """Velocity field of the cross near the origin: exact or leading form.
+
+    The exact form is (u, v) = (-psi_y, psi_x) with the stream function
+    psi = 1/2 int_0^x int_0^y ln(s^2 + t^2) dt ds, whose Laplacian is
+    arctan(y/x) + arctan(x/y) = pi/2 in the open first quadrant: it is the
+    flow of a cross of height pi/2.  So the solver's velocity of the unit
+    cross sign(x) sign(y) is 2/pi times it near the origin, plus a linear
+    strain s (x, -y) from the torus, s near 0.336, that is smooth there.
+    Model time T is solver time t = (pi/2) T.
+    """
 
     kind: str = "exact"
     c1 = 0.5  # exact-variant prefactor of ln(x^2 + y^2)

@@ -36,8 +36,8 @@ from .fields import (
     PointEvenField,
     ScalarField,
     VelocityField,
+    is_point_even,
     point_even_inverse,
-    point_reflection,
 )
 from .series import SeriesRecorder
 
@@ -235,10 +235,7 @@ def _kernel_for(state):
     are tested value by value.
     """
     theta = state.theta
-    even = isinstance(theta, PointEvenField)
-    if not even:
-        v = theta.values
-        even = np.array_equal(v, point_reflection(v))
+    even = isinstance(theta, PointEvenField) or is_point_even(theta.values)
     return _AdvectionKernel(state.grid, state.inversion_exponent, point_even=even)
 
 
@@ -503,7 +500,7 @@ def save_state(path, state):
                 state.inversion_exponent,
             )
         )
-        fh.write(np.ascontiguousarray(state.theta.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(state.theta.values, dtype="<f8"))
 
 
 def load_state(path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,14 @@ def mirror(values):
 
 def evenness_error(values):
     return float(np.max(np.abs(values - mirror(values))))
+
+
+def traced_peak_mb(fn, *args):
+    """Peak of the memory traced while fn(*args) runs, in MB (1e6 bytes)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6

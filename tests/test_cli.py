@@ -142,6 +142,20 @@ class TestSimulate:
         assert err == f"error: [checks] {key} must be finite and >= 0, got {float(value)}\n"
         assert not out.exists()  # refused before any stepping or output
 
+    def test_energy_drift_at_alpha_other_than_one_exits_usage_before_the_run(
+        self, tmp_path, capsys
+    ):
+        # 1/2 |u|^2 drifts by 1.5e-2 on this run, so the check could never pass
+        out = tmp_path / "a15"
+        text = SIM_CFG.format(t_end=2.0, out=out)
+        text = text.replace("n = 64", "n = 128").replace("alpha = 1.0", "alpha = 1.5")
+        text = text.replace("kind = shear\namplitude = 1.0", "kind = random\nseed = 1\namplitude = 2")
+        text = text.replace("energy_drift = 1e-10", "energy_drift = 1e-6")
+        assert main(["simulate", "--config", write(tmp_path, "a15.cfg", text)]) == 2
+        err = capsys.readouterr().err
+        assert "[checks] energy_drift" in err and "conserved only at alpha = 1" in err
+        assert not out.exists()
+
     def test_shear_run_constant_gradient_and_checks(self, tmp_path):
         out = tmp_path / "run1"
         cfg = write(tmp_path, "sim.cfg", SIM_CFG.format(t_end=1.0, out=out))

@@ -4,9 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vcross as vc
-from vcross.fields import next_power_of_two
+from conftest import mirror
+from vcross.fields import is_point_even, next_power_of_two, point_parity_error
 from vcross.solver import SNAPSHOT_MAGIC, load_state, save_state
 
 
@@ -63,6 +66,41 @@ class TestScalarField:
         fx, fy = f.gradient_arrays()
         assert np.max(np.abs(fx - 3 * np.cos(3 * X))) < 1e-12
         assert np.max(np.abs(fy)) < 1e-12
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_gradient_is_bitwise_irfft2(self, n):
+        g = vc.Grid(n)
+        f = vc.ScalarField.from_values(g, np.random.default_rng(n).standard_normal((n, n)))
+        for derivative, k in zip(f.gradient_arrays(), (g.kx, g.ky)):
+            assert np.array_equal(derivative, np.fft.irfft2(1j * k * f.spectrum, s=(n, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([16, 32, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.sampled_from(["nowhere", "row 0", "column 0", "interior", "(0, n/2)", "(n/2, n/2)"]),
+)
+def test_point_evenness_against_mirror(n, seed, where):
+    # an even field moved by one ulp at one entry; (0, n/2) and (n/2, n/2)
+    # are their own mirror images, so moving them keeps the field even
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((n, n))
+    v = r + mirror(r)
+    i, j = rng.integers(1, n, size=2)
+    h = n // 2
+    index = {
+        "nowhere": None,
+        "row 0": (0, j),
+        "column 0": (i, 0),
+        "interior": (i, j),
+        "(0, n/2)": (0, h),
+        "(n/2, n/2)": (h, h),
+    }[where]
+    if index is not None:
+        v[index] = np.nextafter(v[index], np.inf)
+    assert is_point_even(v) == np.array_equal(v, mirror(v))
+    assert point_parity_error(v) == np.max(np.abs(v - mirror(v)))
 
 
 class TestVelocityField:

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 import vcross as vc
-from conftest import evenness_error
+from conftest import evenness_error, traced_peak_mb
 from vcross.initial_data import (
     BumpSpec,
     _mollifier_tail_table,
@@ -127,7 +127,47 @@ class TestMollifiedCross:
         assert mollifier_slope_at_jump() == pytest.approx(1.9035, abs=2e-3)
 
 
+def _whole_table_tail():
+    """The tail table built whole, four table-sized arrays at a time: the oracle."""
+    res = 1024
+    axis = np.linspace(0.0, 1.0, res + 1)
+    r2 = np.add.outer(axis * axis, axis * axis)
+    w = np.zeros_like(r2)
+    inside = r2 < 1.0
+    w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    del r2, inside
+    # suffix trapezoid in both directions: ((w[k+1] + w[k]) * 0.5) * h summed
+    # from the far edge, the cumsum written straight into its reversed slot
+    h = 1.0 / res
+    col = np.zeros_like(w)
+    term = np.add(w[:, :0:-1], w[:, -2::-1])
+    del w
+    term *= 0.5
+    term *= h
+    np.cumsum(term, axis=1, out=col[:, -2::-1])
+    del term
+    q = np.zeros_like(col)
+    term = np.add(col[:0:-1, :], col[-2::-1, :])
+    del col
+    term *= 0.5
+    term *= h
+    np.cumsum(term, axis=0, out=q[-2::-1, :])
+    q /= 4.0 * q[0, 0]
+    return axis, q
+
+
 class TestMollifierTailTable:
+    def test_streamed_build_is_bitwise_the_whole_table_build(self):
+        axis, table = _mollifier_tail_table()
+        oracle_axis, oracle = _whole_table_tail()
+        assert np.array_equal(axis, oracle_axis)
+        assert np.array_equal(table, oracle)
+
+    def test_cold_build_peak_is_the_table_plus_blocks(self):
+        _mollifier_tail_table.cache_clear()
+        peak = traced_peak_mb(_mollifier_tail_table)
+        assert peak <= 12.0  # the 8.4 MB table and its blocks; a whole-table build peaks at 29.6
+
     def test_build_peak_memory_bounded(self):
         tracemalloc.start()
         try:

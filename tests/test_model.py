@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import vcross as vc
 from vcross.model import (
     EXACT,
     LEADING,
@@ -22,6 +23,7 @@ from vcross.model import (
     rk4_steps,
 )
 from vcross.cli import _demo_perturbation
+from vcross.initial_data import singular_cross
 from vcross.series import DiagnosticSeries, format_value
 
 
@@ -115,6 +117,23 @@ class TestCrossVelocity:
             assert float(vx) == pytest.approx(float(fd_vx), rel=1e-6)
             assert float(vy) == pytest.approx(float(fd_vy), rel=1e-6)
             assert u0 is not None
+
+    def test_solver_velocity_of_the_cross_is_exact_at_two_over_pi(self):
+        # u = (2/pi) u_EXACT + s x and v = (2/pi) v_EXACT - s y near the origin:
+        # model time runs pi/2 faster than solver time, and the torus adds a
+        # smooth strain.  Grid points x = y/8 and y/2, y = 8..64 cells <= 0.4.
+        grid = vc.Grid(1024)
+        vel = vc.velocity_from_vorticity(singular_cross(grid))
+        j = np.repeat(2 ** np.arange(3, 7), 2)
+        i = j // np.tile([8, 2], 4)
+        x, y = grid.x[i], grid.x[j]
+        u, v = vel.u.values[i, j], vel.v.values[i, j]
+        u_exact, v_exact = EXACT.velocity(x, y)
+        du, dv = u - (2.0 / math.pi) * u_exact, v - (2.0 / math.pi) * v_exact
+        s = np.mean(np.concatenate([du / x, -dv / y]))
+        assert 0.33 <= s <= 0.34
+        assert np.max(np.abs((du - s * x) / u)) <= 2e-3  # measured 3.5e-4
+        assert np.max(np.abs((dv + s * y) / v)) <= 2e-3  # measured 1.3e-3
 
 
 class TestTrajectories:

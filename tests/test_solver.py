@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import fft
 
 import vcross as vc
-from conftest import evenness_error, mirror
+from conftest import evenness_error, mirror, traced_peak_mb
 from vcross import solver
 from vcross.experiments import (
     default_growth_family,
@@ -446,6 +446,13 @@ class TestNorms:
         dense_max = np.max(np.hypot(gx, gy))
         assert dense_max == pytest.approx(3.0, abs=1e-6)
         assert vc.grad_sup_norm(f) == pytest.approx(dense_max, abs=1e-9)
+
+    def test_grad_sup_holds_one_work_buffer_and_the_gradient(self):
+        n = 512
+        f = vc.ScalarField.from_values(vc.Grid(n), np.random.default_rng(3).random((n, n)))
+        f.spectrum  # formed before the traced call
+        # 2.1 MB each: the complex work buffer, f_x and f_y
+        assert traced_peak_mb(vc.grad_sup_norm, f) <= 6.5
 
     def test_hessian_sup_zero(self, grid64):
         assert vc.hessian_sup_of_inverse_laplacian(vc.ScalarField.zeros(grid64)) == 0.0
