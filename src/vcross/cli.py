@@ -41,6 +41,7 @@ from .model import (
 from .manifest import RunManifest, read_manifest
 from .series import write_series_csv, write_table
 from .solver import (
+    CFL_CAP,
     BlowUpError,
     SimState,
     diagnostics_with_norms,
@@ -155,11 +156,12 @@ def cmd_simulate(args):
     save_state(manifest.add_output(os.path.join(out, "initial.vcrs")), state)
 
     t_end = cfg.get_float("time", "t_end")
+    cfl = cfg.get_float("time", "cfl", CFL_CAP)
     t_run_start = time.perf_counter()
     result = run(
         state,
         t_end,
-        cfl=cfg.get_float("time", "cfl", 0.4),
+        cfl=cfl,
         sample_every=cfg.get_float("time", "sample_every", None),
         diagnostics=diagnostics_with_norms(),
     )
@@ -191,6 +193,7 @@ def cmd_simulate(args):
         )
         failures = sum(1 for r in rows if not r[3])
 
+    manifest.note(f"cfl = {cfl}")
     manifest.note(f"steps = {result.steps}")
     manifest.note(f"kernel = {result.kernel}")
     manifest.note(f"rhs_evals = {result.rhs_evals}")

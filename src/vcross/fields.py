@@ -70,12 +70,14 @@ def point_even_inverse(spectrum, factor, work, out):
     ``spectrum`` holds the leading m columns of a real half-spectrum, the
     columns beyond them zero; ``factor`` is 1/n, or i/n for an odd field whose
     spectrum is i times ``spectrum``.  The transform is rfft down the columns
-    into ``work`` (complex, n/2 + 1 square, its columns from m on zero), then
-    irfft along the rows into ``out`` (real, (n/2 + 1) x n).
+    into ``work`` (complex, n/2 + 1 square, its columns from m on zeroed
+    here), then irfft along the rows into ``out`` (real, (n/2 + 1) x n).
+    A full-width irfft input is about a third faster than a zero-padded one.
     """
-    half = work[:, : spectrum.shape[1]]
-    np.fft.rfft(spectrum, axis=0, out=half)
-    half *= factor
+    m = spectrum.shape[1]
+    np.fft.rfft(spectrum, axis=0, out=work[:, :m])
+    work[:, :m] *= factor
+    work[:, m:] = 0.0
     return np.fft.irfft(work, out.shape[1], axis=1, out=out)
 
 
@@ -245,20 +247,33 @@ class PointEvenField(ScalarField):
     so the second half of each is copied from the first.  Every grid value is
     a mirror copy of one of them: grid sums weigh rows 1..n/2-1 twice, and the
     full ``values`` are assembled by copies only, so they are exactly even.
+
+    ``lent`` is a list of (work, spectrum, f_x, f_y) scratch buffers that the
+    solver kernel which made the field lends to it and to its other fields
+    while its call runs, and empties when the call ends; an empty list means
+    fresh buffers.
     """
 
-    __slots__ = ("real_spectrum", "_rows")
+    __slots__ = ("real_spectrum", "_rows", "_lent")
 
-    def __init__(self, grid, real_spectrum):
+    def __init__(self, grid, real_spectrum, lent=()):
         super().__init__(grid)
         self.real_spectrum = real_spectrum
         self._rows = None
+        self._lent = lent
+
+    def _scratch(self):
+        """The lent (work, spectrum, f_x, f_y) buffers, or fresh ones."""
+        if self._lent:
+            return self._lent
+        n, h = self.grid.n, self.grid.n // 2 + 1
+        return np.empty((h, h), complex), np.empty((n, h)), np.empty((h, n)), np.empty((h, n))
 
     @property
     def row_values(self):
         if self._rows is None:
             n, h = self.grid.n, self.grid.n // 2
-            work = np.empty((h + 1, h + 1), complex)
+            work = self._scratch()[0]
             rows = point_even_inverse(self.real_spectrum, 1.0 / n, work, np.empty((h + 1, n)))
             rows[[0, h], h + 1 :] = rows[[0, h], h - 1 : 0 : -1]
             self._rows = rows
@@ -294,12 +309,16 @@ class PointEvenField(ScalarField):
         return self.real_spectrum * self.real_spectrum
 
     def gradient_arrays(self):
+        """(f_x, f_y) on the rows of ``row_values``; in lent buffers while lent.
+
+        Lent buffers are shared by the lending kernel's fields and its steps,
+        so the pair holds only until the next sample or step.
+        """
         g = self.grid
-        n, h = g.n, g.n // 2
-        work = np.empty((h + 1, h + 1), complex)
+        work, spectrum, fx, fy = self._scratch()
         return tuple(  # the gradient of an even field is odd
-            point_even_inverse(k * self.real_spectrum, 1j / n, work, np.empty((h + 1, n)))
-            for k in (g.kx, g.ky)
+            point_even_inverse(np.multiply(k, self.real_spectrum, out=spectrum), 1j / g.n, work, d)
+            for k, d in ((g.kx, fx), (g.ky, fy))
         )
 
 

@@ -140,27 +140,6 @@ class ParameterLadder:
             lines.append(f"log10_{name} = {getattr(self, attr)!r}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def parse(cls, text):
-        kv = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
-        return cls(
-            horizon=float(kv["horizon"]),
-            growth_factor=float(kv["growth_factor"]),
-            mode=kv["mode"],
-            log10_outer=float(kv["log10_outer"]),
-            log10_inner=float(kv["log10_inner"]),
-            log10_drift=float(kv["log10_drift"]),
-            log10_cross_width=float(kv["log10_cross_width"]),
-            log10_mollifier=float(kv["log10_mollifier"]),
-            seed_exponent=float(kv["seed_exponent"]),
-        )
-
 
 def _solve_cross_width(l1):
     """Largest log10 tau with tau |ln tau| <= inner**12 and 10x slack."""

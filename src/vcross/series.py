@@ -106,23 +106,6 @@ def write_series_csv(path, series_list):
     )
 
 
-def read_series_csv(path):
-    """Inverse of :func:`write_series_csv`; returns dict name -> series."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if header[0] != "t":
-        raise ValueError(f"{path}: first column must be t, got {header[0]!r}")
-    data = np.asarray([[float(c) for c in row] for row in rows])
-    if data.size == 0:
-        return {}
-    t = data[:, 0]
-    return {
-        name: DiagnosticSeries(name, t, data[:, i + 1])
-        for i, name in enumerate(header[1:])
-    }
-
-
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares line fit of a transformed series over a time window."""

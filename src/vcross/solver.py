@@ -19,13 +19,24 @@ half-size inverse onto rows 0..n/2 of the mirrored frame, and its full values
 are mirror copies of them, exactly even.  So chained ``step_rk4`` calls stay
 point-even without a full-size transform, the parity error ``simulate``
 checks reads exactly 0, and every diagnostic reduces over the half grid.
+
+Each ``run`` or ``step_rk4`` call steps with one helper thread when the
+process may use two CPUs and is not a ``multiprocessing`` worker (a pool
+already fills the cores).  The RHS's independent transform chains run in
+pairs, one on the helper while the caller runs the other, in disjoint
+buffers and with unchanged arithmetic, so the bits do not depend on the
+thread.  The helper is joined when the call returns or raises.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import multiprocessing
+import os
+import queue
 import struct
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +54,7 @@ from .series import SeriesRecorder
 
 SNAPSHOT_MAGIC = b"VCRS"
 SNAPSHOT_VERSION = 1
+CFL_CAP = 0.5  # the largest cfl ``run`` accepts, and its default
 
 
 class CFLViolation(RuntimeError):
@@ -117,11 +129,82 @@ def velocity_from_vorticity(theta, inversion_exponent=1.0):
     )
 
 
+HELPER_MIN_N = 256  # at n = 128 the hand-overs cost more than the overlap saves
+
+
+def _helper_allowed(n):
+    """Whether a stepping call on an n x n grid may start a helper thread.
+
+    It needs two CPUs this process may run on, and it is not started in a
+    ``multiprocessing`` worker, whose pool already gives each core one run.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return n >= HELPER_MIN_N and cpus >= 2 and multiprocessing.parent_process() is None
+
+
+def _serve(jobs, done):
+    """Helper-thread loop over (claim, job, numpy error state); None ends it."""
+    while (item := jobs.get()) is not None:
+        claim, job, errors = item
+        item = None
+        if claim.acquire(blocking=False):  # else the caller has run it already
+            try:
+                with np.errstate(**errors):  # the error state does not follow into a thread
+                    job()
+                result = None
+            except BaseException as exc:  # raised again in the caller
+                result = exc
+            job = None
+            done.put(result)
+            result = None
+        job = None  # hold no job, and so no kernel, between jobs
+
+
+class _Helper:
+    """One thread that runs the first job of each pair while the caller runs the second.
+
+    Whichever thread claims the first job runs it: if the helper has not
+    started it by the time the caller's job ends, say because another
+    process holds the second CPU, the caller runs it too, so a busy host
+    costs at most the one-thread time.
+    """
+
+    def __init__(self):
+        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=_serve, args=(self._jobs, self._done), name="vcross-helper", daemon=True
+        )
+        self._thread.start()
+
+    def pair(self, first, second):
+        """Run both jobs; return once both have ended, raising what either raised."""
+        claim = threading.Lock()
+        self._jobs.put((claim, first, np.geterr()))
+        try:
+            second()
+        finally:
+            mine = claim.acquire(blocking=False)
+            error = None if mine else self._done.get()  # the helper is done with its buffers
+        if mine:
+            first()
+        elif error is not None:
+            raise error
+
+    def close(self):
+        self._jobs.put(None)
+        self._thread.join()
+
+
 class _AdvectionKernel:
     """Spectral RHS of theta_t = -(u . grad theta) and the RK4 stage buffers.
 
-    Built once per ``run`` or ``step_rk4`` call for one grid and exponent.
-    The multipliers fuse inversion, derivative and the 2/3 mask, so a stage
+    Built once per ``run`` or ``step_rk4`` call for one grid and exponent,
+    and entered as a context manager for that call: entering starts the
+    helper thread if :func:`_helper_allowed`, leaving joins it.  The
+    multipliers fuse inversion, derivative and the 2/3 mask, so a stage
     starts from the undealiased spectrum.  At alpha = 1 theta = curl u and
     the advection term takes Basdevant's form u . grad w = dxdy(v^2 - u^2) +
     (dxx - dyy)(uv): two inverse transforms (u, v) and two forward ones.  At
@@ -129,17 +212,23 @@ class _AdvectionKernel:
     theta_x, theta_y) and one forward.  The product is truncated to the 2/3
     band and its zero mode set to exactly zero.
 
-    Dealiased spectra vanish beyond the columns ky <= n/3, so stage buffers
-    hold those ``width`` columns only and the first-axis transforms skip the
-    rest.  Transforms are numpy.fft calls writing into preallocated arrays,
-    so no transform allocates a fresh output.
+    Independent chains run in pairs (u and v; the two forwards; u and
+    theta_x, then v and theta_y), each in its own lane: a spectral buffer and
+    a band buffer, the first lane's band being the RHS output itself.  With a
+    helper thread the second lane's job is handed to it.  Dealiased spectra
+    vanish beyond the columns ky <= n/3, so band buffers hold those
+    ``width`` columns only, the first-axis transforms skip the rest and the
+    row inverses read them as zeros written into the spectral buffer.
+    Transforms are numpy.fft calls writing into preallocated arrays, so no
+    transform allocates a fresh output.
 
     In ``point_even`` mode the state is the real half-spectrum and physical
     buffers hold rows 0..n/2 in the mirrored frame (row r <-> x = -x_r).  An
     inverse is ``point_even_inverse`` of the band: rfft down it, times i/n
     (u, v, theta_x, theta_y are odd), then irfft along rows.  A forward is
     rfft along rows, then irfft down the band (the hfft identity), its 1/n
-    undone by the product multipliers.
+    undone by the product multipliers.  Between steps the fields it hands
+    out borrow its buffers for their samples, until the call ends.
     """
 
     def __init__(self, grid, inversion_exponent, point_even=False):
@@ -159,10 +248,26 @@ class _AdvectionKernel:
             self.products = (odd * kx * keep, odd * ky * keep, -fwd * keep)
         self.stage, self.k = np.empty((n, m), dtype), np.empty((n, m), dtype)
         rows = h if point_even else n
-        self._spec_in = np.zeros((rows, h), complex)  # columns >= m stay 0
-        self._spec_out = np.empty_like(self._spec_in)
-        self._band = np.empty((n, m)) if point_even else None  # forward output
+        self._spec = (np.empty((rows, h), complex), np.empty((rows, h), complex))
+        # the second lane's band: a buffer of its own, or its spectrum's head
+        self._band = np.empty((n, m)) if point_even else self._spec[1][:, :m]
         self._u, self._v, self._scratch = (np.empty((rows, n)) for _ in range(3))
+        # (work, spectrum, f_x, f_y) scratch of the point-even fields' samples
+        self._lent = []
+        if point_even:
+            self._lent = [self._spec[0], self._scratch.reshape(n, h), self._u, self._v]
+        self._helper = None
+
+    def __enter__(self):
+        if _helper_allowed(self.n):
+            self._helper = _Helper()
+        return self
+
+    def __exit__(self, *exc_info):
+        helper, self._helper = self._helper, None
+        if helper is not None:
+            helper.close()
+        self._lent.clear()
 
     def pack(self, spectrum):
         """RK4 state of an rfft2 spectrum: itself, or its real part if point-even."""
@@ -177,53 +282,76 @@ class _AdvectionKernel:
         """
         if not self.point_even:
             return ScalarField.from_spectrum(self.grid, state_hat)
-        return PointEvenField(self.grid, state_hat)
+        return PointEvenField(self.grid, state_hat, self._lent)
 
-    def _inverse(self, band, out):
-        """Physical values of an (odd, if point-even) band spectrum."""
+    def _inverse(self, band, spec, out):
+        """Physical values of an (odd, if point-even) band spectrum, via ``spec``."""
         if self.point_even:
-            return point_even_inverse(band, 1j / self.n, self._spec_in, out)
-        np.fft.ifft(band, axis=0, out=self._spec_in[:, : self.width])
-        return np.fft.irfft(self._spec_in, self.n, axis=1, out=out)
+            return point_even_inverse(band, 1j / self.n, spec, out)
+        np.fft.ifft(band, axis=0, out=spec[:, : self.width])
+        spec[:, self.width :] = 0.0  # a forward or a sample may have filled it
+        return np.fft.irfft(spec, self.n, axis=1, out=out)
 
-    def _forward(self, values):
-        """Band columns of rfft2(values) (over n if point-even) in a reused buffer."""
-        np.fft.rfft(values, axis=1, out=self._spec_out)
-        band = self._spec_out[:, : self.width]
+    def _forward(self, values, spec, out):
+        """Band columns of rfft2(values) (over n if point-even) into ``out``, via ``spec``."""
+        np.fft.rfft(values, axis=1, out=spec)
+        head = spec[:, : self.width]
         if self.point_even:
-            return np.fft.irfft(band, self.n, axis=0, out=self._band)
-        return np.fft.fft(band, axis=0, out=band)
+            return np.fft.irfft(head, self.n, axis=0, out=out)
+        return np.fft.fft(head, axis=0, out=out)
+
+    def _pair(self, first, second):
+        """Run two independent jobs: the first on the helper, if there is one."""
+        if self._helper is None:
+            first()
+            second()
+        else:
+            self._helper.pair(first, second)
 
     def rhs(self, theta_hat, out, with_speed=True):
         """Write the RHS band into ``out`` (n x width); return the max speed.
 
         ``theta_hat`` may be a full half-spectrum or a band; ``out`` is also
-        the scratch for transform inputs, so it must not alias ``theta_hat``.
-        Without ``with_speed`` the speed is not reduced and None is returned.
+        the first lane's band, so it must not alias ``theta_hat``.  Without
+        ``with_speed`` the speed is not reduced and None is returned.
         """
         self.evaluations += 1
-        band, scratch = theta_hat[:, : self.width], self._scratch
-        u = self._inverse(np.multiply(band, self.to_u, out=out), self._u)
-        v = self._inverse(np.multiply(band, self.to_v, out=out), self._v)
-        speed = float(max(u.max(), -u.min(), v.max(), -v.min())) if with_speed else None
+        band, u, v, scratch = theta_hat[:, : self.width], self._u, self._v, self._scratch
+        lanes = ((out, self._spec[0]), (self._band, self._spec[1]))
+
+        def inverse(lane, multiplier, values):
+            into, spec = lanes[lane]
+            return lambda: self._inverse(np.multiply(band, multiplier, out=into), spec, values)
+
+        def forward(lane, values, multiplier):
+            into, spec = lanes[lane]
+            return lambda: np.multiply(self._forward(values, spec, into), multiplier, out=into)
+
+        def extent(w):
+            return float(max(w.max(), -w.min()))
+
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow here is the blow-up signal; the caller checks finiteness
             if self.basdevant:
                 m_xy, m_diff = self.products
+                self._pair(inverse(1, self.to_v, v), inverse(0, self.to_u, u))
+                speed = max(extent(u), extent(v)) if with_speed else None
                 np.multiply(u, v, out=scratch)
                 u *= u
                 v *= v
                 v -= u
-                np.multiply(self._forward(v), m_xy, out=out)
-                uv_hat = self._forward(scratch)
-                uv_hat *= m_diff
-                out += uv_hat
-            else:
+                self._pair(forward(1, v, m_xy), forward(0, scratch, m_diff))
+                out += self._band  # kx ky F(v^2 - u^2) was the second lane's
+            else:  # u theta_x, then v theta_y: three physical buffers hold all four
                 m_x, m_y, m_minus = self.products
-                u *= self._inverse(np.multiply(band, m_x, out=out), scratch)
-                v *= self._inverse(np.multiply(band, m_y, out=out), scratch)
+                self._pair(inverse(1, m_x, scratch), inverse(0, self.to_u, u))
+                speed = extent(u) if with_speed else None
+                u *= scratch
+                self._pair(inverse(1, m_y, scratch), inverse(0, self.to_v, v))
+                speed = max(speed, extent(v)) if with_speed else None
+                v *= scratch
                 u += v
-                np.multiply(self._forward(u), m_minus, out=out)
+                forward(0, u, m_minus)()
         out[0, 0] = 0.0
         return speed
 
@@ -280,8 +408,8 @@ def step_rk4(state, dt):
                 raise CFLViolation(dt, admissible)
         return dt
 
-    kernel = _kernel_for(state)
-    new_hat, _ = _rk4_spectrum(kernel.pack(theta.spectrum), kernel, checked_dt)
+    with _kernel_for(state) as kernel:
+        new_hat, _ = _rk4_spectrum(kernel.pack(theta.spectrum), kernel, checked_dt)
     if not np.all(np.isfinite(new_hat)):
         raise BlowUpError(state.time)
     return replace(state, theta=kernel.field(new_hat), time=state.time + dt)
@@ -420,7 +548,7 @@ class RunResult:
 def run(
     state,
     t_end,
-    cfl=0.4,
+    cfl=CFL_CAP,
     sample_every=None,
     diagnostics=None,
 ):
@@ -432,8 +560,8 @@ def run(
     t_end equal to the current time returns an empty series set and the
     unchanged state.
     """
-    if not (0.0 < cfl <= 0.5):
-        raise ValueError("cfl must lie in (0, 0.5]")
+    if not (0.0 < cfl <= CFL_CAP):
+        raise ValueError(f"cfl must lie in (0, {CFL_CAP}]")
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < state.time - 1e-15:
@@ -448,7 +576,6 @@ def run(
     if not sample_every > 0.0:  # also NaN: the sample clock would never advance
         raise ValueError(f"sample_every must be positive, got {sample_every}")
     g = state.grid
-    kernel = _kernel_for(state)
     t0 = state.time
 
     def sample(st):
@@ -461,22 +588,23 @@ def run(
 
     sample(state)
     theta = state.theta
-    theta_hat = kernel.pack(theta.spectrum)
     t = t0
     steps = 0
     next_idx = 1
-    while t < t_end - 1e-13:
-        t_sample = min(t0 + next_idx * sample_every, t_end)
-        theta_hat, dt = _rk4_spectrum(theta_hat, kernel, dt_for_speed)
-        if not np.all(np.isfinite(theta_hat)):
-            raise BlowUpError(t)
-        t += dt
-        steps += 1
-        if t >= t_sample - 1e-13:
-            theta = kernel.field(theta_hat)
-            sample(replace(state, theta=theta, time=t))
-            while t0 + next_idx * sample_every <= t + 1e-13:
-                next_idx += 1
+    with _kernel_for(state) as kernel:
+        theta_hat = kernel.pack(theta.spectrum)
+        while t < t_end - 1e-13:
+            t_sample = min(t0 + next_idx * sample_every, t_end)
+            theta_hat, dt = _rk4_spectrum(theta_hat, kernel, dt_for_speed)
+            if not np.all(np.isfinite(theta_hat)):
+                raise BlowUpError(t)
+            t += dt
+            steps += 1
+            if t >= t_sample - 1e-13:
+                theta = kernel.field(theta_hat)
+                sample(replace(state, theta=theta, time=t))
+                while t0 + next_idx * sample_every <= t + 1e-13:
+                    next_idx += 1
     final = replace(state, theta=theta, time=t)  # the last step lands on t_end, a sample
     return RunResult(final, recorder.to_series(), steps, kernel.mode, kernel.evaluations)
 

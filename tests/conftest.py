@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -39,3 +40,10 @@ def traced_peak_mb(fn, *args):
     finally:
         tracemalloc.stop()
     return peak / 1e6
+
+
+def read_csv_columns(path):
+    """Columns of a table ``series.write_table`` wrote: header name -> float array."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(header)}

@@ -17,13 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vcross.cli
+from conftest import read_csv_columns
 from vcross.cli import main
 from vcross.config import ConfigError, parse_config_text
 from vcross.experiments import smooth_random_field
 from vcross.fields import Grid
 from vcross.manifest import read_manifest
 from vcross.model import LEADING, integrate_variational
-from vcross.series import read_series_csv
 from vcross.solver import SimState, save_state
 
 SIM_CFG = """
@@ -112,8 +112,8 @@ class TestSimulate:
         out = tmp_path / "run0"
         cfg = write(tmp_path, "sim.cfg", SIM_CFG.format(t_end=0.0, out=out))
         assert main(["simulate", "--config", cfg]) == 0
-        series = read_series_csv(out / "series.csv")
-        assert series == {}  # no-op run: empty series
+        series = read_csv_columns(out / "series.csv")
+        assert not any(column.size for column in series.values())  # no-op run: no rows
         assert (out / "initial.vcrs").exists()
         assert not (out / "final.vcrs").exists()  # initial snapshot only
         _, _, blocks = read_manifest(out / "manifest.txt")
@@ -160,8 +160,8 @@ class TestSimulate:
         out = tmp_path / "run1"
         cfg = write(tmp_path, "sim.cfg", SIM_CFG.format(t_end=1.0, out=out))
         assert main(["simulate", "--config", cfg]) == 0
-        series = read_series_csv(out / "series.csv")
-        assert np.max(np.abs(series["grad_sup"].values - 1.0)) <= 1e-10
+        series = read_csv_columns(out / "series.csv")
+        assert np.max(np.abs(series["grad_sup"] - 1.0)) <= 1e-10
         checks = (out / "checks.csv").read_text().splitlines()
         assert checks[0] == "name,value,tolerance,passed"
         assert all(row.endswith(",1") for row in checks[1:])
@@ -179,6 +179,14 @@ class TestSimulate:
             assert float(header[f"timing_{phase}_s"]) >= 0.0
         peak = [l for l in blocks["notes"] if l.startswith("peak_rss_mb = ")]
         assert len(peak) == 1 and float(peak[0].split()[-1]) >= 0.0
+
+    @pytest.mark.parametrize("line, note", [("cfl = 0.4\n", "cfl = 0.4"), ("", "cfl = 0.5")])
+    def test_manifest_notes_the_cfl_that_ran(self, tmp_path, line, note):
+        out = tmp_path / "cfl"
+        text = SIM_CFG.format(t_end=0.25, out=out).replace("cfl = 0.4\n", line)
+        assert main(["simulate", "--config", write(tmp_path, "cfl.cfg", text)]) == 0
+        _, _, blocks = read_manifest(out / "manifest.txt")
+        assert note in blocks["notes"]
 
     def test_cross_bump_manifest_echoes_ladder(self, tmp_path):
         out = tmp_path / "run3"
@@ -264,7 +272,7 @@ dir = {out}
         out = tmp_path / "out"
         cfg = write(tmp_path, "init.cfg", self.INIT_CFG.format(init=init, out=out))
         assert main(["simulate", "--config", cfg]) == 0, capsys.readouterr().err
-        assert len(read_series_csv(out / "series.csv")["grad_sup"]) == 2
+        assert len(read_csv_columns(out / "series.csv")["grad_sup"]) == 2
 
     @pytest.mark.parametrize("keep", [10, 40 + 8 * 64 * 64 - 100])
     def test_truncated_snapshot_refused_by_name(self, tmp_path, keep, capsys):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import read_csv_columns
 from vcross.series import (
     DiagnosticSeries,
     RateFit,
     format_value,
     linear_fit,
-    read_series_csv,
     write_series_csv,
     write_table,
 )
@@ -40,16 +40,9 @@ def test_csv_roundtrip_and_format(tmp_path):
     assert text[0] == "t,a,b"
     # 17-significant-digit rendering reproduces the double exactly
     assert "0.33333333333333331" in text[2]
-    back = read_series_csv(path)
-    assert np.array_equal(back["a"].values, a.values)
-    assert np.array_equal(back["b"].t, t)
-
-
-def test_csv_first_column_must_be_t(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x,a\n0,1\n")
-    with pytest.raises(ValueError, match="first column"):
-        read_series_csv(path)
+    back = read_csv_columns(path)
+    assert np.array_equal(back["a"], a.values)
+    assert np.array_equal(back["t"], t)
 
 
 def test_linear_fit_exact_line():

@@ -1,6 +1,12 @@
 """Solver tests: inversion closed forms, stepping, conservation, norms."""
 
+import functools
+import os
 import pickle
+import sys
+import threading
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +16,7 @@ from scipy import fft
 
 import vcross as vc
 from conftest import evenness_error, mirror, traced_peak_mb
-from vcross import solver
+from vcross import experiments, solver
 from vcross.experiments import (
     default_growth_family,
     rescaling_pair,
@@ -370,7 +376,7 @@ class TestRun:
         assert result.rhs_evals == 4 * result.steps
 
     def test_point_even_march_matches_general(self, kernels, monkeypatch):
-        # c07's steepness-200 member on the n = 256 grid, 56 steps each way
+        # c07's steepness-200 member on the n = 256 grid, 48 steps each way
         member = default_growth_family(vc.Grid(256))[-1]
         even = run_growth_member(256, member, T=0.5)
 
@@ -381,9 +387,20 @@ class TestRun:
         monkeypatch.setattr(solver, "_kernel_for", general_only)
         general = run_growth_member(256, member, T=0.5)
         assert [k.mode for k in kernels] == ["point-even", "general"]
-        assert [k.evaluations for k in kernels] == [4 * 56, 4 * 56]
+        assert [k.evaluations for k in kernels] == [4 * 48, 4 * 48]
         diff = even.state.theta.values - general.state.theta.values
         assert np.max(np.abs(diff)) <= 1e-11
+
+    def test_default_cfl_time_error_within_budget(self, monkeypatch):
+        # c07's steepness-200 member at n = 256 to T = 0.5, at the default cfl
+        # and at a quarter of it: 4.1e-4 apart, against a 2.4 % move in the
+        # sup from n = 512 to 1024
+        member = default_growth_family(vc.Grid(256))[-1]
+        default = run_growth_member(256, member, T=0.5).series["grad_sup"]
+        monkeypatch.setattr(experiments, "run", functools.partial(vc.run, cfl=solver.CFL_CAP / 4))
+        fine = run_growth_member(256, member, T=0.5).series["grad_sup"]
+        assert np.array_equal(default.t, fine.t)
+        assert np.max(np.abs(default.values / fine.values - 1.0)) <= 1e-3
 
     @pytest.mark.parametrize("mu", [2.0, 0.5])
     def test_rescaling_symmetry(self, grid64, mu):
@@ -422,7 +439,7 @@ class TestRun:
         ]
         assert speeds[-1] > 1.05 * speeds[0]
         for (_, dt), speed in zip(steps, speeds):
-            assert dt * speed / grid64.spacing <= 0.4 * (1.0 + 1e-12)
+            assert dt * speed / grid64.spacing <= solver.CFL_CAP * (1.0 + 1e-12)  # the default
 
 
 class TestNorms:
@@ -554,3 +571,163 @@ class TestGeneralizedExponent:
         assert fit.fitted_C < 1.0
         envelope = np.log(g.values[0]) + fit.fitted_C * sup * g.t
         assert np.all(np.log(g.values) <= envelope + 1e-9)
+
+
+def even_part(field):
+    values = field.values
+    return vc.ScalarField.from_values(field.grid, 0.5 * (values + mirror(values)))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count the helper policy reads: cpus(1) or cpus(2)."""
+    return lambda count: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestHelperThread:
+    GRID = vc.Grid(solver.HELPER_MIN_N)
+
+    @pytest.mark.parametrize(
+        "even, alpha", [(True, 1.0), (True, 1.5), (False, 1.0)], ids=["even", "even-1.5", "general"]
+    )
+    def test_bits_match_one_thread(self, cpus, even, alpha):
+        field = smooth_random_field(self.GRID, seed=6)
+        state = vc.SimState(even_part(field) if even else field, inversion_exponent=alpha)
+        before, threads = threading.active_count(), []
+        diagnostics = diagnostics_with_norms()
+        diagnostics["threads"] = lambda s: threads.append(threading.active_count()) or 0.0
+        results = []
+        for count in (2, 1):
+            cpus(count)
+            result = vc.run(state, 0.15, sample_every=0.05, diagnostics=diagnostics)
+            results.append((result, vc.step_rk4(result.state, 0.002)))
+        (two, two_step), (one, one_step) = results
+        assert two.kernel == ("point-even" if even else "general") and two.steps >= 3
+        assert np.array_equal(two.state.theta.values, one.state.theta.values)
+        assert np.array_equal(two_step.theta.values, one_step.theta.values)
+        for name in two.series:
+            if name != "threads":
+                assert np.array_equal(two.series[name].values, one.series[name].values), name
+        # the first sample of each run is taken before its kernel is built
+        assert threads == [before] + [before + 1] * 3 + [before] * 4
+
+    def test_small_grids_and_pool_workers_step_on_one_thread(self, cpus, monkeypatch):
+        cpus(2)
+        assert solver._helper_allowed(solver.HELPER_MIN_N)
+        assert not solver._helper_allowed(solver.HELPER_MIN_N // 2)
+        cpus(1)
+        assert not solver._helper_allowed(solver.HELPER_MIN_N)
+        cpus(2)
+        monkeypatch.setattr(solver.multiprocessing, "parent_process", lambda: object())
+        assert not solver._helper_allowed(solver.HELPER_MIN_N)
+
+    def test_joined_after_return_and_kernel_freed(self, cpus, kernels):
+        cpus(2)
+        before = threading.active_count()
+        state = vc.SimState(even_part(smooth_random_field(self.GRID, seed=7)))
+        result = vc.run(state, 0.02, sample_every=0.02)
+        assert threading.active_count() == before
+        kernel = kernels.pop()
+        freed = [weakref.ref(kernel), weakref.ref(kernel._u)]
+        del kernel
+        # no reference cycle keeps the kernel, and the final field keeps none of its buffers
+        assert [ref() for ref in freed] == [None, None]
+        assert result.state.theta.gradient_arrays()[0].shape == (self.GRID.n // 2 + 1, self.GRID.n)
+
+    def test_joined_after_blowup(self, cpus):
+        cpus(2)
+        before = threading.active_count()
+        n = self.GRID.n
+        spec = np.zeros((n, n // 2 + 1), dtype=complex)
+        spec[1, 0] = spec[0, 1] = 1e300
+        state = vc.SimState(vc.ScalarField.from_spectrum(self.GRID, spec), time=2.5)
+        with pytest.raises(vc.BlowUpError):
+            vc.run(state, 3.0, diagnostics={"mean": lambda s: s.theta.mean})
+        assert threading.active_count() == before
+
+    def test_joined_after_an_error_in_a_paired_job(self, cpus, monkeypatch):
+        cpus(2)
+        before = threading.active_count()
+
+        def fails(*args):
+            raise MemoryError("paired job")
+
+        monkeypatch.setattr(solver, "point_even_inverse", fails)
+        state = vc.SimState(even_part(smooth_random_field(self.GRID, seed=8)))
+        with pytest.raises(MemoryError, match="paired job"):
+            vc.run(state, 0.02)
+        assert threading.active_count() == before
+
+    def test_a_job_the_helper_started_is_awaited_and_its_error_raised(self):
+        started, finished = threading.Event(), []
+
+        def first():
+            started.set()
+            finished.append(threading.current_thread() is not threading.main_thread())
+            raise MemoryError("helper job")
+
+        helper = solver._Helper()
+        try:  # the second job returns only once the helper has claimed the first
+            with pytest.raises(MemoryError, match="helper job"):
+                helper.pair(first, lambda: started.wait(timeout=60.0))
+            assert finished == [True]
+            # unclaimed, the first job runs on the caller's thread
+            ran_on = []
+            helper.pair(lambda: ran_on.append(threading.current_thread()), lambda: None)
+            assert len(ran_on) == 1
+        finally:
+            helper.close()
+        assert not helper._thread.is_alive()
+
+    def test_stress_concurrent_runs_keep_their_bits(self, cpus):
+        # three callers and their three helpers on two cores, switching often
+        fields = [smooth_random_field(self.GRID, seed=s) for s in (1, 2)]
+        states = [vc.SimState(even_part(f)) for f in fields] + [vc.SimState(fields[0])]
+        cpus(1)
+        expected = [vc.run(s, 0.1, sample_every=0.05).state.theta.values for s in states]
+        cpus(2)
+        got = [None] * len(states)
+
+        def march(i):
+            got[i] = vc.run(states[i], 0.1, sample_every=0.05).state.theta.values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=march, args=(i,)) for i in range(len(states))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_jobs_run_under_the_callers_error_state(self):
+        started = threading.Event()
+
+        def overflow():
+            started.set()
+            np.multiply(np.full(4, 1e308), 10.0)
+
+        def pair(helper):  # the helper claims the first job before the second returns
+            started.clear()
+            helper.pair(overflow, lambda: started.wait(timeout=60.0))
+
+        helper = solver._Helper()
+        try:
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                pair(helper)
+            with np.errstate(over="ignore"):
+                pair(helper)
+            # numpy warns by default; the suite's filter makes the warning an error
+            with np.errstate(over="warn"), pytest.raises(RuntimeWarning, match="overflow"):
+                pair(helper)
+            with np.errstate(over="warn"), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                pair(helper)
+            assert [w.category for w in caught] == [RuntimeWarning]
+        finally:
+            helper.close()
