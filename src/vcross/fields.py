@@ -219,7 +219,12 @@ class ScalarField:
             )
 
     def gradient_arrays(self):
-        """(f_x, f_y) on the rows of ``row_values``, computed spectrally."""
+        """(f_x, f_y) on the rows of ``row_values``, computed spectrally.
+
+        The pair is the caller's to overwrite, but a field that a solver run
+        hands out may form it in scratch the run reuses (see
+        :class:`PointEvenField`): copy it to keep it past the run's next step.
+        """
         g = self.grid
         sp = self.spectrum
         work = np.empty_like(sp)
@@ -248,32 +253,25 @@ class PointEvenField(ScalarField):
     a mirror copy of one of them: grid sums weigh rows 1..n/2-1 twice, and the
     full ``values`` are assembled by copies only, so they are exactly even.
 
-    ``lent`` is a list of (work, spectrum, f_x, f_y) scratch buffers that the
-    solver kernel which made the field lends to it and to its other fields
-    while its call runs, and empties when the call ends; an empty list means
-    fresh buffers.
+    ``lent`` is empty, or the list of (work, spectrum, f_x, f_y) scratch
+    buffers that the solver kernel which made the field lends to it and to
+    its other fields while its call runs; the kernel empties the list when
+    the call ends, and the field then uses fresh buffers.
     """
 
-    __slots__ = ("real_spectrum", "_rows", "_lent")
+    __slots__ = ("real_spectrum", "_rows", "lent")
 
-    def __init__(self, grid, real_spectrum, lent=()):
+    def __init__(self, grid, real_spectrum):
         super().__init__(grid)
         self.real_spectrum = real_spectrum
         self._rows = None
-        self._lent = lent
-
-    def _scratch(self):
-        """The lent (work, spectrum, f_x, f_y) buffers, or fresh ones."""
-        if self._lent:
-            return self._lent
-        n, h = self.grid.n, self.grid.n // 2 + 1
-        return np.empty((h, h), complex), np.empty((n, h)), np.empty((h, n)), np.empty((h, n))
+        self.lent = ()
 
     @property
     def row_values(self):
         if self._rows is None:
             n, h = self.grid.n, self.grid.n // 2
-            work = self._scratch()[0]
+            work = self.lent[0] if self.lent else np.empty((h + 1, h + 1), complex)
             rows = point_even_inverse(self.real_spectrum, 1.0 / n, work, np.empty((h + 1, n)))
             rows[[0, h], h + 1 :] = rows[[0, h], h - 1 : 0 : -1]
             self._rows = rows
@@ -314,8 +312,10 @@ class PointEvenField(ScalarField):
         Lent buffers are shared by the lending kernel's fields and its steps,
         so the pair holds only until the next sample or step.
         """
-        g = self.grid
-        work, spectrum, fx, fy = self._scratch()
+        g, n, h = self.grid, self.grid.n, self.grid.n // 2 + 1
+        work, spectrum, fx, fy = self.lent or (
+            np.empty((h, h), complex), np.empty((n, h)), np.empty((h, n)), np.empty((h, n))
+        )
         return tuple(  # the gradient of an even field is odd
             point_even_inverse(np.multiply(k, self.real_spectrum, out=spectrum), 1j / g.n, work, d)
             for k, d in ((g.kx, fx), (g.ky, fy))

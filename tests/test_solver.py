@@ -666,8 +666,9 @@ class TestHelperThread:
             finished.append(threading.current_thread() is not threading.main_thread())
             raise MemoryError("helper job")
 
-        helper = solver._Helper()
-        try:  # the second job returns only once the helper has claimed the first
+        before = threading.active_count()
+        with solver._Helper() as helper:
+            # the second job returns only once the helper has claimed the first
             with pytest.raises(MemoryError, match="helper job"):
                 helper.pair(first, lambda: started.wait(timeout=60.0))
             assert finished == [True]
@@ -675,9 +676,7 @@ class TestHelperThread:
             ran_on = []
             helper.pair(lambda: ran_on.append(threading.current_thread()), lambda: None)
             assert len(ran_on) == 1
-        finally:
-            helper.close()
-        assert not helper._thread.is_alive()
+        assert threading.active_count() == before
 
     def test_stress_concurrent_runs_keep_their_bits(self, cpus):
         # three callers and their three helpers on two cores, switching often
@@ -716,8 +715,7 @@ class TestHelperThread:
             started.clear()
             helper.pair(overflow, lambda: started.wait(timeout=60.0))
 
-        helper = solver._Helper()
-        try:
+        with solver._Helper() as helper:
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
                 pair(helper)
             with np.errstate(over="ignore"):
@@ -729,5 +727,3 @@ class TestHelperThread:
                 warnings.simplefilter("always")
                 pair(helper)
             assert [w.category for w in caught] == [RuntimeWarning]
-        finally:
-            helper.close()
