@@ -46,6 +46,7 @@ from .solver import (
     SimState,
     diagnostics_with_norms,
     load_state,
+    require_vorticity,
     run,
     save_state,
 )
@@ -124,7 +125,13 @@ def _build_initial(cfg, grid, ladder):
         )
         return compose_initial_data(grid, ladder, spec, cfg.get_float("init", "sigma"))
     if kind == "snapshot":
-        return load_state(cfg.get_str("init", "path")).theta
+        path = cfg.get_str("init", "path")
+        theta = load_state(path).theta
+        try:  # before the first sample reads it
+            require_vorticity(theta)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        return theta
     raise ConfigError(f"unknown [init] kind {kind!r}")
 
 
@@ -132,7 +139,7 @@ def cmd_simulate(args):
     t_start = time.perf_counter()
     cfg = load_config(args.config)
     tolerances = {}
-    for key in ("energy_drift", "enstrophy_drift", "parity"):
+    for key in ("energy_drift", "hamiltonian_drift", "enstrophy_drift", "parity"):
         tol = cfg.get_float("checks", key, None)
         if tol is not None and not 0.0 <= tol < math.inf:  # also NaN
             raise ConfigError(f"[checks] {key} must be finite and >= 0, got {tol}")
@@ -142,7 +149,8 @@ def cmd_simulate(args):
     if tolerances["energy_drift"] is not None and 1.0 < alpha < math.inf:
         raise ConfigError(
             f"[checks] energy_drift needs alpha = 1, got alpha = {alpha}: "
-            "the kinetic energy 1/2 |u|^2 is conserved only at alpha = 1"
+            "the kinetic energy 1/2 |u|^2 is conserved only at alpha = 1; "
+            "[checks] hamiltonian_drift checks the invariant of every alpha"
         )
     out = _out_dir(args, cfg)
     grid = Grid(cfg.get_int("grid", "n"))
@@ -175,7 +183,7 @@ def cmd_simulate(args):
     failures = 0
     if cfg.has("checks"):
         rows = []
-        for name in ("energy", "enstrophy"):
+        for name in ("energy", "hamiltonian", "enstrophy"):
             tol = tolerances[f"{name}_drift"]
             if tol is None or len(result.series[name]) == 0:
                 continue

@@ -72,43 +72,59 @@ def singular_cross(grid):
     return ScalarField.from_values(grid, np.outer(s, s))
 
 
-# --- mollifier tables --------------------------------------------------------
+# --- mollifier tail columns --------------------------------------------------
 
-@functools.cache
-def _mollifier_tail_table():
-    """Upper-right tail measure Q(p, q) of the radial bump exp(-1/(1-r^2)).
+TAIL_RES = 1024  # the tail measure's node grid is (TAIL_RES + 1)^2 on [0, 1]^2
+
+
+@functools.lru_cache(maxsize=8)
+def _tail_columns(cols):
+    """Columns ``cols`` of the tail measure Q(p, q) of the radial bump exp(-1/(1-r^2)).
 
     Q(p, q) integrates the (normalized) bump over {a > p, b > q} for
     p, q >= 0 on a 1025^2 node grid; normalization uses Q(0, 0) = 1/4 so
-    the discrete table carries exactly unit total mass.
+    the discrete measure carries exactly unit total mass.  ``cols`` is a
+    sorted tuple of column indices; returns Q[:, cols], 1025 rows.
 
-    Streamed from the far edge in blocks of rows, so that only the table and
-    a few block-sized arrays are alive at once.  Each value comes from the
-    same operations in the same order as a whole-table build, so the bits do
-    not depend on the block size.
+    One pass streams blocks of rows from the far edge.  Each row's suffix
+    trapezoid along axis 1 is formed whole, but only the requested columns,
+    and column 0 for the normalization, are carried through the suffix
+    trapezoid along axis 0.  Each value comes from the same operations in the
+    same order as a whole-table build, so the bits depend neither on the block
+    size nor on which columns are asked for.
     """
-    res, block = 1024, 32  # block divides res
+    keep = np.array(sorted({0, *cols}))  # column 0 first
+    res, block = TAIL_RES, 32  # block divides res
     axis = np.linspace(0.0, 1.0, res + 1)
     a2 = axis * axis
     h = 1.0 / res
+    # one set of block buffers for the pass: fresh ones would be fresh pages
+    work = np.empty((3, block, res + 1))
+    mask = np.empty((block, res + 1), bool)
 
     def column_tails(lo, hi, out):
-        """Rows lo..hi-1 of the bump's suffix trapezoid along axis 1, into out."""
-        r2 = np.add.outer(a2[lo:hi], a2)
-        w = np.zeros_like(r2)
-        for r2_row, w_row in zip(r2, w):
-            inside = np.searchsorted(r2_row, 1.0)  # r2 < 1 is a prefix: a2 increases
-            w_row[:inside] = np.exp(-1.0 / (1.0 - r2_row[:inside]))
-        # ((w[k+1] + w[k]) * 0.5) * h summed from the far edge, the cumsum
-        # written straight into its reversed slot
-        term = np.add(w[:, :0:-1], w[:, -2::-1])
-        term *= 0.5
-        term *= h
-        out[:, -1] = 0.0
-        np.cumsum(term, axis=1, out=out[:, -2::-1])
+        """Columns ``keep`` of rows lo..hi-1 of the suffix trapezoid along axis 1, into out."""
+        r2, w, term = work[:, : hi - lo]
+        inside = mask[: hi - lo]
+        np.add.outer(a2[lo:hi], a2, out=r2)
+        np.less(r2, 1.0, out=inside)
+        # exp(-1 / (1 - r2)) inside the unit disc, 0 outside
+        w.fill(0.0)
+        np.subtract(1.0, r2, out=r2, where=inside)
+        np.divide(-1.0, r2, out=r2, where=inside)
+        np.exp(r2, out=w, where=inside)
+        # ((w[k+1] + w[k]) * 0.5) * h summed from the far edge
+        tail = term[:, :res]
+        np.add(w[:, :0:-1], w[:, -2::-1], out=tail)
+        tail *= 0.5
+        tail *= h
+        np.cumsum(tail, axis=1, out=tail)
+        term[:, res] = 0.0
+        # column j < res sits at res - 1 - j; column res reads the zero at -1
+        np.take(term, res - 1 - keep, axis=1, out=out)
 
-    q = np.zeros((res + 1, res + 1))
-    col = np.empty((block + 1, res + 1))  # column tails of rows lo..lo + block
+    q = np.zeros((res + 1, keep.size))
+    col = np.empty((block + 1, keep.size))  # column tails of rows lo..lo + block
     column_tails(res, res + 1, col[block:])  # the first carried row, res
     sums = np.empty_like(col)
     for lo in range(res - block, -1, -block):
@@ -123,54 +139,52 @@ def _mollifier_tail_table():
         np.cumsum(sums, axis=0, out=q[lo : lo + block + 1][::-1])
         col[block] = col[0]
     q /= 4.0 * q[0, 0]
-    return axis, q
+    out = q[:, np.searchsorted(keep, cols)]
+    out.flags.writeable = False
+    return out
 
 
-def _interp_tail(p, q):
-    """Bilinear interpolation of the tail table at |p|, |q| (clipped to [0, 1])."""
-    axis, table = _mollifier_tail_table()
-    res = axis.size - 1
-    p = np.clip(np.abs(p), 0.0, 1.0) * res
-    q = np.clip(np.abs(q), 0.0, 1.0) * res
-    i0 = np.minimum(p.astype(int), res - 1)
-    j0 = np.minimum(q.astype(int), res - 1)
-    fp = p - i0
-    fq = q - j0
+def _tail_cell(p):
+    """Lower node index and fraction of |p|, clipped to [0, 1], on the tail grid."""
+    p = np.clip(np.abs(p), 0.0, 1.0) * TAIL_RES
+    i0 = np.minimum(p.astype(int), TAIL_RES - 1)
+    return i0, p - i0
+
+
+def _corner_columns(ap):
+    """The tail columns a cross with band offsets ``ap`` reads, as a sorted tuple.
+
+    Columns 0 and 1 serve the 1D wave (q = 0); each offset's cell j0 and
+    j0 + 1 serve the corner.
+    """
+    j0, _ = _tail_cell(ap)
+    j0 = j0.tolist()
+    return tuple(sorted({0, 1, *j0, *(j + 1 for j in j0)}))
+
+
+def _interp_tail(p, q, cols):
+    """Bilinear interpolation of Q at |p|, |q| (clipped to [0, 1]).
+
+    ``cols`` must hold every cell column j0 of q and its successor j0 + 1.
+    """
+    table = _tail_columns(cols)
+    i0, fp = _tail_cell(p)
+    j0, fq = _tail_cell(q)
+    c0 = np.searchsorted(cols, j0)  # j0 + 1 is the next requested column
     return (
-        table[i0, j0] * (1 - fp) * (1 - fq)
-        + table[i0 + 1, j0] * fp * (1 - fq)
-        + table[i0, j0 + 1] * (1 - fp) * fq
-        + table[i0 + 1, j0 + 1] * fp * fq
+        table[i0, c0] * (1 - fp) * (1 - fq)
+        + table[i0 + 1, c0] * fp * (1 - fq)
+        + table[i0, c0 + 1] * (1 - fp) * fq
+        + table[i0 + 1, c0 + 1] * fp * fq
     )
 
 
-def mollified_wave(p):
-    """1D profile of the mollified square wave at signed offset p = d / sigma."""
-    p = np.asarray(p, dtype=float)
-    mag = 1.0 - 4.0 * _interp_tail(np.abs(p), np.zeros_like(p))
-    return np.sign(p) * mag
-
-
-def mollified_corner(p, q):
-    """2D profile of the mollified cross where both offsets are inside sigma."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    ap, aq = np.abs(p), np.abs(q)
-    val = (
-        1.0
-        - 4.0 * _interp_tail(ap, np.zeros_like(ap))
-        - 4.0 * _interp_tail(aq, np.zeros_like(aq))
-        + 4.0 * _interp_tail(ap, aq)
-    )
-    return np.sign(p) * np.sign(q) * val
-
-
+@functools.cache
 def mollifier_slope_at_jump():
     """Slope of the 1D mollified wave at the arm, per unit 1/sigma."""
-    axis, table = _mollifier_tail_table()
+    q0 = _tail_columns((0,))[:, 0]
     # d/dp [1 - 4 Q(p, 0)] at p = 0 equals 4 * marginal density at 0
-    h = axis[1] - axis[0]
-    return float(4.0 * (table[0, 0] - table[1, 0]) / h)
+    return float(4.0 * (q0[0] - q0[1]) / (1.0 / TAIL_RES))
 
 
 def mollified_cross(grid, sigma):
@@ -179,7 +193,8 @@ def mollified_cross(grid, sigma):
     Requires 0 < sigma < 0.5 and at least MIN_CELLS grid cells across sigma.
     Equals the singular cross exactly at grid points farther than sigma from
     the arms; odd across each axis and even under simultaneous negation,
-    hence zero mean.
+    hence zero mean.  Within sigma of one arm it is the 1D mollified wave
+    +-(1 - 4 Q(|p|, 0)); within sigma of two, the corner profile.
     """
     if not (0.0 < sigma < 0.5):
         raise ValueError(f"sigma must lie in (0, 0.5), got {sigma}")
@@ -193,17 +208,24 @@ def mollified_cross(grid, sigma):
     n = grid.n
     offset, orientation = _signed_arm_offsets(n)
     p = offset * grid.spacing / sigma  # signed offset in mollifier units
-    near = np.abs(p) < 1.0
-    s = _square_wave(n)
-    profile_1d = np.where(near, orientation * mollified_wave(p), s)
+    idx = np.nonzero(np.abs(p) < 1.0)[0]  # the arm band, the arm nodes included
+    pb, ori = p[idx], orientation[idx]
+    ap = np.abs(pb)
+    cols = _corner_columns(ap)
+    tail = _interp_tail(ap, np.zeros_like(ap), cols)  # Q(|p|, 0)
+    sign = np.sign(pb)
+    profile_1d = _square_wave(n)
+    profile_1d[idx] = ori * (sign * (1.0 - 4.0 * tail))
     values = np.outer(profile_1d, profile_1d)
-    idx = np.nonzero(near)[0]
-    if idx.size:
-        px = p[idx][:, None]
-        py = p[idx][None, :]
-        ori = orientation[idx]
-        corner = (ori[:, None] * ori[None, :]) * mollified_corner(px, py)
-        values[np.ix_(idx, idx)] = corner
+    corner = (
+        1.0
+        - 4.0 * tail[:, None]
+        - 4.0 * tail[None, :]
+        + 4.0 * _interp_tail(ap[:, None], ap[None, :], cols)
+    )
+    values[np.ix_(idx, idx)] = (ori[:, None] * ori[None, :]) * (
+        sign[:, None] * sign[None, :] * corner
+    )
     return ScalarField.from_values(grid, values)
 
 

@@ -104,7 +104,8 @@ class SimState:
         return self.theta.grid
 
 
-def _require_vorticity(theta):
+def require_vorticity(theta):
+    """Refuse a field that cannot be a vorticity: non-finite values or a nonzero mean."""
     if not np.all(np.isfinite(theta.row_values)):
         raise InvalidFieldError("vorticity contains non-finite values")
     theta.require_zero_mean(what="vorticity")
@@ -118,7 +119,7 @@ def velocity_from_vorticity(theta, inversion_exponent=1.0):
     nonzero mean or non-finite values.
     """
     _require_exponent(inversion_exponent)
-    _require_vorticity(theta)
+    require_vorticity(theta)
     g = theta.grid
     psi_hat = -theta.spectrum * g.inv_k2_power(inversion_exponent)
     u_hat = -1j * g.ky * psi_hat
@@ -383,7 +384,7 @@ def step_rk4(state, dt):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     theta = state.theta
-    _require_vorticity(theta)
+    require_vorticity(theta)
     g = state.grid
 
     def checked_dt(speed):
@@ -468,6 +469,14 @@ def kinetic_energy(theta, inversion_exponent=1.0):
     return 0.5 * _parseval_sum(theta, 1.0 - 2.0 * inversion_exponent)
 
 
+def hamiltonian(theta, inversion_exponent=1.0):
+    """H = 1/2 sum |k|^(-2 alpha) |theta_hat|^2, conserved at every exponent alpha.
+
+    At alpha = 1 it is the kinetic energy, bit for bit (the same symbol).
+    """
+    return 0.5 * _parseval_sum(theta, -inversion_exponent)
+
+
 def _cell_sum(state, integrand):
     theta = state.theta
     return float(theta.row_sum(integrand(theta.row_values)) * state.grid.cell_area)
@@ -504,8 +513,9 @@ DEFAULT_DIAGNOSTICS = {
 
 
 def diagnostics_with_norms():
-    """Default set plus the H^2 seminorm and the transported L^p norms."""
+    """Default set plus the Hamiltonian, the H^2 seminorm and the transported L^p norms."""
     diags = dict(DEFAULT_DIAGNOSTICS)
+    diags["hamiltonian"] = lambda s: hamiltonian(s.theta, s.inversion_exponent)
     diags["h2"] = lambda s: h2_seminorm(s.theta)
     for p in ("l1", "l2", "l4", "linf"):
         diags[p] = _CONSERVED[p]
@@ -639,9 +649,8 @@ def load_state(path):
                 f"of {nx}x{ny} values, file holds {len(payload)}"
             )
         data = np.frombuffer(payload, dtype="<f8", count=nx * ny).reshape(nx, ny)
-    grid = Grid(int(nx))
-    return SimState(
-        ScalarField.from_values(grid, data.astype(float)),
-        time=time,
-        inversion_exponent=alpha,
-    )
+    try:  # a bad grid size or value is named with its file
+        theta = ScalarField.from_values(Grid(int(nx)), data.astype(float))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return SimState(theta, time=time, inversion_exponent=alpha)

@@ -1,6 +1,7 @@
 """Batch-driver tests: configs, manifests, determinism, sweeps, reports."""
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -130,7 +131,9 @@ class TestSimulate:
         assert f"error: sample_every must be positive, got {float(every)}" in err
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
-    @pytest.mark.parametrize("key", ["energy_drift", "enstrophy_drift", "parity"])
+    @pytest.mark.parametrize(
+        "key", ["energy_drift", "hamiltonian_drift", "enstrophy_drift", "parity"]
+    )
     def test_bad_check_tolerance_exits_usage_before_the_run(
         self, tmp_path, capsys, key, value
     ):
@@ -154,7 +157,23 @@ class TestSimulate:
         assert main(["simulate", "--config", write(tmp_path, "a15.cfg", text)]) == 2
         err = capsys.readouterr().err
         assert "[checks] energy_drift" in err and "conserved only at alpha = 1" in err
+        assert "[checks] hamiltonian_drift" in err
         assert not out.exists()
+
+    def test_hamiltonian_drift_checks_the_invariant_at_alpha_other_than_one(self, tmp_path):
+        # the run the energy_drift refusal above is about, checked by its invariant
+        out = tmp_path / "h15"
+        text = SIM_CFG.format(t_end=2.0, out=out)
+        text = text.replace("n = 64", "n = 128").replace("alpha = 1.0", "alpha = 1.5")
+        text = text.replace("kind = shear\namplitude = 1.0", "kind = random\nseed = 1\namplitude = 2")
+        text = text.replace("energy_drift = 1e-10", "hamiltonian_drift = 1e-10")
+        text = text.replace("enstrophy_drift = 1e-10", "enstrophy_drift = 1e-8")  # drifts 3e-9
+        assert main(["simulate", "--config", write(tmp_path, "h15.cfg", text)]) == 0
+        rows = [r.split(",") for r in (out / "checks.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["hamiltonian_drift", "enstrophy_drift"]
+        assert all(r[3] == "1" for r in rows)
+        series = read_csv_columns(out / "series.csv")
+        assert abs(series["energy"][-1] - series["energy"][0]) > 1e-3 * series["energy"][0]
 
     def test_shear_run_constant_gradient_and_checks(self, tmp_path):
         out = tmp_path / "run1"
@@ -287,6 +306,73 @@ dir = {out}
         assert f"{promised} bytes" in err and f"holds {held}" in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize(
+        "value, message", [(4e307, "must have zero mean"), (math.nan, "non-finite values")]
+    )
+    def test_non_vorticity_snapshot_refused_before_the_first_sample(
+        self, tmp_path, capsys, value, message
+    ):
+        # one exponent-bit flip turns a value into 4e307: the t = 0 sample overflowed
+        snapshot = tmp_path / "flipped.vcrs"
+        theta = smooth_random_field(Grid(32), seed=4)
+        theta.values[3, 5] = value
+        save_state(snapshot, SimState(theta))
+        assert main(["simulate", "--config", self._snapshot_config(tmp_path, snapshot)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {snapshot}: ") and message in err
+        assert list((tmp_path / "out").iterdir()) == []  # no snapshot, series or manifest
+
+    @staticmethod
+    @functools.cache
+    def _snapshot_bytes():
+        """A valid 32 x 32 snapshot, as bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "seed.vcrs")
+            save_state(path, SimState(smooth_random_field(Grid(32), seed=4)))
+            with open(path, "rb") as fh:
+                return fh.read()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["flip", "truncate", "header"]))
+    def test_corrupted_snapshot_exits_ok_or_usage_without_traceback(self, data, kind):
+        blob = bytearray(self._snapshot_bytes())
+        head = struct.calcsize("<4sIQQdd")
+        if kind == "flip":
+            bits = data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=6))
+            for bit in bits:
+                blob[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "truncate":
+            del blob[data.draw(st.integers(0, len(blob) - 1)) :]
+        else:
+            sizes = st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 16, 31, 32, 64])
+            blob[:head] = data.draw(
+                st.binary(min_size=head, max_size=head)
+                | st.builds(
+                    struct.pack,
+                    st.just("<4sIQQdd"),
+                    st.sampled_from([b"VCRS", b"VCRT", b"\0\0\0\0"]),
+                    st.integers(0, 2**32 - 1) | st.just(1),
+                    sizes,
+                    sizes,
+                    st.floats(),
+                    st.floats() | st.sampled_from([1.0, 1.5]),
+                )
+            )
+        with tempfile.TemporaryDirectory() as tmp:
+            snapshot = os.path.join(tmp, "bad.vcrs")
+            with open(snapshot, "wb") as fh:
+                fh.write(blob)
+            init = self.INIT_BLOCKS["snapshot"].format(snapshot=snapshot)
+            cfg = os.path.join(tmp, "snap.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(self.INIT_CFG.format(init=init, out=os.path.join(tmp, "out")))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", cfg])
+        err = err.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err and "internal error" not in err
 
     @pytest.mark.parametrize(
         "version, nx, ny, message",
@@ -1065,15 +1151,25 @@ def test_manifest_records_phase_timings_and_peak_rss(tmp_path, command, phases):
     assert len(peak) == 1 and float(peak[0].split()[-1]) > 0.0
 
 
-def test_cli_import_loads_no_scipy():
-    code = (
-        "import sys, vcross.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+@functools.cache
+def _modules_after_cli_import():
+    """The modules a fresh interpreter holds after ``import vcross.cli``."""
+    code = "import sys, vcross.cli; print(' '.join(sorted(sys.modules)))"
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    assert [m for m in _modules_after_cli_import() if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_numpy_random():
+    # only a run that draws (a random field, sampled model starts) pays for it
+    loaded = _modules_after_cli_import()
+    assert "numpy" in loaded
+    assert [m for m in loaded if m == "numpy.random" or m.startswith("numpy.random.")] == []

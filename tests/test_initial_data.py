@@ -8,10 +8,14 @@ import pytest
 from scipy import integrate
 
 import vcross as vc
-from conftest import evenness_error, traced_peak_mb
+from conftest import evenness_error
+from vcross.experiments import default_growth_family
 from vcross.initial_data import (
     BumpSpec,
-    _mollifier_tail_table,
+    _corner_columns,
+    _signed_arm_offsets,
+    _square_wave,
+    _tail_columns,
     bump_profile_constants,
     compose_initial_data,
     cross_arm_distance,
@@ -126,6 +130,91 @@ class TestMollifiedCross:
         # the 1D profile slope at the arm is the mollifier marginal density
         assert mollifier_slope_at_jump() == pytest.approx(1.9035, abs=2e-3)
 
+    @pytest.mark.parametrize(
+        "n, sigma",
+        [(256, 0.25)] + [(512, m.sigma) for m in default_growth_family(vc.Grid(512))],
+    )
+    def test_bitwise_the_whole_table_formula(self, whole_table, n, sigma):
+        grid = vc.Grid(n)
+        expected = _table_formula_cross(grid, sigma, whole_table)
+        assert np.array_equal(mollified_cross(grid, sigma).values, expected)
+
+    def test_cold_cross_peak_and_retained_memory(self):
+        grid = vc.Grid(512)
+        mollified_cross(grid, 0.125)  # first-call imports stay out of the trace
+        _tail_columns.cache_clear()
+        tracemalloc.start()
+        try:
+            cross = mollified_cross(grid, 0.125)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 2.1 MB result, the outer product's blocks and one pass's buffers;
+        # with the whole table this peaked at 10.8 MB and kept 10.5 MB more
+        assert peak <= 4.5e6
+        assert retained - cross.values.nbytes <= 0.5e6
+
+    def test_growth_set_up_makes_two_passes_and_warm_runs_none(self):
+        grid = vc.Grid(512)
+        mollifier_slope_at_jump.cache_clear()
+        _tail_columns.cache_clear()
+        for _ in range(2):
+            sigma = default_growth_family(grid)[-1].sigma
+            mollified_cross(grid, sigma)
+            assert _tail_columns.cache_info().misses == 2  # the slope's, the cross's
+
+
+def _table_formula_cross(grid, sigma, table):
+    """The cross as bilinear lookups into a whole tail table: the old formula, verbatim."""
+    res = table.shape[0] - 1
+
+    def _interp_tail(p, q):
+        p = np.clip(np.abs(p), 0.0, 1.0) * res
+        q = np.clip(np.abs(q), 0.0, 1.0) * res
+        i0 = np.minimum(p.astype(int), res - 1)
+        j0 = np.minimum(q.astype(int), res - 1)
+        fp = p - i0
+        fq = q - j0
+        return (
+            table[i0, j0] * (1 - fp) * (1 - fq)
+            + table[i0 + 1, j0] * fp * (1 - fq)
+            + table[i0, j0 + 1] * (1 - fp) * fq
+            + table[i0 + 1, j0 + 1] * fp * fq
+        )
+
+    def mollified_wave(p):
+        p = np.asarray(p, dtype=float)
+        mag = 1.0 - 4.0 * _interp_tail(np.abs(p), np.zeros_like(p))
+        return np.sign(p) * mag
+
+    def mollified_corner(p, q):
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        ap, aq = np.abs(p), np.abs(q)
+        val = (
+            1.0
+            - 4.0 * _interp_tail(ap, np.zeros_like(ap))
+            - 4.0 * _interp_tail(aq, np.zeros_like(aq))
+            + 4.0 * _interp_tail(ap, aq)
+        )
+        return np.sign(p) * np.sign(q) * val
+
+    n = grid.n
+    offset, orientation = _signed_arm_offsets(n)
+    p = offset * grid.spacing / sigma  # signed offset in mollifier units
+    near = np.abs(p) < 1.0
+    s = _square_wave(n)
+    profile_1d = np.where(near, orientation * mollified_wave(p), s)
+    values = np.outer(profile_1d, profile_1d)
+    idx = np.nonzero(near)[0]
+    if idx.size:
+        px = p[idx][:, None]
+        py = p[idx][None, :]
+        ori = orientation[idx]
+        corner = (ori[:, None] * ori[None, :]) * mollified_corner(px, py)
+        values[np.ix_(idx, idx)] = corner
+    return values
+
 
 def _whole_table_tail():
     """The tail table built whole, four table-sized arrays at a time: the oracle."""
@@ -153,44 +242,60 @@ def _whole_table_tail():
     term *= h
     np.cumsum(term, axis=0, out=q[-2::-1, :])
     q /= 4.0 * q[0, 0]
-    return axis, q
+    return q
+
+
+@pytest.fixture(scope="module")
+def whole_table():
+    return _whole_table_tail()
+
+
+ALL_COLUMNS = tuple(range(1025))
+
+
+@pytest.fixture(scope="class")
+def all_columns():
+    # uncached: a request this large must not stay in the pass's cache
+    return _tail_columns.__wrapped__(ALL_COLUMNS)
 
 
 class TestMollifierTailTable:
-    def test_streamed_build_is_bitwise_the_whole_table_build(self):
-        axis, table = _mollifier_tail_table()
-        oracle_axis, oracle = _whole_table_tail()
-        assert np.array_equal(axis, oracle_axis)
-        assert np.array_equal(table, oracle)
+    """The tail measure Q, requested whole (all 1025 columns) or by columns."""
 
-    def test_cold_build_peak_is_the_table_plus_blocks(self):
-        _mollifier_tail_table.cache_clear()
-        peak = traced_peak_mb(_mollifier_tail_table)
-        assert peak <= 12.0  # the 8.4 MB table and its blocks; a whole-table build peaks at 29.6
+    def test_streamed_build_is_bitwise_the_whole_table_build(self, all_columns, whole_table):
+        assert np.array_equal(all_columns, whole_table)
+
+    @pytest.mark.parametrize("cols", [(0, 1, 511, 1023, 1024), "growth corner"])
+    def test_column_pass_is_bitwise_the_whole_table_columns(self, whole_table, cols):
+        if cols == "growth corner":
+            grid = vc.Grid(512)
+            offset, _ = _signed_arm_offsets(grid.n)
+            p = np.abs(offset * grid.spacing / default_growth_family(grid)[-1].sigma)
+            cols = _corner_columns(p[p < 1.0])
+            assert len(cols) > 8
+        assert np.array_equal(_tail_columns.__wrapped__(cols), whole_table[:, list(cols)])
 
     def test_build_peak_memory_bounded(self):
         tracemalloc.start()
         try:
-            _, table = _mollifier_tail_table.__wrapped__()
+            table = _tail_columns.__wrapped__(ALL_COLUMNS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * table.nbytes
 
-    def test_total_quarter_mass_at_origin(self):
-        _, table = _mollifier_tail_table()
-        assert table[0, 0] == 0.25
+    def test_total_quarter_mass_at_origin(self, all_columns):
+        assert all_columns[0, 0] == 0.25
 
-    def test_nonincreasing_along_both_axes(self):
-        _, table = _mollifier_tail_table()
-        assert np.all(np.diff(table, axis=0) <= 0.0)
-        assert np.all(np.diff(table, axis=1) <= 0.0)
+    def test_nonincreasing_along_both_axes(self, all_columns):
+        assert np.all(np.diff(all_columns, axis=0) <= 0.0)
+        assert np.all(np.diff(all_columns, axis=1) <= 0.0)
 
-    def test_zero_outside_unit_disc(self):
-        axis, table = _mollifier_tail_table()
+    def test_zero_outside_unit_disc(self, all_columns):
+        axis = np.linspace(0.0, 1.0, 1025)
         outside = np.add.outer(axis**2, axis**2) >= 1.0
         assert outside.any()
-        assert np.all(table[outside] == 0.0)
+        assert np.all(all_columns[outside] == 0.0)
 
 
 class TestMakeBump:

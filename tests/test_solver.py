@@ -303,6 +303,24 @@ class TestRun:
             v = result.series[name].values
             assert abs(v[-1] - v[0]) / v[0] <= 1e-8
 
+    @pytest.mark.parametrize("even", [False, True], ids=["general", "point-even"])
+    def test_hamiltonian_is_the_energy_bit_for_bit_at_alpha_one(self, grid64, even):
+        field = smooth_random_field(grid64, seed=4)
+        state = vc.SimState(even_part(field) if even else field)
+        result = vc.run(state, 0.5, sample_every=0.25, diagnostics=diagnostics_with_norms())
+        assert result.kernel == ("point-even" if even else "general")
+        assert np.array_equal(result.series["hamiltonian"].values, result.series["energy"].values)
+
+    def test_hamiltonian_conserved_at_alpha_one_and_a_half(self, grid64):
+        # 1/2 |u|^2 is not an invariant at alpha != 1; H = 1/2 sum |k|^(-2 alpha) |theta_hat|^2 is
+        state = vc.SimState(smooth_random_field(grid64, seed=1, l2=2.0), inversion_exponent=1.5)
+        result = vc.run(
+            state, 1.0, cfl=0.2, sample_every=0.5, diagnostics=diagnostics_with_norms()
+        )
+        h, e = result.series["hamiltonian"].values, result.series["energy"].values
+        assert abs(h[-1] - h[0]) <= 1e-10 * h[0]  # the RK4 time error: 8e-12 here
+        assert abs(e[-1] - e[0]) > 1e3 * abs(h[-1] - h[0])
+
     def test_rearrangement_invariants(self, grid128):
         # integral invariants hold to quadrature accuracy: spectral for the
         # polynomial norms, kink-limited for l1, grid-sampling-limited for sup
