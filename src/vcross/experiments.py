@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -87,6 +86,8 @@ def run_members(fn, payloads, workers):
     payload), bit-identical to the in-process run of ``workers <= 1``.
     """
     workers = min(workers, len(payloads))
+    if workers > 1:  # only a pool loads the process machinery
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # a pool starts every member at once; serially each runs when called
         calls = [pool.submit(fn, p).result if pool else partial(fn, p) for p in payloads]

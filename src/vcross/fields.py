@@ -11,6 +11,7 @@ and the norm evaluators share one differentiation convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,20 @@ def point_even_inverse(spectrum, factor, work, out):
     return np.fft.irfft(work, out.shape[1], axis=1, out=out)
 
 
+def inverse_k2_power(k2, alpha):
+    """Mode-wise |k|^(-2 alpha) of the squared wavenumbers ``k2``, zero where k2 = 0."""
+    out = np.zeros_like(k2)
+    nz = k2 > 0
+    out[nz] = 1.0 / k2[nz] if alpha == 1.0 else k2[nz] ** (-alpha)
+    return out
+
+
+def dealias_mask(kx, ky, n):
+    """2/3-rule mask on the modes (kx, ky): |kx| and ky at most n//3."""
+    kcut = n // 3
+    return (np.abs(kx) <= kcut) & (ky <= kcut)
+
+
 def next_power_of_two(m):
     n = 16
     while n < m:
@@ -94,7 +109,8 @@ class Grid:
 
     ``spacing * n`` equals 2pi exactly in floating point because n is a power
     of two.  Wavenumbers are integers; ``ky`` uses the rfft2 half-spectrum
-    layout (last axis).
+    layout (last axis).  The n x (n/2 + 1) mode arrays are built when first
+    read: ``k2`` on every read, ``inv_k2`` and ``dealias`` once per grid.
     """
 
     n: int
@@ -104,26 +120,27 @@ class Grid:
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 16, got {n}")
         spacing = TWO_PI / n
-        x = np.arange(n) * spacing
-        kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]  # integer wavenumbers, column
-        ky = np.arange(n // 2 + 1)[None, :].astype(float)  # rfft half-spectrum, row
-        k2 = kx**2 + ky**2
-        inv_k2 = np.zeros_like(k2)
-        nz = k2 > 0
-        inv_k2[nz] = 1.0 / k2[nz]
-        # 2/3-rule mask: keep |k| <= n//3 in each direction
-        kcut = n // 3
-        dealias = (np.abs(kx) <= kcut) & (ky <= kcut)
         for name, val in (
             ("spacing", spacing),
-            ("x", x),
-            ("kx", kx),
-            ("ky", ky),
-            ("k2", k2),
-            ("inv_k2", inv_k2),
-            ("dealias", dealias),
+            ("x", np.arange(n) * spacing),
+            ("kx", np.fft.fftfreq(n, d=1.0 / n)[:, None]),  # integer wavenumbers, column
+            ("ky", np.arange(n // 2 + 1)[None, :].astype(float)),  # rfft half-spectrum, row
         ):
             object.__setattr__(self, name, val)
+
+    @property
+    def k2(self):
+        """|k|^2 on the half-spectrum, formed on each read."""
+        return self.kx**2 + self.ky**2
+
+    @functools.cached_property  # writes the instance __dict__, so a frozen grid takes it
+    def inv_k2(self):
+        return inverse_k2_power(self.k2, 1.0)
+
+    @functools.cached_property
+    def dealias(self):
+        """2/3-rule mask: keep |k| <= n//3 in each direction."""
+        return dealias_mask(self.kx, self.ky, self.n)
 
     @property
     def cell_area(self):
@@ -137,10 +154,7 @@ class Grid:
         """Mode-wise |k|^(-2 alpha) with the zero mode set to zero."""
         if alpha == 1.0:
             return self.inv_k2
-        out = np.zeros_like(self.k2)
-        nz = self.k2 > 0
-        out[nz] = self.k2[nz] ** (-alpha)
-        return out
+        return inverse_k2_power(self.k2, alpha)
 
 
 class ScalarField:

@@ -19,6 +19,7 @@ import numpy as np
 from .fields import (
     TWO_PI,
     InvalidFieldError,
+    PointEvenField,
     ScalarField,
     UnresolvedScaleError,
     next_power_of_two,
@@ -379,14 +380,19 @@ def compose_initial_data(grid, ladder, spec, mollifier_width):
     ``mollifier_width`` is the realized smoothing width for this grid; the
     ladder's own (log-space) mollifier entry stays symbolic since a faithful
     value has no float representation.
+
+    Both parts are even under z -> -z, so the result is a
+    :class:`PointEvenField` held as the real part of the composed values'
+    rfft2 (their imaginary part is rounding), which a run steps with no copy.
     """
     cross = mollified_cross(grid, mollifier_width)
     bump = make_bump(grid, spec, ladder=ladder)
     theta = ScalarField.from_values(grid, cross.values + bump.values)
+    del cross, bump  # two n x n arrays the checks and the transform do not read
     sup = theta.linf_norm()
     if sup >= 2.0:
         raise InvalidFieldError(
             f"composed data must have sup norm < 2, got {sup:.4g}; lower the bump"
         )
     theta.require_zero_mean(what="composed initial data")
-    return theta
+    return PointEvenField(grid, np.ascontiguousarray(theta.spectrum.real))

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
 import struct
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -46,6 +46,8 @@ from .fields import (
     PointEvenField,
     ScalarField,
     VelocityField,
+    dealias_mask,
+    inverse_k2_power,
     is_point_even,
     point_even_inverse,
 )
@@ -136,7 +138,8 @@ def _helper_allowed(n):
     """Whether a stepping call on an n x n grid may start a helper thread.
 
     It needs two CPUs this process may run on, and it is not started in a
-    ``multiprocessing`` worker, whose pool already gives each core one run.
+    ``multiprocessing`` worker, whose pool already gives each core one run
+    (a worker has always imported ``multiprocessing``; this module does not).
     On a 2-core host, two pooled n = 256 sweep members with a helper each
     took 2.21 s against 1.86 s without (medians, 8 of 10 alternating pairs
     slower): :class:`_Helper`'s fallback does not win back a core that a
@@ -146,7 +149,8 @@ def _helper_allowed(n):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity masks on this platform
         cpus = os.cpu_count() or 1
-    return n >= HELPER_MIN_N and cpus >= 2 and multiprocessing.parent_process() is None
+    mp = sys.modules.get("multiprocessing")
+    return n >= HELPER_MIN_N and cpus >= 2 and (mp is None or mp.parent_process() is None)
 
 
 def _under_errstate(job, errors):
@@ -217,8 +221,9 @@ class _AdvectionKernel:
 
     def __init__(self, grid, inversion_exponent, point_even=False):
         n, m, h = grid.n, grid.n // 3 + 1, grid.n // 2 + 1
-        kx, ky, keep = grid.kx, grid.ky[:, :m], grid.dealias[:, :m]
-        inv = grid.inv_k2_power(inversion_exponent)[:, :m] * keep
+        kx, ky = grid.kx, grid.ky[:, :m]
+        keep = dealias_mask(kx, ky, n)
+        inv = inverse_k2_power(kx**2 + ky**2, inversion_exponent) * keep
         self.grid, self.n, self.width, self.point_even = grid, n, m, point_even
         self.mode, self.evaluations = ("point-even" if point_even else "general"), 0
         # spectra of odd fields are i * real when point-even, the i left to _inverse
@@ -256,6 +261,15 @@ class _AdvectionKernel:
     def pack(self, spectrum):
         """RK4 state of an rfft2 spectrum: itself, or its real part if point-even."""
         return np.ascontiguousarray(spectrum.real) if self.point_even else spectrum
+
+    def start(self, theta):
+        """RK4 state of the field ``theta``, which stepping reads but never writes.
+
+        A point-even kernel steps a :class:`PointEvenField` from the real
+        half-spectrum it holds, with no copy.
+        """
+        held = self.point_even and isinstance(theta, PointEvenField)
+        return self.pack(theta.real_spectrum if held else theta.spectrum)
 
     def field(self, state_hat):
         """ScalarField of an RK4 state, the inverse of :meth:`pack`.
@@ -395,7 +409,7 @@ def step_rk4(state, dt):
         return dt
 
     with _kernel_for(state) as kernel:
-        new_hat, _ = _rk4_spectrum(kernel.pack(theta.spectrum), kernel, checked_dt)
+        new_hat, _ = _rk4_spectrum(kernel.start(theta), kernel, checked_dt)
     if not np.all(np.isfinite(new_hat)):
         raise BlowUpError(state.time)
     return replace(state, theta=kernel.field(new_hat), time=state.time + dt)
@@ -449,10 +463,7 @@ def _spectral_weights(grid):
 @functools.lru_cache(maxsize=8)
 def _parseval_symbol(grid, power):
     """Parseval weights times |k|^(2 power), zero at k = 0; read-only."""
-    sym = np.zeros_like(grid.k2)
-    nz = grid.k2 > 0
-    sym[nz] = grid.k2[nz] ** power
-    sym = _spectral_weights(grid) * sym
+    sym = _spectral_weights(grid) * inverse_k2_power(grid.k2, -power)
     sym.flags.writeable = False
     return sym
 
@@ -553,7 +564,8 @@ def run(
     ``sample_every`` (endpoints always included); the step is snapped to land
     exactly on sample times so output grids are reproducible.  A run with
     t_end equal to the current time returns an empty series set and the
-    unchanged state.
+    unchanged state.  Between samples only the spectrum is held; the final
+    state is built from it once the stepping ends.
     """
     if not (0.0 < cfl <= CFL_CAP):
         raise ValueError(f"cfl must lie in (0, {CFL_CAP}]")
@@ -581,13 +593,13 @@ def run(
         dt = cfl * g.spacing / speed if speed > 0.0 else (t_end - t)
         return min(dt, t_sample - t)
 
+    require_vorticity(state.theta)  # before any diagnostic reads the field
     sample(state)
-    theta = state.theta
     t = t0
     steps = 0
     next_idx = 1
     with _kernel_for(state) as kernel:
-        theta_hat = kernel.pack(theta.spectrum)
+        theta_hat = kernel.start(state.theta)
         while t < t_end - 1e-13:
             t_sample = min(t0 + next_idx * sample_every, t_end)
             theta_hat, dt = _rk4_spectrum(theta_hat, kernel, dt_for_speed)
@@ -596,10 +608,10 @@ def run(
             t += dt
             steps += 1
             if t >= t_sample - 1e-13:
-                theta = kernel.field(theta_hat)
-                sample(replace(state, theta=theta, time=t))
+                sample(replace(state, theta=kernel.field(theta_hat), time=t))
                 while t0 + next_idx * sample_every <= t + 1e-13:
                     next_idx += 1
+    theta = kernel.field(theta_hat) if steps else state.theta
     final = replace(state, theta=theta, time=t)  # the last step lands on t_end, a sample
     return RunResult(final, recorder.to_series(), steps, kernel.mode, kernel.evaluations)
 

@@ -1168,6 +1168,14 @@ def test_cli_import_loads_no_scipy():
     assert [m for m in _modules_after_cli_import() if m.split(".")[0] == "scipy"] == []
 
 
+def test_cli_import_loads_no_process_machinery():
+    # only a pool of more than one worker imports it
+    loaded = _modules_after_cli_import()
+    assert "concurrent.futures.thread" in loaded  # the helper thread's executor
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
+    assert "concurrent.futures.process" not in loaded
+
+
 def test_cli_import_loads_no_numpy_random():
     # only a run that draws (a random field, sampled model starts) pays for it
     loaded = _modules_after_cli_import()

@@ -1,19 +1,24 @@
 """Member runner: pool sizing, order and failures, and the growth family through it."""
 
+import concurrent.futures
 import math
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-import vcross.experiments
 from vcross.experiments import (
     default_growth_family,
     growth_experiment,
     run_growth_member,
     run_members,
 )
-from vcross.fields import Grid
+from vcross.fields import Grid, ScalarField
+from vcross.initial_data import BumpSpec, make_bump, mollified_cross
+from vcross.solver import SimState, run
+
+MIB = 2**20
 
 
 class InlinePool:
@@ -42,7 +47,7 @@ class InlinePool:
 @pytest.fixture
 def inline_pool(monkeypatch):
     monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(vcross.experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return InlinePool.sizes
 
 
@@ -75,6 +80,41 @@ def test_growth_family_matches_serial_members():
         for name, series in ref.series.items():
             assert np.array_equal(rec.series[name].t, series.t)
             assert np.array_equal(rec.series[name].values, series.values)
+
+
+def test_member_from_compact_data_matches_a_run_from_its_values():
+    # c07's steepness-200 member at n = 256; only the t = 0 samples, taken on
+    # the half grid from the compact data, may move, at rounding level
+    grid = Grid(256)
+    member = default_growth_family(grid)[-1]
+    compact = run_growth_member(256, member, T=0.125)
+    spec = BumpSpec(member.center, member.support, member.height)
+    values = mollified_cross(grid, member.sigma).values + make_bump(grid, spec).values
+    ref = run(SimState(ScalarField.from_values(grid, values)), 0.125, sample_every=0.0625)
+    assert sorted(compact.series) == sorted(ref.series)
+    for name, series in ref.series.items():
+        got = compact.series[name].values
+        assert len(got) == 3 and np.array_equal(got[1:], series.values[1:]), name
+        assert abs(got[0] - series.values[0]) <= 1e-14 * abs(series.values[0]), name
+    assert np.array_equal(compact.state.theta.values, ref.state.theta.values)
+
+
+def test_growth_member_holds_each_array_once():
+    # c07's steepness-200 member at n = 512, traced after a warm-up run (FFT
+    # plans, Parseval symbols).  With the composed values, the grid's full
+    # mode arrays and the last sample held, the peak was 18.9 MiB and 4.2 MiB
+    # stayed; what stays now is the final real half-spectrum, 1.0 MiB.
+    member = default_growth_family(Grid(512))[-1]
+    run_growth_member(512, member, T=0.0625)
+    tracemalloc.start()
+    try:
+        record = run_growth_member(512, member, T=0.0625)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.state.time == 0.0625
+    assert peak <= 15.5 * MIB
+    assert held <= 1.5 * MIB
 
 
 def test_growth_family_reraises_member_exception():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vcross as vc
-from conftest import mirror
+from conftest import mirror, traced_peak_mb
 from vcross.fields import is_point_even, next_power_of_two, point_parity_error
 from vcross.solver import SNAPSHOT_MAGIC, load_state, save_state
 
@@ -30,6 +30,26 @@ class TestGrid:
         assert not grid64.dealias[22, 0]
         assert not grid64.dealias[0, 22]
         assert not grid64.dealias[32, 0]  # Nyquist row
+
+    def test_mode_arrays_built_on_demand(self):
+        # a grid read for its spacing alone builds no n x (n/2 + 1) array
+        assert traced_peak_mb(lambda: vc.Grid(512).spacing) <= 0.1
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_mode_arrays_match_eager_formulas(self, n):
+        g = vc.Grid(n)
+        kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+        ky = np.arange(n // 2 + 1)[None, :].astype(float)
+        k2 = kx**2 + ky**2
+        inv_k2 = np.zeros_like(k2)
+        nz = k2 > 0
+        inv_k2[nz] = 1.0 / k2[nz]
+        kcut = n // 3
+        dealias = (np.abs(kx) <= kcut) & (ky <= kcut)
+        assert np.array_equal(g.k2, k2)
+        assert np.array_equal(g.inv_k2, inv_k2)
+        assert np.array_equal(g.dealias, dealias)
+        assert g.inv_k2 is g.inv_k2 and g.dealias is g.dealias  # built once per grid
 
     def test_wavenumbers_are_integers(self, grid64):
         assert grid64.kx[1, 0] == 1.0

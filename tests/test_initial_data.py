@@ -10,6 +10,7 @@ from scipy import integrate
 import vcross as vc
 from conftest import evenness_error
 from vcross.experiments import default_growth_family
+from vcross.fields import PointEvenField
 from vcross.initial_data import (
     BumpSpec,
     _corner_columns,
@@ -365,6 +366,14 @@ class TestCompose:
         assert theta.linf_norm() < 2.0
         assert abs(theta.mean) <= 1e-12
         assert evenness_error(theta.values) == 0.0
+
+    def test_held_as_the_real_half_spectrum_of_the_composed_values(self, grid256):
+        spec = BumpSpec((0.12, 0.42), 16 * grid256.spacing, 0.8)
+        theta = compose_initial_data(grid256, relaxed_ladder(), spec, 0.25)
+        values = mollified_cross(grid256, 0.25).values + make_bump(grid256, spec).values
+        assert isinstance(theta, PointEvenField)
+        assert np.array_equal(theta.real_spectrum, np.fft.rfft2(values).real)
+        assert theta.real_spectrum.flags.c_contiguous  # a run steps it with no copy
 
     def test_sup_cap_enforced(self, grid256):
         ladder = relaxed_ladder()

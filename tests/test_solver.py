@@ -1,6 +1,7 @@
 """Solver tests: inversion closed forms, stepping, conservation, norms."""
 
 import functools
+import multiprocessing
 import os
 import pickle
 import sys
@@ -214,6 +215,31 @@ class TestAdvectionKernel:
         assert np.array_equal(out, first)
         assert kernel.evaluations == 2
 
+    @pytest.mark.parametrize("point_even", [False, True])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_band_multipliers_match_full_grid_slices(self, alpha, point_even):
+        # the band of the full n x (n/2 + 1) symbols, each by its eager formula
+        grid = vc.Grid(512)
+        n, m = grid.n, grid.n // 3 + 1
+        k2 = grid.kx**2 + grid.ky**2
+        inv = np.zeros_like(k2)
+        nz = k2 > 0
+        inv[nz] = 1.0 / k2[nz] if alpha == 1.0 else k2[nz] ** (-alpha)
+        kcut = n // 3
+        keep = ((np.abs(grid.kx) <= kcut) & (grid.ky <= kcut))[:, :m]
+        inv = inv[:, :m] * keep
+        kx, ky = grid.kx, grid.ky[:, :m]
+        odd, fwd = (1.0, float(n)) if point_even else (1j, 1.0)
+        if alpha == 1.0:
+            products = [fwd * kx * ky * keep, fwd * (kx * kx - ky * ky) * keep]
+        else:
+            products = [odd * kx * keep, odd * ky * keep, -fwd * keep]
+        kernel = solver._AdvectionKernel(grid, alpha, point_even=point_even)
+        want = [odd * ky * inv, -odd * kx * inv] + products
+        got = [kernel.to_u, kernel.to_v, *kernel.products]
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_zero_mode_exactly_zero(self, grid64, alpha):
         theta_hat = band_limited_spectrum(grid64, 3)
@@ -283,6 +309,16 @@ class TestRun:
         with pytest.raises(ValueError, match="sample_every must be positive, got"):
             vc.run(state, 0.1, sample_every=every)
         assert vc.run(state, 0.0, sample_every=every).steps == 0  # horizon 0: empty result
+
+    @pytest.mark.parametrize("cell", [1.0, 4e307])
+    def test_refuses_a_non_vorticity_before_its_first_sample(self, cell):
+        # one nonzero cell: a nonzero mean; at 4e307 the energy sample would
+        # overflow first (a RuntimeWarning, an error in this suite)
+        values = np.zeros((32, 32))
+        values[3, 5] = cell
+        state = vc.SimState(vc.ScalarField.from_values(vc.Grid(32), values))
+        with pytest.raises(vc.InvalidFieldError, match="vorticity must have zero mean"):
+            vc.run(state, 0.1)
 
     def test_shear_diagnostics_constant(self, grid128):
         result = vc.run(shear_state(grid128), 1.0, sample_every=0.25)
@@ -636,7 +672,7 @@ class TestHelperThread:
         cpus(1)
         assert not solver._helper_allowed(solver.HELPER_MIN_N)
         cpus(2)
-        monkeypatch.setattr(solver.multiprocessing, "parent_process", lambda: object())
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         assert not solver._helper_allowed(solver.HELPER_MIN_N)
 
     def test_joined_after_return_and_kernel_freed(self, cpus, kernels):
