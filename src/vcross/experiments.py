@@ -160,8 +160,9 @@ def run_growth_member(n, member, T=1.25):
     )
     spec = BumpSpec(member.center, member.support, member.height)
     theta = compose_initial_data(grid, ladder, spec, member.sigma)
-    grad0 = grad_sup_norm(theta)
     result = run(SimState(theta), T, sample_every=0.0625)
+    first = result.series["grad_sup"].values[:1]  # the run's own t = 0 sample, if it took one
+    grad0 = float(first[0]) if len(first) else grad_sup_norm(theta)
     return GrowthRunRecord(member, result.series, grad0, result.state)
 
 

@@ -202,6 +202,10 @@ class ScalarField:
             self._values = np.fft.irfft2(self._spectrum, s=(self.grid.n, self.grid.n))
         return self._values
 
+    def grid_values(self):
+        """The values for a one-off read such as a snapshot (see :class:`PointEvenField`)."""
+        return self.values
+
     @property
     def spectrum(self):
         if self._spectrum is None:
@@ -294,14 +298,20 @@ class PointEvenField(ScalarField):
     @property
     def values(self):
         if self._values is None:
-            n, h, rows = self.grid.n, self.grid.n // 2, self.row_values
-            v = np.empty((n, n))
-            v[0], v[h] = rows[0], rows[h]
-            v[h + 1 :] = rows[h - 1 : 0 : -1]  # grid row n - r is mirrored row r
-            v[1:h, 0] = rows[1:h, 0]  # grid row r is mirrored row r reversed in y
-            v[1:h, 1:] = rows[1:h, :0:-1]
-            self._values = v
+            self._values = self.grid_values()
         return self._values
+
+    def grid_values(self):
+        """The full values, assembled afresh and not kept unless already held."""
+        if self._values is not None:
+            return self._values
+        n, h, rows = self.grid.n, self.grid.n // 2, self.row_values
+        v = np.empty((n, n))
+        v[0], v[h] = rows[0], rows[h]
+        v[h + 1 :] = rows[h - 1 : 0 : -1]  # grid row n - r is mirrored row r
+        v[1:h, 0] = rows[1:h, 0]  # grid row r is mirrored row r reversed in y
+        v[1:h, 1:] = rows[1:h, :0:-1]
+        return v
 
     @property
     def spectrum(self):

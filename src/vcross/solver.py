@@ -23,9 +23,13 @@ checks reads exactly 0, and every diagnostic reduces over the half grid.
 Each ``run`` or ``step_rk4`` call steps with one helper thread when the
 process may use two CPUs and is not a ``multiprocessing`` worker (a pool
 already fills the cores).  The RHS's independent transform chains run in
-pairs, one on the helper while the caller runs the other, in disjoint
-buffers and with unchanged arithmetic, so the bits do not depend on the
-thread.  The helper is joined when the call returns or raises.
+pairs of lanes, one on the helper while the caller runs the other, in
+disjoint buffers and with unchanged arithmetic, so the bits do not depend on
+the thread.  Each lane also forms its own RK4 stage band, and the caller's
+lane adds to the RK4 sum, so between pairs the caller makes only the
+products and the final sum.  The idle helper, and the caller waiting for
+the helper's job to end, poll for ``HANDOFF_POLL_S`` and only then sleep on
+a condition.  The helper is joined when the call returns or raises.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ import math
 import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,6 +137,11 @@ def velocity_from_vorticity(theta, inversion_exponent=1.0):
 
 
 HELPER_MIN_N = 256  # at n = 128 the hand-overs cost more than the overlap saves
+# How long the helper polls for a job, and the caller for the helper's job to
+# end, before either sleeps on a condition.  In c07 growth runs the gaps
+# between pairs had a 95th percentile of 0.31 ms at n = 256 and 0.94 ms at
+# n = 512; the longer ones, 2.3-9.7 ms, hold a sample, which outlasts a wake.
+HANDOFF_POLL_S = 2e-3
 
 
 def _helper_allowed(n):
@@ -153,41 +163,116 @@ def _helper_allowed(n):
     return n >= HELPER_MIN_N and cpus >= 2 and (mp is None or mp.parent_process() is None)
 
 
-def _under_errstate(job, errors):
-    """Run ``job`` under numpy error state ``errors``, which does not follow into a thread."""
-    with np.errstate(**errors):
-        job()
+def _poll(ready):
+    """Whether ``ready()`` came true within HANDOFF_POLL_S.
+
+    Between polls a zero sleep releases the GIL and the CPU until the
+    kernel's timer slack has passed (about 57 us on Linux), so a polling
+    thread spends about an eighth of a CPU; ``os.sched_yield`` polled
+    sooner but spent more CPU than the thread-pool hand-off it replaced.
+    """
+    deadline = time.perf_counter() + HANDOFF_POLL_S
+    while not ready():
+        if time.perf_counter() > deadline:
+            return False
+        time.sleep(0)
+    return True
 
 
-class _Helper(ThreadPoolExecutor):
+_STOP = object()  # posted in place of a job, it ends the helper thread
+
+
+class _Helper:
     """One thread that runs the first job of each pair while the caller runs the second.
 
-    If the thread has not started the first job by the time the caller's
-    job ends, say because another process holds the second CPU, the caller
-    cancels it and runs it too, so a pair never waits for a thread that has
-    not been scheduled.
+    The caller posts the first job and runs the second.  The helper claims a
+    posted job under a lock, so each job runs once; if the helper has not
+    claimed it by the time the caller's job ends, say because another
+    process holds the second CPU, the caller takes it back and runs it too,
+    so a pair never waits for a thread that has not been scheduled.  Both
+    waits, the idle helper's for a job and the caller's for a claimed job to
+    end, poll for HANDOFF_POLL_S and then sleep on a condition, so the
+    helper sleeps through samples but not between the pairs of a step.  The
+    job runs under the caller's numpy error state, and what it raises is
+    raised in the caller.  Leaving the context joins the thread.
     """
 
     def __init__(self):
-        super().__init__(max_workers=1, thread_name_prefix="vcross-helper")
+        self._lock = threading.Lock()
+        self._posted = threading.Condition(self._lock)  # a job, or _STOP, was posted
+        self._ended = threading.Condition(self._lock)  # the claimed job ended
+        self._job = None  # (job, errstate) posted and not claimed, or _STOP
+        self._busy = False  # the helper runs a job it claimed
+        self._error = None  # what that job raised
+        self._thread = threading.Thread(target=self._serve, name="vcross-helper", daemon=True)
+        self._thread.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        """End and join the thread; no pair may be running."""
+        with self._lock:
+            self._job = _STOP
+            self._posted.notify()
+        self._thread.join()
+
+    def _has_job(self):
+        return self._job is not None
+
+    def _idle(self):
+        return not self._busy
+
+    def _serve(self):
+        while True:
+            if not _poll(self._has_job):
+                with self._lock:
+                    self._posted.wait_for(self._has_job)
+            with self._lock:
+                job, self._job = self._job, None  # None: the caller took it back
+                if job is _STOP:
+                    return
+                self._busy = job is not None
+            if job is not None:
+                try:
+                    with np.errstate(**job[1]):
+                        job[0]()
+                except BaseException as exc:  # raised in the caller
+                    self._error = exc
+                with self._lock:
+                    self._busy = False
+                    self._ended.notify()
 
     def pair(self, first, second):
         """Run both jobs; return once both have ended, raising what either raised."""
-        future = self.submit(_under_errstate, first, np.geterr())
+        with self._lock:
+            self._job = (first, np.geterr())
+            self._posted.notify()
         try:
             second()
-        except BaseException:
-            if not future.cancel():  # wait until the job is done with its buffers;
-                future.exception()  # its own error, if any, gives way to the caller's
-            raise
-        if future.cancel():
+        finally:  # wait until a claimed job is done with its buffers
+            with self._lock:
+                unclaimed, self._job = self._job, None
+            if unclaimed is None and not _poll(self._idle):
+                with self._lock:
+                    self._ended.wait_for(self._idle)
+            error, self._error = self._error, None  # gives way to the caller's own
+        if error is not None:
+            raise error
+        if unclaimed is not None:
             first()
-        else:
-            future.result()
+
+
+def _head(buffer, shape, dtype):
+    """A C-ordered ``shape`` array of ``dtype`` over the start of ``buffer``'s memory."""
+    return buffer.reshape(-1).view(dtype)[: shape[0] * shape[1]].reshape(shape)
 
 
 class _AdvectionKernel:
-    """Spectral RHS of theta_t = -(u . grad theta) and the RK4 stage buffers.
+    """Spectral RHS of theta_t = -(u . grad theta), evaluated at the RK4 stages.
 
     Built once per ``run`` or ``step_rk4`` call for one grid and exponent,
     and entered as a context manager for that call: entering starts the
@@ -201,14 +286,23 @@ class _AdvectionKernel:
     band and its zero mode set to exactly zero.
 
     Independent chains run in pairs (u and v; the two forwards; u and
-    theta_x, then v and theta_y), each in its own lane: a spectral buffer and
-    a band buffer, the first lane's band being the RHS output itself.  With a
-    helper thread the second lane's job is handed to it.  Dealiased spectra
-    vanish beyond the columns ky <= n/3, so band buffers hold those
-    ``width`` columns only, the first-axis transforms skip the rest and the
-    row inverses read them as zeros written into the spectral buffer.
-    Transforms are numpy.fft calls writing into preallocated arrays, so no
-    transform allocates a fresh output.
+    theta_x, then v and theta_y), each in its own lane with its own spectral
+    buffer; with a helper thread the second lane's job is handed to it.
+    Dealiased spectra vanish beyond the columns ky <= n/3, so bands hold
+    those ``width`` columns only, the first-axis transforms skip the rest and
+    the row inverses read them as zeros written into the spectral buffer.
+    A lane writes the band an inverse reads, stage times multiplier, into the
+    head of the physical buffer that the inverse then fills.  The first
+    lane's forward writes the RHS output itself, the second lane's the head
+    of v, which it has just transformed, so no band needs a buffer of its
+    own.  At an RK4 stage each lane forms the stage band theta + c k itself,
+    in its stage place: the head of its inverse's buffer at alpha = 1; at
+    alpha != 1, where it is kept for both inverses, the head of v for the
+    first lane and ``_held`` for the second.  The first lane also adds w k
+    to the RK4 sum before the forwards overwrite k.  The caller makes the
+    products between the pairs and the final sum.  Transforms are numpy.fft
+    calls writing into preallocated arrays, so no transform allocates a
+    fresh output.
 
     In ``point_even`` mode the state is the real half-spectrum and physical
     buffers hold rows 0..n/2 in the mirrored frame (row r <-> x = -x_r).  An
@@ -235,12 +329,14 @@ class _AdvectionKernel:
             self.products = (fwd * kx * ky * keep, fwd * (kx * kx - ky * ky) * keep)
         else:  # RHS = -F(u theta_x + v theta_y)
             self.products = (odd * kx * keep, odd * ky * keep, -fwd * keep)
-        self.stage, self.k = np.empty((n, m), dtype), np.empty((n, m), dtype)
+        self.k = np.empty((n, m), dtype)
         rows = h if point_even else n
         self._spec = (np.empty((rows, h), complex), np.empty((rows, h), complex))
-        # the second lane's band: a buffer of its own, or its spectrum's head
-        self._band = np.empty((n, m)) if point_even else self._spec[1][:, :m]
         self._u, self._v, self._scratch = (np.empty((rows, n)) for _ in range(3))
+        # the bands over the heads of u, v and scratch
+        self._heads = tuple(_head(b, (n, m), dtype) for b in (self._u, self._v, self._scratch))
+        u_head, v_head, _ = self._heads
+        self._held = (u_head, v_head) if self.basdevant else (v_head, np.empty((n, m), dtype))
         # (work, spectrum, f_x, f_y) scratch of the point-even fields' samples
         self._lent = []
         if point_even:
@@ -255,7 +351,7 @@ class _AdvectionKernel:
     def __exit__(self, *exc_info):
         helper, self._helper = self._helper, None
         if helper is not None:
-            helper.shutdown()
+            helper.close()
         self._lent.clear()
 
     def pack(self, spectrum):
@@ -308,52 +404,76 @@ class _AdvectionKernel:
         else:
             self._helper.pair(first, second)
 
-    def rhs(self, theta_hat, out, with_speed=True):
+    def rhs(self, theta_hat, out, with_speed=True, stage=None):
         """Write the RHS band into ``out`` (n x width); return the max speed.
 
-        ``theta_hat`` may be a full half-spectrum or a band; ``out`` is also
-        the first lane's band, so it must not alias ``theta_hat``.  Without
+        ``theta_hat`` may be a full half-spectrum or a band; ``out`` must not
+        alias it.  With ``stage = (c, acc, w)`` the RHS is taken at the RK4
+        stage theta_hat + c * out, ``out`` holding the previous stage's RHS
+        on entry, and ``acc += w * out`` is added first.  Without
         ``with_speed`` the speed is not reduced and None is returned.
         """
         self.evaluations += 1
         band, u, v, scratch = theta_hat[:, : self.width], self._u, self._v, self._scratch
-        lanes = ((out, self._spec[0]), (self._band, self._spec[1]))
+        u_head, v_head, scratch_head = self._heads
+        speeds = [None, None]  # the extents of u and v
 
-        def inverse(lane, multiplier, values):
-            into, spec = lanes[lane]
-            return lambda: self._inverse(np.multiply(band, multiplier, out=into), spec, values)
+        def form(lane):  # this lane's stage band, in its stage place
+            held = self._held[lane]
+            c, acc, w = stage
+            if lane == 0:
+                acc += np.multiply(out, w, out=held)
+            np.multiply(out, c, out=held)
+            held += band
 
-        def forward(lane, values, multiplier):
-            into, spec = lanes[lane]
-            return lambda: np.multiply(self._forward(values, spec, into), multiplier, out=into)
+        def inverse(lane, multiplier, values, head, forms, slot=None):
+            def job():  # ``forms``: the lane's first inverse of this RHS
+                if stage is not None and forms:
+                    form(lane)
+                source = band if stage is None else self._held[lane]
+                np.multiply(source, multiplier, out=head)
+                self._inverse(head, self._spec[lane], values)
+                if with_speed and slot is not None:
+                    speeds[slot] = float(max(values.max(), -values.min()))
 
-        def extent(w):
-            return float(max(w.max(), -w.min()))
+            return job
+
+        def forward(lane, values, multiplier, into):
+            def job():
+                np.multiply(self._forward(values, self._spec[lane], into), multiplier, out=into)
+
+            return job
 
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow here is the blow-up signal; the caller checks finiteness
             if self.basdevant:
                 m_xy, m_diff = self.products
-                self._pair(inverse(1, self.to_v, v), inverse(0, self.to_u, u))
-                speed = max(extent(u), extent(v)) if with_speed else None
+                self._pair(
+                    inverse(1, self.to_v, v, v_head, True, 1),
+                    inverse(0, self.to_u, u, u_head, True, 0),
+                )
                 np.multiply(u, v, out=scratch)
                 u *= u
                 v *= v
                 v -= u
-                self._pair(forward(1, v, m_xy), forward(0, scratch, m_diff))
-                out += self._band  # kx ky F(v^2 - u^2) was the second lane's
+                self._pair(forward(1, v, m_xy, v_head), forward(0, scratch, m_diff, out))
+                out += v_head  # kx ky F(v^2 - u^2) was the second lane's
             else:  # u theta_x, then v theta_y: three physical buffers hold all four
                 m_x, m_y, m_minus = self.products
-                self._pair(inverse(1, m_x, scratch), inverse(0, self.to_u, u))
-                speed = extent(u) if with_speed else None
+                self._pair(
+                    inverse(1, m_x, scratch, scratch_head, True),
+                    inverse(0, self.to_u, u, u_head, True, 0),
+                )
                 u *= scratch
-                self._pair(inverse(1, m_y, scratch), inverse(0, self.to_v, v))
-                speed = max(speed, extent(v)) if with_speed else None
+                self._pair(
+                    inverse(1, m_y, scratch, scratch_head, False),
+                    inverse(0, self.to_v, v, v_head, False, 1),
+                )
                 v *= scratch
                 u += v
-                forward(0, u, m_minus)()
+                forward(0, u, m_minus, out)()
         out[0, 0] = 0.0
-        return speed
+        return max(speeds[0], speeds[1]) if with_speed else None
 
 
 def _kernel_for(state):
@@ -373,16 +493,13 @@ def _rk4_spectrum(theta_hat, kernel, dt_for_speed):
     dt is ``dt_for_speed`` of the max speed of theta_hat itself, read off the
     first stage, so a CFL bound holds for the state being advanced.
     """
-    stage, k = kernel.stage, kernel.k
+    k = kernel.k
     out = theta_hat.copy()  # modes beyond the band have zero RHS
-    band, acc = theta_hat[:, : kernel.width], out[:, : kernel.width]
+    acc = out[:, : kernel.width]
     dt = dt_for_speed(kernel.rhs(theta_hat, k))  # k = k1
-    for weight, shift in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0), (1.0, None)):
-        acc += np.multiply(k, weight * dt / 6.0, out=stage)
-        if shift is not None:
-            np.multiply(k, shift * dt, out=stage)
-            stage += band
-            kernel.rhs(stage, k, with_speed=False)  # k2, k3, k4
+    for weight, shift in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0)):  # k2, k3, k4
+        kernel.rhs(theta_hat, k, with_speed=False, stage=(shift * dt, acc, weight * dt / 6.0))
+    acc += np.multiply(k, dt / 6.0, out=kernel._held[0])  # a stage place is free between RHSs
     out[0, 0] = theta_hat[0, 0]  # mean preserved bit-for-bit
     return out, dt
 
@@ -635,7 +752,8 @@ def save_state(path, state):
                 state.inversion_exponent,
             )
         )
-        fh.write(np.ascontiguousarray(state.theta.values, dtype="<f8"))
+        # not ``values``: a field the caller steps next would hold them through its run
+        fh.write(np.ascontiguousarray(state.theta.grid_values(), dtype="<f8"))
 
 
 def load_state(path):

@@ -18,14 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vcross.cli
-from conftest import read_csv_columns
+from conftest import mirror, read_csv_columns
 from vcross.cli import main
 from vcross.config import ConfigError, parse_config_text
 from vcross.experiments import smooth_random_field
 from vcross.fields import Grid
 from vcross.manifest import read_manifest
 from vcross.model import LEADING, integrate_variational
-from vcross.solver import SimState, save_state
+from vcross.solver import SimState, load_state, save_state
 
 SIM_CFG = """
 [grid]
@@ -108,6 +108,24 @@ class TestSimulate:
         block = block.replace("\ndir = out/sim\n", f"\ndir = {tmp_path / 'sim'}\n")
         cfg = write(tmp_path, "sim.cfg", block)
         assert main(["simulate", "--config", cfg]) == 0
+
+    def test_run_gets_the_initial_field_without_its_full_values(self, tmp_path, monkeypatch):
+        # initial.vcrs is written before the run, which holds the field throughout
+        held, run = [], vcross.cli.run
+
+        def spy(state, *args, **kwargs):
+            held.append(state.theta._values is None)
+            return run(state, *args, **kwargs)
+
+        monkeypatch.setattr(vcross.cli, "run", spy)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        block = block.replace("\nt_end = 1.0\n", "\nt_end = 0.05\n")
+        block = block.replace("\ndir = out/sim\n", f"\ndir = {tmp_path / 'sim'}\n")
+        assert main(["simulate", "--config", write(tmp_path, "sim.cfg", block)]) == 0
+        assert held == [True]
+        initial = load_state(tmp_path / "sim" / "initial.vcrs").theta.values
+        assert np.array_equal(initial, mirror(initial))
 
     def test_zero_horizon_writes_initial_snapshot_only_run(self, tmp_path):
         out = tmp_path / "run0"
@@ -1169,11 +1187,10 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_process_machinery():
-    # only a pool of more than one worker imports it
+    # only a pool of more than one worker imports it; the helper thread needs no executor
     loaded = _modules_after_cli_import()
-    assert "concurrent.futures.thread" in loaded  # the helper thread's executor
     assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
-    assert "concurrent.futures.process" not in loaded
+    assert [m for m in loaded if m.split(".")[0] == "concurrent"] == []
 
 
 def test_cli_import_loads_no_numpy_random():

@@ -14,7 +14,7 @@ from vcross.experiments import (
     run_growth_member,
     run_members,
 )
-from vcross.fields import Grid, ScalarField
+from vcross.fields import Grid, PointEvenField, ScalarField
 from vcross.initial_data import BumpSpec, make_bump, mollified_cross
 from vcross.solver import SimState, run
 
@@ -97,6 +97,23 @@ def test_member_from_compact_data_matches_a_run_from_its_values():
         assert len(got) == 3 and np.array_equal(got[1:], series.values[1:]), name
         assert abs(got[0] - series.values[0]) <= 1e-14 * abs(series.values[0]), name
     assert np.array_equal(compact.state.theta.values, ref.state.theta.values)
+
+
+def test_grad0_is_the_runs_own_first_sample(monkeypatch):
+    # grad_sup is evaluated once at t = 0, by the run, not again for grad0
+    fields, gradient = [], PointEvenField.gradient_arrays
+
+    def spy(field):
+        fields.append(field)
+        return gradient(field)
+
+    monkeypatch.setattr(PointEvenField, "gradient_arrays", spy)
+    member = default_growth_family(Grid(256))[-1]
+    record = run_growth_member(256, member, T=0.0625)
+    assert sum(field is fields[0] for field in fields) == 1
+    assert record.grad0 == record.series["grad_sup"].values[0]
+    # a zero-length run takes no sample, and grad0 is evaluated on its own
+    assert run_growth_member(256, member, T=0.0).grad0 == record.grad0
 
 
 def test_growth_member_holds_each_array_once():
