@@ -33,6 +33,7 @@ from .solver import (
     h2_seminorm,
     hessian_sup_of_inverse_laplacian,
     load_state,
+    march,
     run,
     save_state,
     step_rk4,

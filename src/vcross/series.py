@@ -48,29 +48,6 @@ class DiagnosticSeries:
         return DiagnosticSeries(self.name, self.t[mask], self.values[mask])
 
 
-class SeriesRecorder:
-    """Accumulates synchronized samples for several named diagnostics."""
-
-    def __init__(self, names):
-        self.names = list(names)
-        self._t = []
-        self._rows = []
-
-    def record(self, t, row):
-        if self._t and t <= self._t[-1]:
-            return
-        self._t.append(float(t))
-        self._rows.append([float(row[name]) for name in self.names])
-
-    def to_series(self):
-        t = np.asarray(self._t)
-        data = np.asarray(self._rows).reshape(len(self._t), len(self.names))
-        return {
-            name: DiagnosticSeries(name, t, data[:, i])
-            for i, name in enumerate(self.names)
-        }
-
-
 def _cell(c):
     return format_value(c) if isinstance(c, (float, np.floating)) else str(c)
 

@@ -20,16 +20,17 @@ are mirror copies of them, exactly even.  So chained ``step_rk4`` calls stay
 point-even without a full-size transform, the parity error ``simulate``
 checks reads exactly 0, and every diagnostic reduces over the half grid.
 
-Each ``run`` or ``step_rk4`` call steps with one helper thread when the
-process may use two CPUs and is not a ``multiprocessing`` worker (a pool
-already fills the cores).  The RHS's independent transform chains run in
-pairs of lanes, one on the helper while the caller runs the other, in
-disjoint buffers and with unchanged arithmetic, so the bits do not depend on
-the thread.  Each lane also forms its own RK4 stage band, and the caller's
-lane adds to the RK4 sum, so between pairs the caller makes only the
-products and the final sum.  The idle helper, and the caller waiting for
-the helper's job to end, poll for ``HANDOFF_POLL_S`` and only then sleep on
-a condition.  The helper is joined when the call returns or raises.
+``march``, the stepping generator that ``run`` consumes, and ``step_rk4``
+step with one helper thread when the process may use two CPUs and is not a
+``multiprocessing`` worker (a pool already fills the cores).  The RHS's
+independent transform chains run in pairs of lanes, one on the helper while
+the caller runs the other, in disjoint buffers and with unchanged
+arithmetic, so the bits do not depend on the thread.  Each lane also forms
+its own RK4 stage band, and the caller's lane adds to the RK4 sum, so
+between pairs the caller makes only the products and the final sum.  The
+idle helper, and the caller waiting for the helper's job to end, poll for
+``HANDOFF_POLL_S`` and only then sleep on a condition.  The helper is joined
+when the call or the generator ends, raises or is closed.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .fields import (
     is_point_even,
     point_even_inverse,
 )
-from .series import SeriesRecorder
+from .series import DiagnosticSeries
 
 SNAPSHOT_MAGIC = b"VCRS"
 SNAPSHOT_VERSION = 1
@@ -274,7 +275,7 @@ def _head(buffer, shape, dtype):
 class _AdvectionKernel:
     """Spectral RHS of theta_t = -(u . grad theta), evaluated at the RK4 stages.
 
-    Built once per ``run`` or ``step_rk4`` call for one grid and exponent,
+    Built once per ``march`` or ``step_rk4`` call for one grid and exponent,
     and entered as a context manager for that call: entering starts the
     helper thread if :func:`_helper_allowed`, leaving joins it.  The
     multipliers fuse inversion, derivative and the 2/3 mask, so a stage
@@ -668,21 +669,17 @@ class RunResult:
         return [self.series[name] for name in sorted(self.series)]
 
 
-def run(
-    state,
-    t_end,
-    cfl=CFL_CAP,
-    sample_every=None,
-    diagnostics=None,
-):
-    """March to t_end with adaptive dt = cfl * spacing / max speed.
+def march(state, t_end, cfl=CFL_CAP, sample_every=None):
+    """March to t_end with adaptive dt = cfl * spacing / max speed, yielding samples.
 
-    Samples the requested diagnostics whenever the clock crosses a multiple of
-    ``sample_every`` (endpoints always included); the step is snapped to land
-    exactly on sample times so output grids are reproducible.  A run with
-    t_end equal to the current time returns an empty series set and the
-    unchanged state.  Between samples only the spectrum is held; the final
-    state is built from it once the stepping ends.
+    Yields ``(state, steps, kernel)`` at the start, before any kernel is built
+    (``kernel`` None), then whenever the clock crosses a multiple of
+    ``sample_every`` and at t_end; steps are snapped to land on sample times.
+    The kernel's ``mode`` and ``evaluations`` (RHS calls) describe the
+    stepping.  A zero horizon yields nothing, and a march that takes no step
+    builds no kernel.  The kernel and its helper thread stay open across
+    yields until the generator ends or is closed.  A yielded field's lent
+    buffers hold only until the consumer resumes.
     """
     if not (0.0 < cfl <= CFL_CAP):
         raise ValueError(f"cfl must lie in (0, {CFL_CAP}]")
@@ -690,20 +687,14 @@ def run(
         raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < state.time - 1e-15:
         raise ValueError("t_end precedes current state time")
-    diagnostics = dict(diagnostics or DEFAULT_DIAGNOSTICS)
-    recorder = SeriesRecorder(list(diagnostics))
     if t_end <= state.time:
-        return RunResult(state, recorder.to_series())
-
+        return
+    t0 = t = state.time
     if sample_every is None:
-        sample_every = (t_end - state.time) / 50.0
+        sample_every = (t_end - t0) / 50.0
     if not sample_every > 0.0:  # also NaN: the sample clock would never advance
         raise ValueError(f"sample_every must be positive, got {sample_every}")
     g = state.grid
-    t0 = state.time
-
-    def sample(st):
-        recorder.record(st.time, {name: fn(st) for name, fn in diagnostics.items()})
 
     def dt_for_speed(speed):
         # reads the loop's current t and t_sample; t_sample <= t_end
@@ -711,10 +702,10 @@ def run(
         return min(dt, t_sample - t)
 
     require_vorticity(state.theta)  # before any diagnostic reads the field
-    sample(state)
-    t = t0
-    steps = 0
-    next_idx = 1
+    yield state, 0, None
+    if not t < t_end - 1e-13:
+        return
+    steps, next_idx = 0, 1
     with _kernel_for(state) as kernel:
         theta_hat = kernel.start(state.theta)
         while t < t_end - 1e-13:
@@ -725,12 +716,25 @@ def run(
             t += dt
             steps += 1
             if t >= t_sample - 1e-13:
-                sample(replace(state, theta=kernel.field(theta_hat), time=t))
+                yield replace(state, theta=kernel.field(theta_hat), time=t), steps, kernel
                 while t0 + next_idx * sample_every <= t + 1e-13:
                     next_idx += 1
-    theta = kernel.field(theta_hat) if steps else state.theta
-    final = replace(state, theta=theta, time=t)  # the last step lands on t_end, a sample
-    return RunResult(final, recorder.to_series(), steps, kernel.mode, kernel.evaluations)
+
+
+def run(state, t_end, cfl=CFL_CAP, sample_every=None, diagnostics=None):
+    """:func:`march` to t_end, evaluating the diagnostics at each sample it yields."""
+    diagnostics = dict(diagnostics or DEFAULT_DIAGNOSTICS)
+    times, rows, steps, kernel = [], [], 0, None
+    for state, steps, kernel in march(state, t_end, cfl, sample_every):
+        times.append(state.time)
+        rows.append([float(fn(state)) for fn in diagnostics.values()])
+        if kernel is not None:  # rebuilt from the spectrum, so that what was read is dropped
+            state = replace(state, theta=kernel.field(kernel.start(state.theta)))
+    t, data = np.asarray(times), np.asarray(rows).reshape(len(times), len(diagnostics))
+    series = {name: DiagnosticSeries(name, t, data[:, i]) for i, name in enumerate(diagnostics)}
+    if kernel is None:  # no step was taken
+        return RunResult(state, series)
+    return RunResult(state, series, steps, kernel.mode, kernel.evaluations)
 
 
 # --- snapshot format --------------------------------------------------------

@@ -22,7 +22,7 @@ from conftest import mirror, read_csv_columns
 from vcross.cli import main
 from vcross.config import ConfigError, parse_config_text
 from vcross.experiments import smooth_random_field
-from vcross.fields import Grid
+from vcross.fields import Grid, PointEvenField
 from vcross.manifest import read_manifest
 from vcross.model import LEADING, integrate_variational
 from vcross.solver import SimState, load_state, save_state
@@ -147,6 +147,78 @@ class TestSimulate:
         assert main(["simulate", "--config", write(tmp_path, "bad.cfg", text)]) == 2
         err = capsys.readouterr().err
         assert f"error: sample_every must be positive, got {float(every)}" in err
+
+    @pytest.mark.parametrize("every", ["0", "-0.01", "nan"])
+    def test_bad_sample_every_exits_usage_at_zero_horizon(self, tmp_path, capsys, every):
+        # refused whatever the horizon, and before any output is written
+        out = tmp_path / "bad"
+        text = SIM_CFG.format(t_end=0.0, out=out)
+        text = text.replace("sample_every = 0.25", f"sample_every = {every}")
+        assert main(["simulate", "--config", write(tmp_path, "bad.cfg", text)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: sample_every must be positive, got {float(every)}\n"
+        assert not out.exists()
+
+    def test_final_values_are_assembled_once_with_a_parity_check(self, tmp_path, monkeypatch):
+        # initial.vcrs and final.vcrs assemble them; the parity check reads final.vcrs's
+        assembled, grid_values = [], PointEvenField.grid_values
+
+        def spy(field):
+            assembled.append(field._values is None)
+            return grid_values(field)
+
+        monkeypatch.setattr(PointEvenField, "grid_values", spy)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "\nparity = 1e-8\n" in block
+        block = block.replace("\nt_end = 1.0\n", "\nt_end = 0.05\n")
+        block = block.replace("\ndir = out/sim\n", f"\ndir = {tmp_path / 'sim'}\n")
+        assert main(["simulate", "--config", write(tmp_path, "sim.cfg", block)]) == 0
+        assert assembled.count(True) == 2
+        checks = (tmp_path / "sim" / "checks.csv").read_text().splitlines()
+        assert checks[-1].startswith("parity_sup_error,0,")
+
+    TIME_CFG = """
+[grid]
+n = 32
+[time]
+t_end = {t_end!r}
+cfl = {cfl!r}
+sample_every = {every!r}
+[init]
+kind = random
+seed = 3
+amplitude = 2.0
+[ladder]
+mode = relaxed
+horizon = 1.0
+[output]
+dir = {out}
+"""
+
+    # Bounded draws: a tiny sample_every or cfl, or a huge t_end, makes a
+    # legitimately endless run.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t_end=st.floats(-1.0, 0.2) | st.sampled_from([math.nan, math.inf, -math.inf]),
+        cfl=st.floats(max_value=0.0) | st.floats(min_value=1e-2) | st.just(math.nan),
+        every=st.floats(1e-2, 1.0)
+        | st.floats(max_value=0.0)
+        | st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+    )
+    @example(t_end=0.0, cfl=0.4, every=0.0)
+    @example(t_end=0.1, cfl=0.9, every=0.05)
+    def test_any_time_section_exits_with_a_documented_code(self, t_end, cfl, every):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "t.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(self.TIME_CFG.format(t_end=t_end, cfl=cfl, every=every, out=tmp))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", cfg, "--out", os.path.join(tmp, "o")])
+        err = err.getvalue()
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err and "internal error" not in err
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Solver tests: inversion closed forms, stepping, conservation, norms."""
 
+import contextlib
 import functools
 import multiprocessing
 import os
@@ -332,6 +333,12 @@ class TestRun:
         with pytest.raises(ValueError, match="sample_every must be positive, got"):
             vc.run(state, 0.1, sample_every=every)
         assert vc.run(state, 0.0, sample_every=every).steps == 0  # horizon 0: empty result
+
+    def test_a_run_that_takes_no_step_builds_no_kernel(self, grid64, kernels):
+        state = vc.SimState(smooth_random_field(grid64, seed=2))
+        result = vc.run(state, 5e-14)  # shorter than the clock's 1e-13 tolerance
+        assert (result.steps, result.kernel, result.rhs_evals, kernels) == (0, "none", 0, [])
+        assert result.state is state and list(result.series["energy"].t) == [0.0]
 
     @pytest.mark.parametrize("cell", [1.0, 4e307])
     def test_refuses_a_non_vorticity_before_its_first_sample(self, cell):
@@ -701,6 +708,57 @@ class TestHelperThread:
                 assert np.array_equal(two.series[name].values, one.series[name].values), name
         # the first sample of each run is taken before its kernel is built
         assert threads == [before] + [before + 1] * 3 + [before] * 4
+
+    @pytest.mark.parametrize("leave", ["break", "raise"])
+    def test_a_march_left_early_joins_its_helper(self, cpus, leave):
+        cpus(2)
+        state = vc.SimState(even_part(smooth_random_field(self.GRID, seed=9)))
+        before, threads = threading.active_count(), []
+        with pytest.raises(KeyError) if leave == "raise" else contextlib.nullcontext():
+            for sample, steps, kernel in vc.march(state, 0.1, sample_every=0.02):
+                threads.append(threading.active_count())
+                if len(threads) == 2:
+                    if leave == "break":
+                        break
+                    raise KeyError("consumer")
+        assert threads == [before, before + 1]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "general"])
+    def test_march_yields_what_run_records(self, cpus, even):
+        cpus(2)
+        field = smooth_random_field(self.GRID, seed=6)
+        state = vc.SimState(even_part(field) if even else field)
+        diagnostics = diagnostics_with_norms()
+        expected = vc.run(state, 0.15, sample_every=0.05, diagnostics=diagnostics)
+        times, rows, lent = [], [], []
+        for sample, steps, kernel in vc.march(state, 0.15, sample_every=0.05):
+            times.append(sample.time)
+            rows.append([fn(sample) for fn in diagnostics.values()])
+            lent.append(len(getattr(sample.theta, "lent", ())))
+        assert (steps, kernel.mode, kernel.evaluations) == (
+            expected.steps, expected.kernel, expected.rhs_evals
+        )
+        for i, (name, series) in enumerate(expected.series.items()):
+            assert np.array_equal(times, series.t) and len(times) == 4, name
+            assert np.array_equal([row[i] for row in rows], series.values), name
+        # a point-even sample borrows the kernel's buffers until the march ends
+        assert lent == ([0, 4, 4, 4] if even else [0] * 4)
+        assert getattr(sample.theta, "lent", []) == []
+
+    def test_a_sample_holds_lent_arrays_only_until_the_march_resumes(self, cpus):
+        cpus(2)
+        state = vc.SimState(even_part(smooth_random_field(self.GRID, seed=6)))
+        marching = vc.march(state, 0.1, sample_every=0.02)
+        next(marching)
+        sample, _, kernel = next(marching)
+        f_x = sample.theta.gradient_arrays()[0]
+        kept = f_x.copy()
+        assert any(np.shares_memory(f_x, buffer) for buffer in kernel._lent)
+        next(marching)  # the next step reuses the buffer
+        assert not np.array_equal(f_x, kept)
+        marching.close()
+        assert kernel._lent == [] and kernel._helper is None
 
     def test_small_grids_and_pool_workers_step_on_one_thread(self, cpus, monkeypatch):
         cpus(2)
