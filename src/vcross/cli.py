@@ -529,6 +529,9 @@ def main(argv=None):
     except (BlowUpError, OverflowError) as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except MemoryError as exc:  # sizes the up-front checks let through
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -12,6 +12,7 @@ and the norm evaluators share one differentiation convention.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,15 @@ def dealias_mask(kx, ky, n):
     return (np.abs(kx) <= kcut) & (ky <= kcut)
 
 
+@functools.cache
+def _physical_memory():
+    """Bytes of physical memory on this host, or None where it cannot be read."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return None
+
+
 def next_power_of_two(m):
     n = 16
     while n < m:
@@ -110,7 +120,9 @@ class Grid:
     ``spacing * n`` equals 2pi exactly in floating point because n is a power
     of two.  Wavenumbers are integers; ``ky`` uses the rfft2 half-spectrum
     layout (last axis).  The n x (n/2 + 1) mode arrays are built when first
-    read: ``k2`` on every read, ``inv_k2`` and ``dealias`` once per grid.
+    read: ``k2`` on every read, ``inv_k2`` and ``dealias`` once per grid.  An
+    n whose one n x n float64 array would not fit in the host's physical
+    memory is refused before anything is allocated.
     """
 
     n: int
@@ -119,6 +131,12 @@ class Grid:
         n = self.n
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+        need, memory = 8 * n * n, _physical_memory()
+        if memory is not None and need > memory:
+            raise ValueError(
+                f"grid size n = {n} needs {need} bytes for one n x n array, "
+                f"more than this host's {memory} bytes of memory"
+            )
         spacing = TWO_PI / n
         for name, val in (
             ("spacing", spacing),
@@ -202,6 +220,14 @@ class ScalarField:
             self._values = np.fft.irfft2(self._spectrum, s=(self.grid.n, self.grid.n))
         return self._values
 
+    def view(self):
+        """A field over the values and spectrum this one holds.
+
+        What the view computes is cached on it alone, so a reader of the view
+        leaves this field as it was.  A point-even view forms its own rows.
+        """
+        return ScalarField(self.grid, self._values, self._spectrum)
+
     def grid_values(self):
         """The values for a one-off read such as a snapshot (see :class:`PointEvenField`)."""
         return self.values
@@ -271,10 +297,11 @@ class PointEvenField(ScalarField):
     a mirror copy of one of them: grid sums weigh rows 1..n/2-1 twice, and the
     full ``values`` are assembled by copies only, so they are exactly even.
 
-    ``lent`` is empty, or the list of (work, spectrum, f_x, f_y) scratch
-    buffers that the solver kernel which made the field lends to it and to
-    its other fields while its call runs; the kernel empties the list when
-    the call ends, and the field then uses fresh buffers.
+    ``lent`` is empty, or the list of (work, spectrum, f_x, f_y, rows)
+    scratch buffers that the solver kernel which made the field lends to it
+    and to its other fields while its call runs; the kernel empties the list
+    when the call ends, and the field then uses fresh buffers.  Rows formed
+    in a lent buffer hold only until the kernel steps on.
     """
 
     __slots__ = ("real_spectrum", "_rows", "lent")
@@ -285,12 +312,21 @@ class PointEvenField(ScalarField):
         self._rows = None
         self.lent = ()
 
+    def view(self):
+        field = PointEvenField(self.grid, self.real_spectrum)
+        field._values, field._spectrum, field.lent = self._values, self._spectrum, self.lent
+        return field
+
     @property
     def row_values(self):
         if self._rows is None:
             n, h = self.grid.n, self.grid.n // 2
-            work = self.lent[0] if self.lent else np.empty((h + 1, h + 1), complex)
-            rows = point_even_inverse(self.real_spectrum, 1.0 / n, work, np.empty((h + 1, n)))
+            work, out = (
+                (self.lent[0], self.lent[4])
+                if self.lent
+                else (np.empty((h + 1, h + 1), complex), np.empty((h + 1, n)))
+            )
+            rows = point_even_inverse(self.real_spectrum, 1.0 / n, work, out)
             rows[[0, h], h + 1 :] = rows[[0, h], h - 1 : 0 : -1]
             self._rows = rows
         return self._rows
@@ -337,7 +373,7 @@ class PointEvenField(ScalarField):
         so the pair holds only until the next sample or step.
         """
         g, n, h = self.grid, self.grid.n, self.grid.n // 2 + 1
-        work, spectrum, fx, fy = self.lent or (
+        work, spectrum, fx, fy = self.lent[:4] or (
             np.empty((h, h), complex), np.empty((n, h)), np.empty((h, n)), np.empty((h, n))
         )
         return tuple(  # the gradient of an even field is odd

@@ -311,7 +311,8 @@ class _AdvectionKernel:
     (u, v, theta_x, theta_y are odd), then irfft along rows.  A forward is
     rfft along rows, then irfft down the band (the hfft identity), its 1/n
     undone by the product multipliers.  Between steps the fields it hands
-    out borrow its buffers for their samples, until the call ends.
+    out borrow its buffers for their samples, until the call ends: their
+    rows go into the head of the second lane's complex work buffer.
     """
 
     def __init__(self, grid, inversion_exponent, point_even=False):
@@ -338,10 +339,12 @@ class _AdvectionKernel:
         self._heads = tuple(_head(b, (n, m), dtype) for b in (self._u, self._v, self._scratch))
         u_head, v_head, _ = self._heads
         self._held = (u_head, v_head) if self.basdevant else (v_head, np.empty((n, m), dtype))
-        # (work, spectrum, f_x, f_y) scratch of the point-even fields' samples
+        # (work, spectrum, f_x, f_y, rows) scratch of the point-even fields'
+        # samples; the second lane's complex work buffer is free during samples
         self._lent = []
         if point_even:
-            self._lent = [self._spec[0], self._scratch.reshape(n, h), self._u, self._v]
+            rows = _head(self._spec[1], (h, n), float)
+            self._lent = [self._spec[0], self._scratch.reshape(n, h), self._u, self._v, rows]
         self._helper = None
 
     def __enter__(self):
@@ -589,8 +592,9 @@ def _parseval_symbol(grid, power):
 def _parseval_sum(f, power):
     """Cell-area sum over the grid of |(-Laplacian)^(power / 2) f|^2, from the spectrum."""
     g = f.grid
-    total = np.sum(_parseval_symbol(g, power) * f.spectral_power())
-    return float((2.0 * np.pi) ** 2 / g.n**4 * total)
+    p = f.spectral_power()  # the one temporary
+    p *= _parseval_symbol(g, power)
+    return float((2.0 * np.pi) ** 2 / g.n**4 * np.sum(p))
 
 
 def kinetic_energy(theta, inversion_exponent=1.0):
@@ -678,8 +682,16 @@ def march(state, t_end, cfl=CFL_CAP, sample_every=None):
     The kernel's ``mode`` and ``evaluations`` (RHS calls) describe the
     stepping.  A zero horizon yields nothing, and a march that takes no step
     builds no kernel.  The kernel and its helper thread stay open across
-    yields until the generator ends or is closed.  A yielded field's lent
-    buffers hold only until the consumer resumes.
+    yields until the generator ends or is closed.
+
+    The start sample's field is a view of ``state.theta``: what its readers
+    and the kernel's start compute is cached on the view, never on the
+    caller's field.  A later sample's field borrows the kernel's buffers for
+    its row values and gradients, which hold only until the consumer
+    resumes.  The generator returns the final state: ``state`` itself if no
+    step was taken, else the t_end state built afresh from its spectrum.  A
+    cfl step too short to move a clock standing at t_end, so that the march
+    could never end, raises ``ValueError`` once a finite step has shown it.
     """
     if not (0.0 < cfl <= CFL_CAP):
         raise ValueError(f"cfl must lie in (0, {CFL_CAP}]")
@@ -688,7 +700,7 @@ def march(state, t_end, cfl=CFL_CAP, sample_every=None):
     if t_end < state.time - 1e-15:
         raise ValueError("t_end precedes current state time")
     if t_end <= state.time:
-        return
+        return state
     t0 = t = state.time
     if sample_every is None:
         sample_every = (t_end - t0) / 50.0
@@ -701,35 +713,55 @@ def march(state, t_end, cfl=CFL_CAP, sample_every=None):
         dt = cfl * g.spacing / speed if speed > 0.0 else (t_end - t)
         return min(dt, t_sample - t)
 
-    require_vorticity(state.theta)  # before any diagnostic reads the field
-    yield state, 0, None
+    start = replace(state, theta=state.theta.view())
+    require_vorticity(start.theta)  # before any diagnostic reads the field
+    yield start, 0, None
     if not t < t_end - 1e-13:
-        return
+        return state
     steps, next_idx = 0, 1
-    with _kernel_for(state) as kernel:
-        theta_hat = kernel.start(state.theta)
+    # over the spectrum the start sample may have formed, but not its rows
+    start = replace(start, theta=start.theta.view())
+    with _kernel_for(start) as kernel:
+        theta_hat = kernel.start(start.theta)
+        del start
         while t < t_end - 1e-13:
             t_sample = min(t0 + next_idx * sample_every, t_end)
             theta_hat, dt = _rk4_spectrum(theta_hat, kernel, dt_for_speed)
             if not np.all(np.isfinite(theta_hat)):
                 raise BlowUpError(t)
+            if dt < t_sample - t and t_end + dt == t_end:  # a cfl step, not a snapped one
+                raise ValueError(
+                    f"cfl {cfl} gives dt {dt:.6g}, which cannot advance a clock at t_end = {t_end}"
+                )
             t += dt
             steps += 1
             if t >= t_sample - 1e-13:
                 yield replace(state, theta=kernel.field(theta_hat), time=t), steps, kernel
                 while t0 + next_idx * sample_every <= t + 1e-13:
                     next_idx += 1
+    return replace(state, theta=kernel.field(theta_hat), time=t)
 
 
 def run(state, t_end, cfl=CFL_CAP, sample_every=None, diagnostics=None):
-    """:func:`march` to t_end, evaluating the diagnostics at each sample it yields."""
+    """:func:`march` to t_end, evaluating the diagnostics at each sample it yields.
+
+    Each sample is dropped once its diagnostics are read, so the march steps
+    on with none held.  Only the last sample is kept, as the final state:
+    the one ``march`` returns, rebuilt from its spectrum (or the start state
+    if no step was taken).
+    """
     diagnostics = dict(diagnostics or DEFAULT_DIAGNOSTICS)
+    samples = march(state, t_end, cfl, sample_every)
     times, rows, steps, kernel = [], [], 0, None
-    for state, steps, kernel in march(state, t_end, cfl, sample_every):
-        times.append(state.time)
-        rows.append([float(fn(state)) for fn in diagnostics.values()])
-        if kernel is not None:  # rebuilt from the spectrum, so that what was read is dropped
-            state = replace(state, theta=kernel.field(kernel.start(state.theta)))
+    while True:
+        try:
+            sample, steps, kernel = next(samples)
+        except StopIteration as end:
+            state = end.value
+            break
+        times.append(sample.time)
+        rows.append([float(fn(sample)) for fn in diagnostics.values()])
+        del sample  # before the march steps on
     t, data = np.asarray(times), np.asarray(rows).reshape(len(times), len(diagnostics))
     series = {name: DiagnosticSeries(name, t, data[:, i]) for i, name in enumerate(diagnostics)}
     if kernel is None:  # no step was taken

@@ -220,6 +220,22 @@ dir = {out}
         assert code in (0, 2, 3), err
         assert "Traceback" not in err and "internal error" not in err
 
+    def test_a_cfl_too_small_to_advance_the_clock_exits_usage(self, tmp_path):
+        # its dt, 5.6e-321, cannot move a clock at t_end: the run could never
+        # end, so it runs in a child process that a timeout stops
+        cfg = write(
+            tmp_path,
+            "t.cfg",
+            self.TIME_CFG.format(t_end=0.1, cfl=1e-320, every=0.05, out=tmp_path / "o"),
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "vcross.cli", "simulate", "--config", cfg],
+            env=_env_with_src(), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: cfl 1e-320 gives dt 5.")
+        assert "cannot advance a clock at t_end = 0.1" in done.stderr
+
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     @pytest.mark.parametrize(
         "key", ["energy_drift", "hamiltonian_drift", "enstrophy_drift", "parity"]
@@ -1049,6 +1065,23 @@ class TestReport:
 
 
 class TestExitCodes:
+    def test_a_grid_larger_than_the_host_memory_exits_usage(self, tmp_path, capsys):
+        # one n x n array at n = 2**31 needs 2**65 bytes: refused before any allocation
+        text = TestSimulate.TIME_CFG.format(t_end=0.1, cfl=0.4, every=0.05, out=tmp_path / "o")
+        cfg = write(tmp_path, "n.cfg", text.replace("\nn = 32\n", "\nn = 2147483648\n"))
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid size n = 2147483648 needs 36893488147419103232 bytes")
+
+    def test_any_other_memory_error_exits_usage_and_is_named(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        monkeypatch.setattr(vcross.cli, "run", exhausted)
+        cfg = write(tmp_path, "m.cfg", SIM_CFG.format(t_end=0.5, out=tmp_path / "o"))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+
     OVERFLOW_CFG = """
 [model]
 variant = leading
@@ -1241,15 +1274,21 @@ def test_manifest_records_phase_timings_and_peak_rss(tmp_path, command, phases):
     assert len(peak) == 1 and float(peak[0].split()[-1]) > 0.0
 
 
+def _env_with_src():
+    """This process's environment, with the package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @functools.cache
 def _modules_after_cli_import():
     """The modules a fresh interpreter holds after ``import vcross.cli``."""
     code = "import sys, vcross.cli; print(' '.join(sorted(sys.modules)))"
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True,
+        check=True,
     )
     return done.stdout.split()
 

@@ -134,6 +134,23 @@ def test_growth_member_holds_each_array_once():
     assert held <= 1.5 * MIB
 
 
+def test_growth_member_peak_holds_one_live_state():
+    # the same member to T = 0.25 (5 samples), traced after a warm-up run.  At
+    # the peak: the kernel's 8.39 MiB, the RK4 state and its successor (2.01
+    # MiB) and the caller's start spectrum (1.00 MiB).  With the last sample's
+    # spectrum and the start field's rows held through the steps, it was 13.90.
+    member = default_growth_family(Grid(512))[-1]
+    run_growth_member(512, member, T=0.25)
+    tracemalloc.start()
+    try:
+        record = run_growth_member(512, member, T=0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(record.series["grad_sup"]) == 5
+    assert peak <= 12.5 * MIB
+
+
 def test_growth_family_reraises_member_exception():
     # steepness 1 asks for sigma = 1.77, outside (0, 0.5)
     member = default_growth_family(Grid(128), (1.0,))[0]

@@ -24,6 +24,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             vc.Grid(n)
 
+    def test_rejects_a_grid_larger_than_the_host_memory_before_allocating(self):
+        # one 2**31 x 2**31 float64 array needs 2**65 bytes; n-sized arrays alone take 16 GiB
+        with pytest.raises(ValueError, match="n = 2147483648 needs 36893488147419103232 bytes"):
+            vc.Grid(2**31)
+
     def test_dealias_mask_keeps_two_thirds(self, grid64):
         assert grid64.dealias[0, 0]
         assert grid64.dealias[21, 21]  # 64 // 3 = 21

@@ -340,6 +340,18 @@ class TestRun:
         assert (result.steps, result.kernel, result.rhs_evals, kernels) == (0, "none", 0, [])
         assert result.state is state and list(result.series["energy"].t) == [0.0]
 
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "general"])
+    def test_a_run_caches_nothing_on_its_start_field(self, grid64, even):
+        field = smooth_random_field(grid64, seed=2)
+        if even:
+            field = PointEvenField(grid64, np.ascontiguousarray(even_part(field).spectrum.real))
+        result = vc.run(vc.SimState(field), 0.05, diagnostics=diagnostics_with_norms())
+        assert result.steps > 0
+        if even:  # neither rows, values nor a complex spectrum
+            assert (field._rows, field._values, field._spectrum) == (None, None, None)
+        else:
+            assert field._spectrum is None
+
     @pytest.mark.parametrize("cell", [1.0, 4e307])
     def test_refuses_a_non_vorticity_before_its_first_sample(self, cell):
         # one nonzero cell: a nonzero mean; at 4e307 the energy sample would
@@ -743,7 +755,7 @@ class TestHelperThread:
             assert np.array_equal(times, series.t) and len(times) == 4, name
             assert np.array_equal([row[i] for row in rows], series.values), name
         # a point-even sample borrows the kernel's buffers until the march ends
-        assert lent == ([0, 4, 4, 4] if even else [0] * 4)
+        assert lent == ([0, 5, 5, 5] if even else [0] * 4)
         assert getattr(sample.theta, "lent", []) == []
 
     def test_a_sample_holds_lent_arrays_only_until_the_march_resumes(self, cpus):
@@ -759,6 +771,22 @@ class TestHelperThread:
         assert not np.array_equal(f_x, kept)
         marching.close()
         assert kernel._lent == [] and kernel._helper is None
+
+    def test_a_samples_rows_are_lent_and_overwritten_once_the_march_resumes(self, cpus):
+        cpus(2)
+        state = vc.SimState(even_part(smooth_random_field(self.GRID, seed=6)))
+        marching = vc.march(state, 0.1, sample_every=0.02)
+        next(marching)
+        sample, _, kernel = next(marching)
+        rows = sample.theta.row_values
+        kept = rows.copy()
+        assert any(np.shares_memory(rows, buffer) for buffer in kernel._lent)
+        gradient = sample.theta.gradient_arrays()  # in other lent buffers
+        assert not any(np.shares_memory(rows, d) for d in gradient)
+        assert np.array_equal(rows, kept)
+        next(marching)  # the next step's second lane reuses the buffer
+        assert not np.array_equal(rows, kept)
+        marching.close()
 
     def test_small_grids_and_pool_workers_step_on_one_thread(self, cpus, monkeypatch):
         cpus(2)
