@@ -18,7 +18,13 @@ import time
 import numpy as np
 
 from .config import ConfigError, load_config
-from .diagnostics import bump_scales, fit_hessian_scaling, perturbation_field_bounds
+from .diagnostics import (
+    bump_scales,
+    fit_hessian_scaling,
+    growth_ratio_probe,
+    perturbation_field_bounds,
+    ratios_nondecreasing,
+)
 from .experiments import (
     arm_anomaly,
     default_growth_family,
@@ -91,6 +97,8 @@ def _build_ladder(cfg):
     factor = cfg.get_float("ladder", "growth_factor", 10.0)
     overrides = {}
     for name in ("outer", "inner", "drift", "cross_width", "mollifier"):
+        if cfg.has("ladder", name) and cfg.has("ladder", f"log10_{name}"):
+            raise ConfigError(f"[ladder] {name} and log10_{name} both given; give one")
         val = cfg.get_float("ladder", name, None)
         if val is not None:
             if not val > 0.0:  # also NaN
@@ -177,7 +185,7 @@ def cmd_simulate(args):
         diagnostics=diagnostics_with_norms(),
     )
     t_run_end = time.perf_counter()
-    parity_tol = tolerances["parity"]  # read first, so that final.vcrs writes the held values
+    parity_tol = tolerances["parity"]
     parity = None if parity_tol is None else point_parity_error(result.state.theta.values)
     if t_end > state.time:
         save_state(manifest.add_output(os.path.join(out, "final.vcrs")), result.state)
@@ -347,12 +355,10 @@ def _sweep_member_runner(payload):
     kind, k, value, params = payload
     if kind == "steepness":
         n = params["n"]
-        grid = Grid(n)
-        member = default_growth_family(grid, requested=[value])[0]
-        rec = run_growth_member(n, member, T=params["T"])
-        series = rec.series["grad_sup"]
-        ratio = float(np.max(series.values) / series.values[0])
-        return {"grad0": float(series.values[0]), "max_ratio": ratio}
+        member = default_growth_family(Grid(n), requested=[value])[0]
+        series = run_growth_member(n, member, T=params["T"]).series["grad_sup"]
+        row = growth_ratio_probe([series]).rows[0]
+        return {"grad0": row.grad0, "max_ratio": row.ratio}
     if kind == "n":
         if not float(value).is_integer():  # int() would truncate 128.9 to 128
             raise ValueError(f"grid size must be an integer, got {value}")
@@ -424,9 +430,8 @@ def cmd_sweep(args):
         rows.append((v, rec))
     resolved = [rec for _, rec in rows if "error" not in rec]
     if axis == "steepness":
-        ratios = [r["max_ratio"] for r in resolved]
-        ok = all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
-        skipped = len(rows) - len(ratios)
+        ok = ratios_nondecreasing([r["max_ratio"] for r in resolved])
+        skipped = len(rows) - len(resolved)
         manifest.note(f"ratio_monotone = {int(ok)} (failed members skipped: {skipped})")
     elif axis == "omega" and len(resolved) >= 2:
         scales = [(r["l2"], r["grad_sup"], r["hessian_sup"]) for r in resolved]

@@ -311,7 +311,12 @@ class GrowthProbe:
         return np.asarray([row.ratio for row in self.rows])
 
     def nondecreasing(self):
-        return bool(np.all(np.diff(self.ratios()) >= 0.0))
+        return ratios_nondecreasing(self.ratios())
+
+
+def ratios_nondecreasing(ratios):
+    """Whether each growth ratio is at least the one before it, with no slack."""
+    return bool(np.all(np.diff(ratios) >= 0.0))
 
 
 def growth_ratio_probe(grad_series):

@@ -228,10 +228,6 @@ class ScalarField:
         """
         return ScalarField(self.grid, self._values, self._spectrum)
 
-    def grid_values(self):
-        """The values for a one-off read such as a snapshot (see :class:`PointEvenField`)."""
-        return self.values
-
     @property
     def spectrum(self):
         if self._spectrum is None:
@@ -314,7 +310,7 @@ class PointEvenField(ScalarField):
 
     def view(self):
         field = PointEvenField(self.grid, self.real_spectrum)
-        field._values, field._spectrum, field.lent = self._values, self._spectrum, self.lent
+        field._spectrum, field.lent = self._spectrum, self.lent
         return field
 
     @property
@@ -333,14 +329,7 @@ class PointEvenField(ScalarField):
 
     @property
     def values(self):
-        if self._values is None:
-            self._values = self.grid_values()
-        return self._values
-
-    def grid_values(self):
-        """The full values, assembled afresh and not kept unless already held."""
-        if self._values is not None:
-            return self._values
+        """The full values, assembled afresh on each read and never held."""
         n, h, rows = self.grid.n, self.grid.n // 2, self.row_values
         v = np.empty((n, n))
         v[0], v[h] = rows[0], rows[h]

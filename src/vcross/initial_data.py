@@ -25,6 +25,7 @@ from .fields import (
     next_power_of_two,
 )
 from .ladder import seed_region_violations
+from .model import WedgeRegion
 
 MIN_CELLS = 8  # grid cells a mollifier width or a bump support must span
 
@@ -188,6 +189,17 @@ def mollifier_slope_at_jump():
     return float(4.0 * (q0[0] - q0[1]) / (1.0 / TAIL_RES))
 
 
+def _require_cells(grid, what, width):
+    """Refuse a ``width`` spanning fewer than MIN_CELLS grid cells (a rounding short is not)."""
+    if width < MIN_CELLS * grid.spacing * (1.0 - 1e-12):
+        required = next_power_of_two(math.ceil(MIN_CELLS * TWO_PI / width))
+        raise UnresolvedScaleError(
+            f"{what} {width:.4g} spans fewer than {MIN_CELLS} cells at n={grid.n} "
+            f"(need n >= {required})",
+            required,
+        )
+
+
 def mollified_cross(grid, sigma):
     """Convolution of the singular cross with a radial unit-mass bump of width sigma.
 
@@ -199,13 +211,7 @@ def mollified_cross(grid, sigma):
     """
     if not (0.0 < sigma < 0.5):
         raise ValueError(f"sigma must lie in (0, 0.5), got {sigma}")
-    if sigma < MIN_CELLS * grid.spacing:
-        required = next_power_of_two(math.ceil(MIN_CELLS * TWO_PI / sigma))
-        raise UnresolvedScaleError(
-            f"sigma={sigma} needs >= {MIN_CELLS} cells, grid n={grid.n} is too coarse "
-            f"(need n >= {required})",
-            required,
-        )
+    _require_cells(grid, "sigma", sigma)
     n = grid.n
     offset, orientation = _signed_arm_offsets(n)
     p = offset * grid.spacing / sigma  # signed offset in mollifier units
@@ -237,10 +243,10 @@ def mollified_cross(grid, sigma):
 class BumpSpec:
     """Even bump pair: radial profile of given height and support diameter.
 
-    The realized field consists of one zero-mean radial bump (positive core,
-    negative ring) at ``center`` plus its mirror image at ``-center`` so the
-    pair is even; its sup is ``height`` and its gradient scales like
-    height / support_diameter.
+    The realized field is one zero-mean radial bump (positive core, negative
+    ring) at ``center`` plus its mirror image at ``-center``, unless that is
+    the same node, so it is even; its sup is ``height`` and its gradient
+    scales like height / support_diameter.
     """
 
     center: tuple
@@ -264,29 +270,13 @@ def _check_bump_placement(center, ladder):
     y < outer} instead, the zone where the stretching mechanism operates;
     a literal seed box is narrower than one grid cell at any desk scale.
     """
-    x0, y0 = center
     if ladder.is_faithful:
-        bad = seed_region_violations(x0, y0, ladder)
-        if bad:
-            raise ValueError(
-                f"bump center {center} outside the admissible seed box: "
-                + ", ".join(bad)
-            )
-        return
-    bad = []
-    if x0 <= 0.0 or y0 <= 0.0:
-        bad.append("positive_coordinates")
+        bad, where = seed_region_violations(*center, ladder), "the admissible seed box"
     else:
-        if not x0 > ladder.value("inner"):
-            bad.append("x0_above_inner_scale")
-        if not y0 < ladder.value("outer"):
-            bad.append("y0_below_outer_scale")
-        if not y0 > math.sqrt(x0):
-            bad.append("y0_above_sqrt_x0")
+        region = WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer)
+        bad, where = region.violations(*center), "the contraction wedge"
     if bad:
-        raise ValueError(
-            f"bump center {center} outside the contraction wedge: " + ", ".join(bad)
-        )
+        raise ValueError(f"bump center {center} outside {where}: " + ", ".join(bad))
 
 
 @functools.cache
@@ -333,17 +323,9 @@ def make_bump(grid, spec, ladder=None):
     requested height exactly) and the negative ring is calibrated on the
     sampled patch so the discrete mean vanishes to rounding.  Rejects bumps
     whose support spans fewer than MIN_CELLS cells, and, when a ladder is
-    given, centers outside its admissible seed box.
+    given, centers it does not admit (see :func:`_check_bump_placement`).
     """
-    if spec.support_diameter < MIN_CELLS * grid.spacing * (1.0 - 1e-12):
-        required = next_power_of_two(
-            math.ceil(MIN_CELLS * TWO_PI / spec.support_diameter)
-        )
-        raise UnresolvedScaleError(
-            f"support {spec.support_diameter:.4g} spans fewer than {MIN_CELLS} "
-            f"cells at n={grid.n} (need n >= {required})",
-            required,
-        )
+    _require_cells(grid, "support", spec.support_diameter)
     if ladder is not None:
         _check_bump_placement(spec.center, ladder)
     n = grid.n
@@ -353,24 +335,17 @@ def make_bump(grid, spec, ladder=None):
     radius_cells = int(math.ceil(R / grid.spacing))
     if 2 * radius_cells + 1 > n:
         raise UnresolvedScaleError("bump support exceeds the domain", 2 * n)
+    # cells from the center to its mirror on the farther axis: the two
+    # patches overlap when it is at most 2 radii, and coincide when it is 0
+    gap = max(abs((2 * c + n // 2) % n - n // 2) for c in (ic, jc))
+    if 0 < gap <= 2 * radius_cells:
+        raise ValueError("bump pair overlaps its mirror image; move the center")
     patch = _sample_bump_patch(grid, radius_cells, R, spec.height)
     values = np.zeros((n, n))
     k = np.arange(-radius_cells, radius_cells + 1)
-    rows = (ic + k) % n
-    cols = (jc + k) % n
-    values[np.ix_(rows, cols)] += patch
-    mrows = (-ic + k) % n
-    mcols = (-jc + k) % n
-    overlap = np.isin(rows, mrows).any() and np.isin(cols, mcols).any()
-    if overlap and not (ic == (-ic) % n and jc == (-jc) % n):
-        # mirrored copies must not interfere; centers too close to the origin
-        sep = min(
-            np.abs(((2 * ic) % n + n // 2) % n - n // 2),
-            np.abs(((2 * jc) % n + n // 2) % n - n // 2),
-        )
-        if sep <= 2 * radius_cells:
-            raise ValueError("bump pair overlaps its mirror image; move the center")
-    values[np.ix_(mrows, mcols)] += patch[::-1, ::-1]
+    values[np.ix_((ic + k) % n, (jc + k) % n)] += patch
+    if gap > 0:  # a center that is its own mirror is already even
+        values[np.ix_((-ic + k) % n, (-jc + k) % n)] += patch[::-1, ::-1]
     return ScalarField.from_values(grid, values)
 
 

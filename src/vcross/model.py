@@ -180,9 +180,22 @@ class WedgeRegion:
     def y_max(self):
         return math.exp(self.log_y_max)
 
+    def _bounds_held(self, lx, ly):
+        """(x > x_min, y < y_max, y > sqrt(x)) from log coordinates; elementwise for arrays."""
+        return lx > self.log_x_min, ly < self.log_y_max, ly > 0.5 * lx
+
     def contains_log(self, lx, ly):
         """Membership from log coordinates; elementwise for arrays."""
-        return (lx > self.log_x_min) & (ly < self.log_y_max) & (ly > 0.5 * lx)
+        above, below, wedge = self._bounds_held(lx, ly)
+        return above & below & wedge
+
+    def violations(self, x, y):
+        """Names of the bounds the point (x, y) fails, decided in logs; empty if inside."""
+        if x <= 0.0 or y <= 0.0:
+            return ["positive_coordinates"]
+        held = self._bounds_held(math.log(x), math.log(y))
+        names = ("x0_above_inner_scale", "y0_below_outer_scale", "y0_above_sqrt_x0")
+        return [name for name, ok in zip(names, held) if not ok]
 
     def sample(self, count, rng):
         """Random interior points: x uniform in range, then y above sqrt(x)."""

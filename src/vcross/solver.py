@@ -243,8 +243,8 @@ class _Helper:
                         job[0]()
                 except BaseException as exc:  # raised in the caller
                     self._error = exc
-                with self._lock:
-                    self._busy = False
+                with self._lock:  # drop the job now: its closure can keep a replaced state alive
+                    job, self._busy = None, False
                     self._ended.notify()
 
     def pair(self, first, second):
@@ -408,14 +408,14 @@ class _AdvectionKernel:
         else:
             self._helper.pair(first, second)
 
-    def rhs(self, theta_hat, out, with_speed=True, stage=None):
+    def rhs(self, theta_hat, out, stage=None):
         """Write the RHS band into ``out`` (n x width); return the max speed.
 
         ``theta_hat`` may be a full half-spectrum or a band; ``out`` must not
         alias it.  With ``stage = (c, acc, w)`` the RHS is taken at the RK4
         stage theta_hat + c * out, ``out`` holding the previous stage's RHS
-        on entry, and ``acc += w * out`` is added first.  Without
-        ``with_speed`` the speed is not reduced and None is returned.
+        on entry, and ``acc += w * out`` is added first; the speed is then
+        not reduced and None is returned.
         """
         self.evaluations += 1
         band, u, v, scratch = theta_hat[:, : self.width], self._u, self._v, self._scratch
@@ -437,7 +437,7 @@ class _AdvectionKernel:
                 source = band if stage is None else self._held[lane]
                 np.multiply(source, multiplier, out=head)
                 self._inverse(head, self._spec[lane], values)
-                if with_speed and slot is not None:
+                if stage is None and slot is not None:
                     speeds[slot] = float(max(values.max(), -values.min()))
 
             return job
@@ -477,7 +477,7 @@ class _AdvectionKernel:
                 u += v
                 forward(0, u, m_minus, out)()
         out[0, 0] = 0.0
-        return max(speeds[0], speeds[1]) if with_speed else None
+        return max(speeds[0], speeds[1]) if stage is None else None
 
 
 def _kernel_for(state):
@@ -502,7 +502,7 @@ def _rk4_spectrum(theta_hat, kernel, dt_for_speed):
     acc = out[:, : kernel.width]
     dt = dt_for_speed(kernel.rhs(theta_hat, k))  # k = k1
     for weight, shift in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0)):  # k2, k3, k4
-        kernel.rhs(theta_hat, k, with_speed=False, stage=(shift * dt, acc, weight * dt / 6.0))
+        kernel.rhs(theta_hat, k, stage=(shift * dt, acc, weight * dt / 6.0))
     acc += np.multiply(k, dt / 6.0, out=kernel._held[0])  # a stage place is free between RHSs
     out[0, 0] = theta_hat[0, 0]  # mean preserved bit-for-bit
     return out, dt
@@ -626,7 +626,7 @@ _CONSERVED = {
     "energy": lambda s: kinetic_energy(s.theta, s.inversion_exponent),
     "enstrophy": lambda s: _cell_sum(s, lambda tv: tv * tv),
     "l1": lambda s: _cell_sum(s, np.abs),
-    "l2": lambda s: float(np.sqrt(_cell_sum(s, lambda tv: tv * tv))),
+    "l2": lambda s: s.theta.l2_norm(),
     "l4": lambda s: _cell_sum(s, _fourth_power) ** 0.25,
     "linf": lambda s: s.theta.linf_norm(),
     "mean": lambda s: s.theta.mean,
@@ -788,8 +788,7 @@ def save_state(path, state):
                 state.inversion_exponent,
             )
         )
-        # not ``values``: a field the caller steps next would hold them through its run
-        fh.write(np.ascontiguousarray(state.theta.grid_values(), dtype="<f8"))
+        fh.write(np.ascontiguousarray(state.theta.values, dtype="<f8"))
 
 
 def load_state(path):

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from conftest import mirror, read_csv_columns
 from vcross.cli import main
 from vcross.config import ConfigError, parse_config_text
 from vcross.experiments import smooth_random_field
-from vcross.fields import Grid, PointEvenField
+from vcross.fields import Grid
 from vcross.manifest import read_manifest
 from vcross.model import LEADING, integrate_variational
+from vcross.series import DiagnosticSeries
 from vcross.solver import SimState, load_state, save_state
 
 SIM_CFG = """
@@ -159,24 +161,18 @@ class TestSimulate:
         assert err == f"error: sample_every must be positive, got {float(every)}\n"
         assert not out.exists()
 
-    def test_final_values_are_assembled_once_with_a_parity_check(self, tmp_path, monkeypatch):
-        # initial.vcrs and final.vcrs assemble them; the parity check reads final.vcrs's
-        assembled, grid_values = [], PointEvenField.grid_values
-
-        def spy(field):
-            assembled.append(field._values is None)
-            return grid_values(field)
-
-        monkeypatch.setattr(PointEvenField, "grid_values", spy)
+    def test_parity_check_reads_exactly_even_final_values(self, tmp_path):
+        # the point-even final field's values are mirror copies of its rows
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         assert "\nparity = 1e-8\n" in block
         block = block.replace("\nt_end = 1.0\n", "\nt_end = 0.05\n")
         block = block.replace("\ndir = out/sim\n", f"\ndir = {tmp_path / 'sim'}\n")
         assert main(["simulate", "--config", write(tmp_path, "sim.cfg", block)]) == 0
-        assert assembled.count(True) == 2
         checks = (tmp_path / "sim" / "checks.csv").read_text().splitlines()
         assert checks[-1].startswith("parity_sup_error,0,")
+        final = load_state(tmp_path / "sim" / "final.vcrs").theta.values
+        assert np.array_equal(final, mirror(final))
 
     TIME_CFG = """
 [grid]
@@ -1028,6 +1024,22 @@ dir = {out}
         _, _, blocks = read_manifest(out / "manifest.txt")
         assert "ratio_monotone = 1 (failed members skipped: 1)" in blocks["notes"]
 
+    def test_steepness_order_is_the_growth_probes_with_no_slack(self, tmp_path, monkeypatch):
+        # each member's ratio is its probe row's, and a fall of one ulp is a fall
+        peaks = {50.0: 2.0, 100.0: np.nextafter(2.0, 0.0)}
+
+        def member_run(n, member, T):
+            series = DiagnosticSeries("grad_sup", [0.0, T], [1.0, peaks[member.steepness]])
+            return SimpleNamespace(series={"grad_sup": series})
+
+        monkeypatch.setattr(vcross.cli, "run_growth_member", member_run)
+        out = tmp_path / "fall"
+        text = f"[sweep]\naxis = steepness\nvalues = 50 100\n[output]\ndir = {out}\n"
+        assert main(["sweep", "--config", write(tmp_path, "fall.cfg", text)]) == 0
+        assert read_csv_columns(out / "aggregate.csv")["max_ratio"].tolist() == list(peaks.values())
+        _, _, blocks = read_manifest(out / "manifest.txt")
+        assert "ratio_monotone = 0 (failed members skipped: 0)" in blocks["notes"]
+
 
 class TestReport:
     def _run_sim(self, tmp_path, name, t_end=0.5, tol="1e-10"):
@@ -1235,6 +1247,14 @@ count = 1
         assert "Traceback" not in err and "internal error" not in err
         if not 0.0 < value < math.inf or (name == "outer" and value > 1.0):
             assert name in err
+
+    @pytest.mark.parametrize("name", ["outer", "inner", "drift", "cross_width", "mollifier"])
+    def test_a_scale_given_both_ways_exits_usage_and_names_both_keys(self, tmp_path, name, capsys):
+        setting = f"{name} = 1e-6\nlog10_{name} = -7"
+        cfg = write(tmp_path, "l.cfg", self.LADDER_CFG.format(mode="relaxed", setting=setting))
+        code = main(["model", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = f"error: [ladder] {name} and log10_{name} both given; give one\n"
+        assert (code, capsys.readouterr().err) == (2, err)
 
     def test_out_under_a_regular_file_exits_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "plain.txt"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import vcross as vc
 from conftest import mirror, traced_peak_mb
-from vcross.fields import is_point_even, next_power_of_two, point_parity_error
+from vcross.fields import PointEvenField, is_point_even, next_power_of_two, point_parity_error
 from vcross.solver import SNAPSHOT_MAGIC, load_state, save_state
 
 
@@ -91,6 +91,15 @@ class TestScalarField:
         fx, fy = f.gradient_arrays()
         assert np.max(np.abs(fx - 3 * np.cos(3 * X))) < 1e-12
         assert np.max(np.abs(fy)) < 1e-12
+
+    def test_point_even_values_are_assembled_per_read_and_never_held(self, grid64):
+        values = np.random.default_rng(3).standard_normal((64, 64))
+        values += mirror(values)
+        f = PointEvenField(grid64, np.ascontiguousarray(np.fft.rfft2(values).real))
+        first = f.values
+        assert f.values is not first and np.array_equal(f.values, first)
+        assert np.array_equal(first, mirror(first))
+        assert f._values is None and f.view()._values is None
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_gradient_is_bitwise_irfft2(self, n):

@@ -13,6 +13,7 @@ from vcross.experiments import default_growth_family
 from vcross.fields import PointEvenField
 from vcross.initial_data import (
     BumpSpec,
+    _check_bump_placement,
     _corner_columns,
     _signed_arm_offsets,
     _square_wave,
@@ -26,6 +27,7 @@ from vcross.initial_data import (
     singular_cross,
 )
 from vcross.ladder import resolve_ladder
+from vcross.model import WedgeRegion
 
 TWO_PI = 2.0 * np.pi
 
@@ -86,6 +88,13 @@ class TestMollifiedCross:
         with pytest.raises(vc.UnresolvedScaleError) as err:
             mollified_cross(grid64, 0.2)  # 0.2 < 8 * 2pi/64
         assert err.value.required_n >= 256
+
+    def test_resolution_floor_is_the_bumps(self, grid64, grid256):
+        # one floor for sigma and support: a width a rounding short of 8 cells passes
+        mollified_cross(grid256, np.nextafter(8 * grid256.spacing, 0.0))
+        with pytest.raises(vc.UnresolvedScaleError) as err:
+            mollified_cross(grid64, 0.2)
+        assert str(err.value) == "sigma 0.2 spans fewer than 8 cells at n=64 (need n >= 256)"
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 0.7])
     def test_sigma_range_enforced(self, grid256, sigma):
@@ -350,6 +359,43 @@ class TestMakeBump:
         spec = BumpSpec((1.8, 2.6), 16 * grid256.spacing, 0.5)
         b = make_bump(grid256, spec)
         assert b.linf_norm() == 0.5
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (np.pi, 0.0), (0.0, np.pi), (np.pi, np.pi)])
+    def test_a_center_that_is_its_own_mirror_gets_one_patch(self, center):
+        b = make_bump(vc.Grid(128), BumpSpec(center, 0.5, 0.3))
+        assert b.linf_norm() == 0.3
+        assert np.max(b.values) == 0.3
+        assert abs(b.mean) <= 1e-12
+        assert evenness_error(b.values) == 0.0
+
+    @pytest.mark.parametrize("cells", [(2, 3), (0, 3), (3, 128)])
+    def test_a_pair_overlapping_its_mirror_is_refused(self, grid256, cells):
+        # each center lies within 2 radii (16 cells) of its mirror on both axes
+        center = tuple(c * grid256.spacing for c in cells)
+        with pytest.raises(ValueError, match="overlaps its mirror image"):
+            make_bump(grid256, BumpSpec(center, 16 * grid256.spacing, 0.5))
+
+    def test_an_axis_center_far_from_its_mirror_keeps_both_patches(self, grid256):
+        b = make_bump(grid256, BumpSpec((0.0, 1.2), 16 * grid256.spacing, 0.5))
+        assert np.count_nonzero(b.values == 0.5) == 2
+        assert evenness_error(b.values) == 0.0
+
+    def test_relaxed_gate_accepts_the_wedge_regions_centers(self):
+        ladder = relaxed_ladder()
+        region = WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer)
+        # log-uniform centers on both sides of each of the wedge's three bounds
+        rng = np.random.default_rng(24)
+        accepted = []
+        for x, y in 10.0 ** rng.uniform((-9.0, -6.0), (0.5, 0.5), size=(400, 2)):
+            inside = bool(region.contains_log(math.log(x), math.log(y)))
+            try:
+                _check_bump_placement((x, y), ladder)
+            except ValueError as exc:
+                assert not inside, exc
+            else:
+                assert inside
+            accepted.append(inside)
+        assert 50 < sum(accepted) < 350
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -214,7 +214,8 @@ class TestAdvectionKernel:
         out = np.empty_like(kernel.k)
         assert kernel.rhs(theta_hat, out) > 0.0
         first = out.copy()
-        assert kernel.rhs(theta_hat, out, with_speed=False) is None
+        # a zero-length stage is theta_hat itself: the same RHS, with no speed
+        assert kernel.rhs(theta_hat, out, stage=(0.0, np.zeros_like(out), 0.0)) is None
         assert np.array_equal(out, first)
         assert kernel.evaluations == 2
 
@@ -235,7 +236,7 @@ class TestAdvectionKernel:
         want = np.empty_like(k)
         kernel.rhs(stage, want)
         acc = band.copy()
-        assert kernel.rhs(theta_hat, k, with_speed=False, stage=(c, acc, w)) is None
+        assert kernel.rhs(theta_hat, k, stage=(c, acc, w)) is None
         assert np.array_equal(k, want)
         assert np.array_equal(acc, want_acc)
 
@@ -854,6 +855,19 @@ class TestHelperThread:
             helper.pair(lambda: ran_on.append(threading.current_thread()), lambda: None)
             assert len(ran_on) == 1
         assert threading.active_count() == before
+
+    def test_a_job_the_helper_ran_is_not_held_past_its_pair(self):
+        # a job's closure can hold an RK4 state that the march has replaced
+        held, started = np.ones(4), threading.Event()
+        alive = weakref.ref(held)
+
+        def first(held=held):
+            started.set()
+
+        with solver._Helper() as helper:
+            helper.pair(first, lambda: started.wait(timeout=60.0))
+            del first, held
+            assert alive() is None
 
     def test_an_idle_helper_stops_polling_after_its_window(self, cpus):
         cpus(2)
