@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .fields import Grid, UnresolvedScaleError, point_parity_error
 from .initial_data import BumpSpec, compose_initial_data, make_bump, mollified_cross
-from .ladder import LadderError, LadderUnderflowError, resolve_ladder, seed_region_violations
+from .ladder import LadderError, LadderUnderflowError, resolve_ladder
 from .model import (
     CrossFieldVariant,
     FlowPerturbation,
@@ -245,6 +245,9 @@ def cmd_model(args):
     variant = CrossFieldVariant(cfg.get_str("model", "variant", "exact"))
     ladder = _build_ladder(cfg)
     region = WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer)
+    seed_box = WedgeRegion.from_log10(
+        ladder.log10_inner, ladder.log10_outer, ladder.seed_exponent
+    )
     T = cfg.get_float("trajectory", "T", 1.0)
     if T < 0.0:
         raise ConfigError(f"[trajectory] T must be non-negative, got {T}")
@@ -279,10 +282,10 @@ def cmd_model(args):
         if count <= 0:
             raise ConfigError(f"[trajectory] count must be positive, got {count}")
         rng = np.random.default_rng(args.seed)
-        points = _sample_seed_box(ladder, count, rng)
+        points = seed_box.sample_log_uniform(count, rng)
     else:
         points = [(cfg.get_float("trajectory", "x0"), cfg.get_float("trajectory", "y0"))]
-        bad = seed_region_violations(points[0][0], points[0][1], ladder)
+        bad = seed_box.violations(*points[0])
         if bad:
             print(
                 f"start point {points[0]} outside the admissible seed box: "
@@ -326,29 +329,6 @@ def cmd_model(args):
     manifest.note(f"drift = {drift}")
     _write_manifest(manifest, t_start, init=t_init - t_start, integrate=t_integrated - t_init)
     return EXIT_OK
-
-
-def _sample_seed_box(ladder, count, rng):
-    """Draw points from the admissible box in log space."""
-    lo_l10, out_l10 = ladder.log10_inner, ladder.log10_outer
-    E = ladder.seed_exponent
-    # the x bound E ly - 0.05 is monotone in ly, so its larger end decides emptiness
-    if max(E * (out_l10 - 0.15), E * (out_l10 - 0.005)) - 0.05 <= lo_l10 + 0.1:
-        raise LadderError(["seed_box_effectively_empty"])
-    points = []
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 1000 * count:
-            raise LadderError(["seed_box_effectively_empty"])
-        ly = rng.uniform(out_l10 - 0.15, out_l10 - 0.005)
-        hi = E * ly - 0.05
-        lo = lo_l10 + 0.1
-        if hi <= lo:
-            continue
-        lx = rng.uniform(lo, hi)
-        points.append((10.0**lx, 10.0**ly))
-    return points
 
 
 def _sweep_member_runner(payload):
@@ -474,8 +454,7 @@ def cmd_report(args):
         for m in missing:
             print(f"missing file: {m}", file=sys.stderr)
         return EXIT_USAGE
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args, None)
     write_table(
         os.path.join(out, "report.csv"),
         ["manifest", "check", "value", "tolerance", "passed"],

@@ -8,7 +8,6 @@ a command-line run and a test exercise identical code.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -28,7 +27,7 @@ from .initial_data import (
     mollifier_slope_at_jump,
 )
 from .ladder import resolve_ladder
-from .solver import SimState, grad_sup_norm, run
+from .solver import SimState, grad_sup_norm, run, usable_cpus
 
 
 def smooth_random_field(grid, seed=0, k_peak=3.0, l2=2.0):
@@ -170,7 +169,7 @@ def growth_experiment(n=512, requested=(50.0, 100.0, 200.0), T=1.25):
     """Run the full steepness family, one process per core, and tabulate growth."""
     grid = Grid(n)
     members = default_growth_family(grid, requested)
-    workers = min(len(members), os.cpu_count() or 1)
+    workers = min(len(members), usable_cpus())
     records = []
     for rec, exc in run_members(partial(run_growth_member, n, T=T), members, workers):
         if exc is not None:

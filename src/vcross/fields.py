@@ -78,8 +78,8 @@ def point_even_inverse(spectrum, factor, work, out):
     """
     m = spectrum.shape[1]
     np.fft.rfft(spectrum, axis=0, out=work[:, :m])
-    work[:, :m] *= factor
     work[:, m:] = 0.0
+    work *= factor  # in place on the contiguous buffer: no ufunc buffer for a strided view
     return np.fft.irfft(work, out.shape[1], axis=1, out=out)
 
 

@@ -24,7 +24,6 @@ from .fields import (
     UnresolvedScaleError,
     next_power_of_two,
 )
-from .ladder import seed_region_violations
 from .model import WedgeRegion
 
 MIN_CELLS = 8  # grid cells a mollifier width or a bump support must span
@@ -270,12 +269,12 @@ def _check_bump_placement(center, ladder):
     y < outer} instead, the zone where the stretching mechanism operates;
     a literal seed box is narrower than one grid cell at any desk scale.
     """
-    if ladder.is_faithful:
-        bad, where = seed_region_violations(*center, ladder), "the admissible seed box"
-    else:
-        region = WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer)
-        bad, where = region.violations(*center), "the contraction wedge"
+    faithful = ladder.is_faithful
+    exponent = ladder.seed_exponent if faithful else 2.0
+    region = WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer, exponent)
+    bad = region.violations(*center)
     if bad:
+        where = "the admissible seed box" if faithful else "the contraction wedge"
         raise ValueError(f"bump center {center} outside {where}: " + ", ".join(bad))
 
 

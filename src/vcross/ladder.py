@@ -50,9 +50,10 @@ class ConstraintStatus:
 class ParameterLadder:
     """All scales as log10 values plus the horizon and growth factor.
 
-    ``seed_exponent`` is the power E in the admissible initial box
-    {inner < x0 < y0**E, y0 < outer}: the full 8*exp(2T) in faithful mode, a
-    confinement-preserving cap in relaxed mode.
+    ``seed_exponent`` is the power E of the admissible initial box
+    {inner < x0 < y0**E, y0 < outer}, a ``model.WedgeRegion`` at exponent E:
+    the full 8*exp(2T) in faithful mode, a confinement-preserving cap in
+    relaxed mode, and at least 2 when overridden.
     """
 
     horizon: float
@@ -225,6 +226,11 @@ def resolve_ladder(horizon, growth_factor=10.0, mode="faithful", overrides=None)
     if overrides:
         raise ValueError(f"unknown ladder overrides: {sorted(overrides)}")
     if exponent_override is not None:
+        if exponent_override < 2.0:  # for y0 < 1 only E >= 2 keeps x0 < y0**E in y > sqrt(x)
+            raise ValueError(
+                f"ladder override seed_exponent must be at least 2, got {exponent_override}: "
+                "a seed box {x0 < y0**E} with E < 2 leaves the wedge {y > sqrt(x)}"
+            )
         exponent = min(float(exponent_override), 8.0 * math.exp(2.0 * T))
 
     ladder = ParameterLadder(
@@ -244,17 +250,3 @@ def resolve_ladder(horizon, growth_factor=10.0, mode="faithful", overrides=None)
             raise LadderError(violated)
     return ladder
 
-
-def seed_region_violations(x0, y0, ladder):
-    """Names of the seed-box inequalities (x0, y0) fails; empty if inside."""
-    out = []
-    if x0 <= 0.0 or y0 <= 0.0:
-        return ["positive_coordinates"]
-    lx, ly = math.log10(x0), math.log10(y0)
-    if not lx > ladder.log10_inner:
-        out.append("x0_above_inner_scale")
-    if not lx < ladder.seed_exponent * ly:
-        out.append("x0_below_y0_power")
-    if not ly < ladder.log10_outer:
-        out.append("y0_below_outer_scale")
-    return out

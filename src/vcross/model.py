@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ladder import LN10, LadderError
 from .series import DiagnosticSeries, write_table
 
 AXIS_GUARD = 1e-12
@@ -149,15 +150,18 @@ LEADING = CrossFieldVariant("leading")
 
 @dataclass(frozen=True, kw_only=True)
 class WedgeRegion:
-    """Validity region {y > sqrt(x)} cap {y < y_max} cap {x > x_min}.
+    """Region {x > x_min} cap {x < y**exponent} cap {y < y_max}.
 
-    Bounds are held as natural logs so the inner scale may sit far below
-    float range (the faithful parameter regime); construct with
+    At exponent 2 it is the contraction wedge {y > sqrt(x)}; at a ladder's
+    seed exponent E it is the admissible seed box {inner < x0 < y0**E,
+    y0 < outer}.  Bounds are held as natural logs so the inner scale may sit
+    far below float range (the faithful parameter regime); construct with
     :meth:`from_linear` or :meth:`from_log10`.
     """
 
     log_x_min: float
     log_y_max: float
+    exponent: float = 2.0
 
     @classmethod
     def from_linear(cls, x_min, y_max):
@@ -166,11 +170,8 @@ class WedgeRegion:
         return cls(log_x_min=math.log(x_min), log_y_max=math.log(y_max))
 
     @classmethod
-    def from_log10(cls, log10_x_min, log10_y_max):
-        return cls(
-            log_x_min=log10_x_min * math.log(10.0),
-            log_y_max=log10_y_max * math.log(10.0),
-        )
+    def from_log10(cls, log10_x_min, log10_y_max, exponent=2.0):
+        return cls(log_x_min=log10_x_min * LN10, log_y_max=log10_y_max * LN10, exponent=exponent)
 
     @property
     def x_min(self):
@@ -181,33 +182,54 @@ class WedgeRegion:
         return math.exp(self.log_y_max)
 
     def _bounds_held(self, lx, ly):
-        """(x > x_min, y < y_max, y > sqrt(x)) from log coordinates; elementwise for arrays."""
-        return lx > self.log_x_min, ly < self.log_y_max, ly > 0.5 * lx
+        """(x > x_min, x < y**exponent, y < y_max) from log coordinates; elementwise for arrays."""
+        return lx > self.log_x_min, lx < self.exponent * ly, ly < self.log_y_max
 
     def contains_log(self, lx, ly):
         """Membership from log coordinates; elementwise for arrays."""
-        above, below, wedge = self._bounds_held(lx, ly)
-        return above & below & wedge
+        above, power, below = self._bounds_held(lx, ly)
+        return above & power & below
 
     def violations(self, x, y):
         """Names of the bounds the point (x, y) fails, decided in logs; empty if inside."""
         if x <= 0.0 or y <= 0.0:
             return ["positive_coordinates"]
         held = self._bounds_held(math.log(x), math.log(y))
-        names = ("x0_above_inner_scale", "y0_below_outer_scale", "y0_above_sqrt_x0")
+        names = ("x0_above_inner_scale", "x0_below_y0_power", "y0_below_outer_scale")
         return [name for name, ok in zip(names, held) if not ok]
 
     def sample(self, count, rng):
-        """Random interior points: x uniform in range, then y above sqrt(x)."""
-        hi_x = min(self.y_max**2, 1.0)
+        """Random interior points: x uniform in range, then y above x**(1/exponent)."""
+        hi_x = min(self.y_max**self.exponent, 1.0)
         if hi_x <= self.x_min:
             raise ValueError("empty region")
         pts = np.empty((count, 2))
         for i in range(count):
             x = rng.uniform(self.x_min, hi_x)
-            lo_y = math.sqrt(x)
-            pts[i] = (x, rng.uniform(lo_y, self.y_max))
+            pts[i] = (x, rng.uniform(x ** (1.0 / self.exponent), self.y_max))
         return pts
+
+    def sample_log_uniform(self, count, rng):
+        """Points drawn uniformly in log10, kept off the bounds by decade margins.
+
+        log10 y lies 0.005 to 0.15 below log10 y_max; log10 x lies 0.1 above
+        log10 x_min and 0.05 below exponent * log10 y.
+        """
+        lo, top, E = self.log_x_min / LN10 + 0.1, self.log_y_max / LN10, self.exponent
+        # the x bound E ly - 0.05 is monotone in ly, so its larger end decides emptiness
+        if max(E * (top - 0.15), E * (top - 0.005)) - 0.05 <= lo:
+            raise LadderError(["seed_box_effectively_empty"])
+        points = []
+        for _ in range(1000 * count):
+            if len(points) == count:
+                break
+            ly = rng.uniform(top - 0.15, top - 0.005)
+            hi = E * ly - 0.05
+            if hi > lo:
+                points.append((10.0 ** rng.uniform(lo, hi), 10.0**ly))
+        if len(points) < count:
+            raise LadderError(["seed_box_effectively_empty"])
+        return points
 
 
 @dataclass(frozen=True)

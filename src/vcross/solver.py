@@ -145,6 +145,13 @@ HELPER_MIN_N = 256  # at n = 128 the hand-overs cost more than the overlap saves
 HANDOFF_POLL_S = 2e-3
 
 
+def usable_cpus():
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _helper_allowed(n):
     """Whether a stepping call on an n x n grid may start a helper thread.
 
@@ -156,12 +163,8 @@ def _helper_allowed(n):
     slower): :class:`_Helper`'s fallback does not win back a core that a
     sibling worker holds.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
     mp = sys.modules.get("multiprocessing")
-    return n >= HELPER_MIN_N and cpus >= 2 and (mp is None or mp.parent_process() is None)
+    return n >= HELPER_MIN_N and usable_cpus() >= 2 and (mp is None or mp.parent_process() is None)
 
 
 def _poll(ready):

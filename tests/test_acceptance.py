@@ -15,7 +15,7 @@ import pytest
 
 import vcross as vc
 from conftest import evenness_error
-from vcross.cli import _demo_perturbation, _sample_seed_box
+from vcross.cli import _demo_perturbation
 from vcross.diagnostics import (
     fit_double_exponential,
     fit_growth_envelope,
@@ -126,7 +126,10 @@ def test_c02_key_estimate_over_seed_box():
         ladder = resolve_ladder(T, mode="relaxed")
         region = WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer)
         rng = np.random.default_rng(11)
-        points = _sample_seed_box(ladder, 20, rng)
+        box = WedgeRegion.from_log10(
+            ladder.log10_inner, ladder.log10_outer, ladder.seed_exponent
+        )
+        points = box.sample_log_uniform(20, rng)
         perturbations = (ZERO_PERTURBATION, _demo_perturbation(ladder.value("drift")))
         for pert in perturbations:
             for x0, y0 in points:

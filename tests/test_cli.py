@@ -710,6 +710,21 @@ count = 1
         assert err == "error: ladder constraints violated: seed_box_effectively_empty\n"
         assert draws == []
 
+    @pytest.mark.parametrize("exponent", ["1.5", "0", "-1"])
+    def test_seed_exponent_below_two_refused(self, tmp_path, exponent, capsys):
+        # for y0 < 1 a box x0 < y0**E with E < 2 reaches out of the wedge y > sqrt(x)
+        out = tmp_path / "se"
+        text = MODEL_CFG.format(x0=1e-6, T=0.3, out=out)
+        text = text.replace("seed_exponent = 5.0", f"seed_exponent = {exponent}")
+        text = text.replace("x0 = 1e-06\ny0 = 0.1\n", "count = 16\n")
+        assert "count = 16" in text
+        assert main(["model", "--config", write(tmp_path, "se.cfg", text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: ladder override seed_exponent must be at least 2, got {float(exponent)}"
+        )
+        assert not out.exists() or not list(out.iterdir())
+
     def test_variant_constants_are_not_config_keys(self, tmp_path):
         summaries = []
         for name, extra in (("plain", ""), ("keys", "c1 = nan\nc2 = nan\n")):
@@ -1069,6 +1084,33 @@ class TestReport:
         cfg = write(tmp_path, "nc.cfg", text)
         assert main(["simulate", "--config", cfg]) == 0
         assert main(["report", str(out / "manifest.txt"), "--out", str(tmp_path)]) == 1
+
+    LEVELS = ("flag", "config", "env", "cwd")
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_output_directory_precedence(self, tmp_path, monkeypatch, level):
+        # --out, then [output] dir (simulate only), then VCROSS_OUT, then "."
+        monkeypatch.chdir(tmp_path)
+        given = self.LEVELS[self.LEVELS.index(level) :]
+        text = SIM_CFG.format(t_end=0.25, out="cfg_dir")
+        if "config" not in given:
+            text = text.replace("[output]\ndir = cfg_dir\n", "")
+        if "env" in given:
+            monkeypatch.setenv("VCROSS_OUT", "env_dir")
+        else:
+            monkeypatch.delenv("VCROSS_OUT", raising=False)
+        flag = ["--out", "flag_dir"] if "flag" in given else []
+        cfg = write(tmp_path, "s.cfg", text)
+        assert main(["simulate", "--config", cfg, *flag]) == 0
+        places = {"flag": "flag_dir", "config": "cfg_dir", "env": "env_dir", "cwd": "."}
+        sim_dir = tmp_path / places[level]
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == (
+            [] if level == "cwd" else [places[level]]
+        )
+        assert (sim_dir / "series.csv").exists()
+        report_dir = tmp_path / places["env" if level == "config" else level]
+        assert main(["report", str(sim_dir / "manifest.txt"), *flag]) == 0
+        assert [p.parent for p in tmp_path.rglob("report.csv")] == [report_dir]
 
     def test_missing_manifest_named(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nope.txt")])

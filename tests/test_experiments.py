@@ -2,12 +2,14 @@
 
 import concurrent.futures
 import math
+import os
 import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import vcross.experiments
 from vcross.experiments import (
     default_growth_family,
     growth_experiment,
@@ -159,3 +161,22 @@ def test_growth_family_reraises_member_exception():
     with pytest.raises(ValueError) as family:
         growth_experiment(n=128, requested=(1.0, 50.0), T=0.05)
     assert str(family.value) == str(direct.value) == "sigma must lie in (0, 0.5), got 1.76777"
+
+
+def test_growth_family_pool_fits_the_affinity_mask(monkeypatch):
+    # one CPU in this process's mask on a two-CPU host: one worker, not two
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    asked = []
+
+    class Stop(Exception):
+        pass
+
+    def spy(fn, payloads, workers):
+        asked.append((len(payloads), workers))
+        raise Stop
+
+    monkeypatch.setattr(vcross.experiments, "run_members", spy)
+    with pytest.raises(Stop):
+        growth_experiment(n=128, requested=(1.0, 50.0), T=0.05)
+    assert asked == [(2, 1)]

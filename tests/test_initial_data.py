@@ -346,7 +346,7 @@ class TestMakeBump:
 
     def test_center_outside_wedge_rejected(self, grid256):
         spec = BumpSpec((0.4, 0.42), 16 * grid256.spacing, 0.5)  # y < sqrt(x)
-        with pytest.raises(ValueError, match="y0_above_sqrt_x0"):
+        with pytest.raises(ValueError, match="x0_below_y0_power"):
             make_bump(grid256, spec, ladder=relaxed_ladder())
 
     def test_faithful_ladder_rejects_any_grid_center(self, grid256):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,8 @@ from vcross.ladder import (
     ParameterLadder,
     relaxed_seed_exponent,
     resolve_ladder,
-    seed_region_violations,
 )
+from vcross.model import WedgeRegion
 
 ENFORCED = (
     "inner_below_outer_power",
@@ -118,28 +119,72 @@ class TestSerialization:
         assert "mode = relaxed" in text
 
 
+def seed_box(ladder):
+    return WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer, ladder.seed_exponent)
+
+
+def log10_box_rule(x0, y0, ladder):
+    """The seed-box test as it was once decided, in log10: the oracle."""
+    lx, ly = math.log10(x0), math.log10(y0)
+    held = (
+        lx > ladder.log10_inner,
+        lx < ladder.seed_exponent * ly,
+        ly < ladder.log10_outer,
+    )
+    names = ("x0_above_inner_scale", "x0_below_y0_power", "y0_below_outer_scale")
+    return [name for name, ok in zip(names, held) if not ok]
+
+
 class TestSeedRegion:
+    @pytest.mark.parametrize(
+        "mode, lx_range, ly_range",
+        [("relaxed", (-8.0, -4.0), (-0.6, 0.0)), ("faithful", (-180.0, -176.0), (-3.1, -2.95))],
+    )
+    def test_box_agrees_with_the_log10_rule(self, mode, lx_range, ly_range):
+        ladder = resolve_ladder(1.0, 10.0, mode)
+        box = seed_box(ladder)
+        rng = np.random.default_rng(25)
+        E = ladder.seed_exponent
+        named = set()
+        inside = checked = 0
+        for lx, ly in rng.uniform(*zip(lx_range, ly_range), size=(2000, 2)):
+            sides = ((lx, ladder.log10_inner), (lx, E * ly), (ly, ladder.log10_outer))
+            if any(abs(a - b) <= 1e-12 * max(abs(a), abs(b)) for a, b in sides):
+                continue  # within rounding of a bound, where log bases may disagree
+            x0, y0 = 10.0**lx, 10.0**ly
+            bad = box.violations(x0, y0)
+            assert bad == log10_box_rule(x0, y0, ladder), (x0, y0)
+            named.update(bad)
+            inside += not bad
+            checked += 1
+        assert len(named) == 3 and 0 < inside < checked
+
+    @pytest.mark.parametrize("mode", ["relaxed", "faithful"])
+    def test_log_uniform_starts_lie_in_the_box_and_the_wedge(self, mode):
+        ladder = resolve_ladder(1.0, 10.0, mode)
+        box = seed_box(ladder)
+        wedge = WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer)
+        for x0, y0 in box.sample_log_uniform(200, np.random.default_rng(7)):
+            assert box.violations(x0, y0) == []
+            assert wedge.violations(x0, y0) == []
+
     def test_boundaries_excluded(self):
         ladder = resolve_ladder(1.0, 10.0, "relaxed")
         outer = ladder.value("outer")
         inner = ladder.value("inner")
-        assert seed_region_violations(inner, outer / 2.0, ladder)  # x0 == inner
-        assert seed_region_violations(2 * inner, outer, ladder)  # y0 == outer
-        assert "x0_above_inner_scale" in seed_region_violations(
-            inner, outer / 2.0, ladder
-        )
-        assert "y0_below_outer_scale" in seed_region_violations(
-            2 * inner, outer, ladder
-        )
+        assert seed_box(ladder).violations(inner, outer / 2.0)  # x0 == inner
+        assert seed_box(ladder).violations(2 * inner, outer)  # y0 == outer
+        assert "x0_above_inner_scale" in seed_box(ladder).violations(inner, outer / 2.0)
+        assert "y0_below_outer_scale" in seed_box(ladder).violations(2 * inner, outer)
 
     def test_interior_point_accepted(self):
         ladder = resolve_ladder(1.0, 10.0, "relaxed")
         y0 = 0.45
         x0 = 10.0 ** (0.5 * (ladder.log10_inner + ladder.seed_exponent * math.log10(y0)))
-        assert not seed_region_violations(x0, y0, ladder)
-        assert seed_region_violations(x0, y0, ladder) == []
+        assert not seed_box(ladder).violations(x0, y0)
+        assert seed_box(ladder).violations(x0, y0) == []
 
     def test_faithful_box_is_subfloat(self):
         # every representable float is outside the faithful seed box
         ladder = resolve_ladder(1.0, 10.0, "faithful")
-        assert seed_region_violations(1e-300, 1e-4, ladder)
+        assert seed_box(ladder).violations(1e-300, 1e-4)

@@ -136,6 +136,26 @@ class TestCrossVelocity:
         assert np.max(np.abs((dv + s * y) / v)) <= 2e-3  # measured 1.3e-3
 
 
+class TestRegion:
+    def test_sample_on_a_box_stays_inside_it(self):
+        box = WedgeRegion.from_log10(-6.0, math.log10(0.5), exponent=5.0)
+        pts = box.sample(500, np.random.default_rng(25))
+        for x, y in pts:
+            assert box.violations(x, y) == []
+        assert np.all(pts[:, 0] < 0.5**5)  # within the box's x range, not the wedge's
+
+    def test_exponent_two_is_the_wedge(self):
+        # lx < 2 ly and ly > lx / 2 decide alike, on the bound and one ulp
+        # either side of it: both scalings are exact
+        region = WedgeRegion.from_linear(1e-8, 0.05)
+        lx = np.log(np.geomspace(1e-7, 2e-3, 4001))
+        on = 0.5 * lx
+        for ly in (np.nextafter(on, -np.inf), on, np.nextafter(on, np.inf)):
+            expected = (lx > region.log_x_min) & (ly > 0.5 * lx) & (ly < region.log_y_max)
+            np.testing.assert_array_equal(region.contains_log(lx, ly), expected)
+        assert region.contains_log(lx, np.nextafter(on, np.inf)).any()
+
+
 class TestTrajectories:
     def test_leading_closed_forms(self):
         path = integrate_variational((1e-6, 0.1), math.log(2.0), variant=LEADING, dt=1e-4)
