@@ -24,10 +24,11 @@ from .diagnostics import (
     growth_ratio_probe,
     perturbation_field_bounds,
     ratios_nondecreasing,
+    relative_drift,
 )
 from .experiments import (
     arm_anomaly,
-    default_growth_family,
+    distinct_growth_family,
     run_growth_member,
     run_members,
     shear_state,
@@ -66,9 +67,7 @@ EXIT_INTERNAL = 4
 
 def _out_dir(args, cfg):
     out = args.out or (cfg.get_str("output", "dir", None) if cfg else None)
-    out = out or os.environ.get("VCROSS_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    return out or os.environ.get("VCROSS_OUT") or "."
 
 
 def _read_checks(path):
@@ -163,16 +162,15 @@ def cmd_simulate(args):
             "the kinetic energy 1/2 |u|^2 is conserved only at alpha = 1; "
             "[checks] hamiltonian_drift checks the invariant of every alpha"
         )
-    out = _out_dir(args, cfg)
     grid = Grid(cfg.get_int("grid", "n"))
     ladder = _build_ladder(cfg)
     theta = _build_initial(cfg, grid, ladder)
     state = SimState(theta, inversion_exponent=alpha)
     t_init = time.perf_counter()
     manifest = RunManifest(
-        "simulate", cfg.raw_text, out, grid_n=grid.n, ladder_text=ladder.serialize()
+        "simulate", cfg.raw_text, _out_dir(args, cfg), grid.n, ladder.serialize()
     )
-    save_state(manifest.add_output(os.path.join(out, "initial.vcrs")), state)
+    save_state(manifest.add_output("initial.vcrs"), state)
 
     t_end = cfg.get_float("time", "t_end")
     cfl = cfg.get_float("time", "cfl", CFL_CAP)
@@ -188,10 +186,8 @@ def cmd_simulate(args):
     parity_tol = tolerances["parity"]
     parity = None if parity_tol is None else point_parity_error(result.state.theta.values)
     if t_end > state.time:
-        save_state(manifest.add_output(os.path.join(out, "final.vcrs")), result.state)
-    write_series_csv(
-        manifest.add_output(os.path.join(out, "series.csv")), result.series_list()
-    )
+        save_state(manifest.add_output("final.vcrs"), result.state)
+    write_series_csv(manifest.add_output("series.csv"), result.series_list())
 
     failures = 0
     if cfg.has("checks"):
@@ -200,13 +196,12 @@ def cmd_simulate(args):
             tol = tolerances[f"{name}_drift"]
             if tol is None or len(result.series[name]) == 0:
                 continue
-            vals = result.series[name].values
-            drift = abs(vals[-1] - vals[0]) / max(abs(vals[0]), 1e-300)
+            drift = relative_drift(result.series[name].values)
             rows.append((f"{name}_drift", drift, tol, drift <= tol))
         if parity_tol is not None:
             rows.append(("parity_sup_error", parity, parity_tol, parity <= parity_tol))
         write_table(
-            manifest.add_output(os.path.join(out, "checks.csv")),
+            manifest.add_output("checks.csv"),
             ["name", "value", "tolerance", "passed"],
             [(name, value, tol, int(bool(ok))) for name, value, tol, ok in rows],
         )
@@ -241,7 +236,6 @@ def _demo_perturbation(upsilon, factor=1.0):
 def cmd_model(args):
     t_start = time.perf_counter()
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
     variant = CrossFieldVariant(cfg.get_str("model", "variant", "exact"))
     ladder = _build_ladder(cfg)
     region = WedgeRegion.from_log10(ladder.log10_inner, ladder.log10_outer)
@@ -295,7 +289,7 @@ def cmd_model(args):
             return EXIT_USAGE
 
     manifest = RunManifest(
-        "model", cfg.raw_text, out, ladder_text=ladder.serialize()
+        "model", cfg.raw_text, _out_dir(args, cfg), ladder_text=ladder.serialize()
     )
     t_init = time.perf_counter()
     paths = integrate_variational_batch(
@@ -304,7 +298,7 @@ def cmd_model(args):
     t_integrated = time.perf_counter()
     summary_rows = []
     for i, ((x0, y0), path) in enumerate(zip(points, paths)):
-        path.write_csv(manifest.add_output(os.path.join(out, f"path_{i:03d}.csv")))
+        path.write_csv(manifest.add_output(f"path_{i:03d}.csv"))
         floor_log = contraction_floor(T, y0, 1.0)
         key_bound = (1.0 / y0) ** ((math.exp(T) - 1.0) / 2.0)
         summary_rows.append(
@@ -320,25 +314,24 @@ def cmd_model(args):
             )
         )
     write_table(
-        manifest.add_output(os.path.join(out, "summary.csv")),
+        manifest.add_output("summary.csv"),
         ["x0", "y0", "exit_time", "x_final", "y_final", "xa_final", "key_bound", "floor_log"],
         np.array(summary_rows, dtype=float),
     )
-    manifest.note(f"rhs_evals = {4 * (paths[0].t.size - 1)}")  # four RK4 stages per step
-    drift = "none" if pert.is_zero else "exact" if pert.exact_terms else "finite-difference"
-    manifest.note(f"drift = {drift}")
+    steps = paths[0].t.size - 1
+    manifest.note(f"steps = {steps}")
+    manifest.note(f"rhs_evals = {4 * steps}")  # four RK4 stages per step
+    manifest.note(f"drift = {'none' if pert.is_zero else 'exact'}")
     _write_manifest(manifest, t_start, init=t_init - t_start, integrate=t_integrated - t_init)
     return EXIT_OK
 
 
 def _sweep_member_runner(payload):
     kind, k, value, params = payload
-    if kind == "steepness":
-        n = params["n"]
-        member = default_growth_family(Grid(n), requested=[value])[0]
-        series = run_growth_member(n, member, T=params["T"]).series["grad_sup"]
+    if kind == "steepness":  # value is the realized member
+        series = run_growth_member(params["n"], value, T=params["T"]).series["grad_sup"]
         row = growth_ratio_probe([series]).rows[0]
-        return {"grad0": row.grad0, "max_ratio": row.ratio}
+        return {"grad0": row.grad0, "max_ratio": row.ratio, "sigma": value.sigma}
     if kind == "n":
         if not float(value).is_integer():  # int() would truncate 128.9 to 128
             raise ValueError(f"grid size must be an integer, got {value}")
@@ -346,10 +339,9 @@ def _sweep_member_runner(payload):
         grid = Grid(n)
         theta = mollified_cross(grid, params["sigma"])
         result = run(SimState(theta), params["T"], sample_every=params["T"])
-        en = result.series["enstrophy"].values
         return {
             "grad_final": float(result.series["grad_sup"].values[-1]),
-            "enstrophy_drift": float(abs(en[-1] - en[0]) / en[0]),
+            "enstrophy_drift": relative_drift(result.series["enstrophy"].values),
         }
     if kind == "alpha":
         n = params["n"]
@@ -377,14 +369,13 @@ def _sweep_member_runner(payload):
 def cmd_sweep(args):
     t_start = time.perf_counter()
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
     axis = cfg.get_str("sweep", "axis")
     values = cfg.get_floats("sweep", "values")
     if axis not in ("steepness", "n", "alpha", "tau", "omega"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ConfigError(f"{cfg.path}: [sweep] values must list at least one value")
-    manifest = RunManifest("sweep", cfg.raw_text, out)
+    manifest = RunManifest("sweep", cfg.raw_text, _out_dir(args, cfg))
     params = {
         "n": cfg.get_int("base", "n", 1024 if axis in ("tau", "omega") else 256),
         "T": cfg.get_float("base", "T", 1.0),
@@ -394,7 +385,11 @@ def cmd_sweep(args):
         "aspect": cfg.get_float("base", "aspect", 3.0),  # height / support
         "seed": args.seed,
     }
-    payloads = [(axis, k, v, params) for k, v in enumerate(values)]
+    members = values
+    if axis == "steepness":  # realized whole, so that no two requests share a member
+        family = {m.steepness: m for m in distinct_growth_family(Grid(params["n"]), values)}
+        members = [family[v] for v in values]
+    payloads = [(axis, k, m, params) for k, m in enumerate(members)]
     t_members = time.perf_counter()
     outcomes = run_members(_sweep_member_runner, payloads, args.threads)
     t_members_end = time.perf_counter()
@@ -422,7 +417,7 @@ def cmd_sweep(args):
 
     keys = sorted({k for _, rec in rows for k in rec})
     write_table(
-        manifest.add_output(os.path.join(out, "aggregate.csv")),
+        manifest.add_output("aggregate.csv"),
         ["value"] + keys,
         np.array(
             [[value] + [rec.get(k, math.nan) for k in keys] for value, rec in rows], dtype=float
@@ -455,6 +450,7 @@ def cmd_report(args):
             print(f"missing file: {m}", file=sys.stderr)
         return EXIT_USAGE
     out = _out_dir(args, None)
+    os.makedirs(out, exist_ok=True)
     write_table(
         os.path.join(out, "report.csv"),
         ["manifest", "check", "value", "tolerance", "passed"],

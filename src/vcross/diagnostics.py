@@ -338,3 +338,8 @@ def ratio_series(series):
     return DiagnosticSeries(
         series.name + "_ratio", series.t, series.values / series.values[0]
     )
+
+
+def relative_drift(values):
+    """|v[-1] - v[0]| / |v[0]| of an invariant's series, the denominator floored at 1e-300."""
+    return float(abs(values[-1] - values[0]) / max(abs(values[0]), 1e-300))

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .diagnostics import growth_ratio_probe, ratio_series
-from .fields import Grid, ScalarField
+from .fields import TWO_PI, Grid, ScalarField, UnresolvedScaleError
 from .initial_data import (
     MIN_CELLS,
     BumpSpec,
@@ -122,6 +122,12 @@ class GrowthMember:
     center: tuple
 
 
+def _front_width(s, spacing):
+    # width ladder 0.25 * sqrt(50 / S), floored at the 8-cell bump support: calibrated
+    # so every member's front stays resolved over the run while the contraction depths separate
+    return max(1.76777 / math.sqrt(s), MIN_CELLS * spacing)
+
+
 def default_growth_family(grid, requested=(50.0, 100.0, 200.0)):
     """Monotone realization of the requested steepness ladder on this grid."""
     requested = sorted(requested)
@@ -130,9 +136,7 @@ def default_growth_family(grid, requested=(50.0, 100.0, 200.0)):
     max_dg = bump_profile_constants()["max_abs_slope"]
     members = []
     for s in requested:
-        # width ladder 0.25 * sqrt(50 / S): calibrated so every member's front
-        # stays resolved over the run while the contraction depths separate
-        sigma = max(1.76777 / math.sqrt(s), h1)
+        sigma = _front_width(s, grid.spacing)
         front_slope = slope_const / sigma
         # bump slope pinned at the member's front slope
         height = front_slope * h1 / (2.0 * max_dg)
@@ -140,6 +144,25 @@ def default_growth_family(grid, requested=(50.0, 100.0, 200.0)):
             GrowthMember(float(s), float(sigma), float(height), float(h1), (0.12, 0.42))
         )
     return members
+
+
+def distinct_growth_family(grid, requested):
+    """:func:`default_growth_family`, refused unless each request realizes its own member."""
+    def sharing(spacing):  # the names of the requests whose realized widths coincide
+        widths = [_front_width(s, spacing) for s in requested]
+        return ", ".join(f"{s:g}" for s, w in zip(requested, widths) if widths.count(w) > 1)
+
+    if not all(s > 0.0 for s in requested) or sharing(0.0):  # no grid separates equal widths
+        raise ValueError(f"steepness requests must be positive and distinct, got {requested}")
+    required = grid.n
+    while sharing(TWO_PI / required):
+        required *= 2
+    if required > grid.n:
+        raise UnresolvedScaleError(
+            f"steepness requests {sharing(grid.spacing)} realize one member at n={grid.n}: "
+            f"sigma is floored at {MIN_CELLS} cells (need n >= {required})", required
+        )
+    return default_growth_family(grid, requested)
 
 
 @dataclass
@@ -167,8 +190,7 @@ def run_growth_member(n, member, T=1.25):
 
 def growth_experiment(n=512, requested=(50.0, 100.0, 200.0), T=1.25):
     """Run the full steepness family, one process per core, and tabulate growth."""
-    grid = Grid(n)
-    members = default_growth_family(grid, requested)
+    members = distinct_growth_family(Grid(n), requested)
     workers = min(len(members), usable_cpus())
     records = []
     for rec, exc in run_members(partial(run_growth_member, n, T=T), members, workers):

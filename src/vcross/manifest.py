@@ -26,11 +26,12 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
-    def add_output(self, path):
-        rel = os.path.relpath(path, self.out_dir)
-        if rel not in self.outputs:
-            self.outputs.append(rel)
-        return path
+    def add_output(self, name):
+        """Record output ``name``, creating ``out_dir`` at the first; return its path."""
+        if not self.outputs:
+            os.makedirs(self.out_dir, exist_ok=True)
+        self.outputs.append(name)
+        return os.path.join(self.out_dir, name)
 
     def note(self, text):
         self.notes.append(text)

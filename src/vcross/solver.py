@@ -624,38 +624,30 @@ def _fourth_power(tv):
     return np.multiply(out, out, out=out)
 
 
-# one function per quantity, so each diagnostic key computes only its own
-_CONSERVED = {
+# one function per sample quantity, so each diagnostic key computes only its own
+DIAGNOSTICS = {
+    "grad_sup": lambda s: grad_sup_norm(s.theta),
     "energy": lambda s: kinetic_energy(s.theta, s.inversion_exponent),
     "enstrophy": lambda s: _cell_sum(s, lambda tv: tv * tv),
+    "hamiltonian": lambda s: hamiltonian(s.theta, s.inversion_exponent),
+    "h2": lambda s: h2_seminorm(s.theta),
     "l1": lambda s: _cell_sum(s, np.abs),
     "l2": lambda s: s.theta.l2_norm(),
     "l4": lambda s: _cell_sum(s, _fourth_power) ** 0.25,
     "linf": lambda s: s.theta.linf_norm(),
-    "mean": lambda s: s.theta.mean,
 }
+DEFAULT_DIAGNOSTICS = {k: DIAGNOSTICS[k] for k in ("grad_sup", "energy", "enstrophy")}
 
 
 def conserved_quantities(state):
     """Energy, enstrophy, L^p norms (p in {1, 2, 4, inf}) and mean of theta."""
-    return {name: fn(state) for name, fn in _CONSERVED.items()}
-
-
-DEFAULT_DIAGNOSTICS = {
-    "grad_sup": lambda s: grad_sup_norm(s.theta),
-    "energy": _CONSERVED["energy"],
-    "enstrophy": _CONSERVED["enstrophy"],
-}
+    q = {k: DIAGNOSTICS[k](state) for k in ("energy", "enstrophy", "l1", "l2", "l4", "linf")}
+    return {**q, "mean": state.theta.mean}
 
 
 def diagnostics_with_norms():
     """Default set plus the Hamiltonian, the H^2 seminorm and the transported L^p norms."""
-    diags = dict(DEFAULT_DIAGNOSTICS)
-    diags["hamiltonian"] = lambda s: hamiltonian(s.theta, s.inversion_exponent)
-    diags["h2"] = lambda s: h2_seminorm(s.theta)
-    for p in ("l1", "l2", "l4", "linf"):
-        diags[p] = _CONSERVED[p]
-    return diags
+    return dict(DIAGNOSTICS)
 
 
 @dataclass

@@ -22,12 +22,12 @@ import vcross.cli
 from conftest import mirror, read_csv_columns
 from vcross.cli import main
 from vcross.config import ConfigError, parse_config_text
-from vcross.experiments import smooth_random_field
+from vcross.experiments import default_growth_family, smooth_random_field
 from vcross.fields import Grid
 from vcross.manifest import read_manifest
 from vcross.model import LEADING, integrate_variational
 from vcross.series import DiagnosticSeries
-from vcross.solver import SimState, load_state, save_state
+from vcross.solver import DIAGNOSTICS, SimState, load_state, save_state
 
 SIM_CFG = """
 [grid]
@@ -301,6 +301,13 @@ dir = {out}
         peak = [l for l in blocks["notes"] if l.startswith("peak_rss_mb = ")]
         assert len(peak) == 1 and float(peak[0].split()[-1]) >= 0.0
 
+    def test_series_columns_are_the_diagnostics_table(self, tmp_path):
+        out = tmp_path / "cols"
+        cfg = write(tmp_path, "sim.cfg", SIM_CFG.format(t_end=0.25, out=out))
+        assert main(["simulate", "--config", cfg]) == 0
+        header = (out / "series.csv").read_text().splitlines()[0]
+        assert header.split(",") == ["t"] + sorted(DIAGNOSTICS)
+
     @pytest.mark.parametrize("line, note", [("cfl = 0.4\n", "cfl = 0.4"), ("", "cfl = 0.5")])
     def test_manifest_notes_the_cfl_that_ran(self, tmp_path, line, note):
         out = tmp_path / "cfl"
@@ -423,7 +430,7 @@ dir = {out}
         assert main(["simulate", "--config", self._snapshot_config(tmp_path, snapshot)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {snapshot}: ") and message in err
-        assert list((tmp_path / "out").iterdir()) == []  # no snapshot, series or manifest
+        assert not (tmp_path / "out").exists()  # no snapshot, series or manifest
 
     @staticmethod
     @functools.cache
@@ -606,6 +613,7 @@ class TestModel:
         text = MODEL_CFG.format(x0=1e-6, T=0.3, out=out) + perturbation
         assert main(["model", "--config", write(tmp_path, "mn.cfg", text)]) == 0
         notes = read_manifest(out / "manifest.txt")[2]["notes"]
+        assert "steps = 3000" in notes  # T / dt
         assert "rhs_evals = 12000" in notes  # four stages per step, T / dt = 3000 steps
         assert f"drift = {drift}" in notes
 
@@ -723,7 +731,7 @@ count = 1
         assert err.startswith(
             f"error: ladder override seed_exponent must be at least 2, got {float(exponent)}"
         )
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_variant_constants_are_not_config_keys(self, tmp_path):
         summaries = []
@@ -1056,6 +1064,51 @@ dir = {out}
         assert "ratio_monotone = 0 (failed members skipped: 0)" in blocks["notes"]
 
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (
+                "50 100 200 400",
+                "steepness requests 100, 200, 400 realize one member at n=256: "
+                "sigma is floored at 8 cells (need n >= 512)",
+            ),
+            (
+                "50 100 50",
+                "steepness requests must be positive and distinct, got [50.0, 100.0, 50.0]",
+            ),
+        ],
+        ids=["collapsed", "repeated"],
+    )
+    def test_a_family_with_a_shared_member_exits_usage_and_leaves_no_directory(
+        self, tmp_path, capsys, values, message
+    ):
+        out = tmp_path / "shared"
+        text = f"[sweep]\naxis = steepness\nvalues = {values}\n[base]\nT = 0.125\n"
+        assert main(["sweep", "--config", write(tmp_path, "s.cfg", text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_steepness_members_are_realized_together_in_request_order(
+        self, tmp_path, monkeypatch
+    ):
+        ran = []
+
+        def member_run(n, member, T):
+            ran.append(member)
+            series = DiagnosticSeries("grad_sup", [0.0, T], [1.0, 2.0])
+            return SimpleNamespace(series={"grad_sup": series})
+
+        monkeypatch.setattr(vcross.cli, "run_growth_member", member_run)
+        out = tmp_path / "order"
+        text = f"[sweep]\naxis = steepness\nvalues = 100 1 50\n[output]\ndir = {out}\n"
+        assert main(["sweep", "--config", write(tmp_path, "order.cfg", text)]) == 0
+        low, mid, high = default_growth_family(Grid(256), (100.0, 1.0, 50.0))  # sorted
+        assert ran == [high, low, mid]
+        columns = read_csv_columns(out / "aggregate.csv")
+        assert list(columns) == ["value", "grad0", "max_ratio", "sigma"]
+        assert columns["sigma"].tolist() == [high.sigma, low.sigma, mid.sigma]
+
+
 class TestReport:
     def _run_sim(self, tmp_path, name, t_end=0.5, tol="1e-10"):
         out = tmp_path / name
@@ -1231,7 +1284,7 @@ dir = {out}
         cfg = write(tmp_path, "l.cfg", text.replace(old, new))
         assert main(["model", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     LADDER_CFG = """
 [ladder]

@@ -21,6 +21,7 @@ from vcross.diagnostics import (
     polyline_length,
     polyline_min_distance,
     ratio_series,
+    relative_drift,
     stretch_and_thickness,
 )
 from vcross.experiments import arm_anomaly, shear_state
@@ -291,3 +292,17 @@ class TestGrowthProbe:
         )
         assert not probe_bad.nondecreasing()
 
+
+class TestRelativeDrift:
+    def test_both_old_formulas_bit_for_bit(self):
+        # the simulate check rows floored |v[0]|; the sweep's n axis divided by v[0]
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            v = rng.uniform(1e-3, 1e3, size=int(rng.integers(2, 9)))
+            drift = relative_drift(v)
+            assert drift == abs(v[-1] - v[0]) / max(abs(v[0]), 1e-300)
+            assert drift == float(abs(v[-1] - v[0]) / v[0])
+
+    def test_a_zero_first_value_is_floored(self):
+        assert relative_drift(np.array([0.0, 2e-310])) == 2e-310 / 1e-300
+        assert relative_drift(np.array([0.0, 0.0])) == 0.0

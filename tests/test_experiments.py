@@ -12,11 +12,12 @@ import pytest
 import vcross.experiments
 from vcross.experiments import (
     default_growth_family,
+    distinct_growth_family,
     growth_experiment,
     run_growth_member,
     run_members,
 )
-from vcross.fields import Grid, PointEvenField, ScalarField
+from vcross.fields import Grid, PointEvenField, ScalarField, UnresolvedScaleError
 from vcross.initial_data import BumpSpec, make_bump, mollified_cross
 from vcross.solver import SimState, run
 
@@ -180,3 +181,58 @@ def test_growth_family_pool_fits_the_affinity_mask(monkeypatch):
     with pytest.raises(Stop):
         growth_experiment(n=128, requested=(1.0, 50.0), T=0.05)
     assert asked == [(2, 1)]
+
+
+@pytest.mark.parametrize(
+    "n, requested, names, required",
+    [
+        (256, (50.0, 100.0, 200.0, 400.0), "100, 200, 400", 512),
+        (128, (100.0, 1.0, 50.0), "100, 50", 256),
+    ],
+)
+def test_a_collapsed_family_is_refused_with_the_grid_that_separates_it(
+    n, requested, names, required
+):
+    # the mollifier width is floored at 8 cells, so steep requests realize one member
+    assert len({m.sigma for m in default_growth_family(Grid(n), requested)}) < len(requested)
+    with pytest.raises(UnresolvedScaleError) as err:
+        distinct_growth_family(Grid(n), requested)
+    assert err.value.required_n == required
+    assert str(err.value).startswith(f"steepness requests {names} realize one member at n={n}: ")
+    assert str(err.value).endswith(f"(need n >= {required})")
+    separated = distinct_growth_family(Grid(required), requested)
+    assert separated == default_growth_family(Grid(required), requested)
+    assert len({m.sigma for m in separated}) == len(requested)
+
+
+def test_a_single_floored_member_stays_legal():
+    floored = default_growth_family(Grid(128), (400.0,))
+    assert floored[0].sigma == 8 * Grid(128).spacing
+    assert distinct_growth_family(Grid(128), (400.0,)) == floored
+
+
+@pytest.mark.parametrize(
+    "requested",
+    [
+        (50.0, 100.0, 50.0),
+        (100.0, math.nextafter(100.0, 200.0)),
+        (50.0, 0.0),
+        (-1.0,),
+        (math.nan,),
+    ],
+    ids=["repeat", "one-ulp-apart", "zero", "negative", "nan"],
+)
+def test_requests_no_grid_separates_are_refused_without_a_search(requested):
+    # 100 and its next float realize the same unfloored width: no n separates them
+    with pytest.raises(ValueError) as err:
+        distinct_growth_family(Grid(16), requested)
+    assert not isinstance(err.value, UnresolvedScaleError)
+    assert str(err.value).startswith("steepness requests must be positive and distinct, got ")
+
+
+def test_growth_experiment_refuses_a_collapsed_family_before_any_member_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(vcross.experiments, "run_members", lambda *a: ran.append(a))
+    with pytest.raises(UnresolvedScaleError) as err:
+        growth_experiment(n=128, requested=(50.0, 100.0), T=0.05)
+    assert err.value.required_n == 256 and ran == []

@@ -28,7 +28,7 @@ from vcross.experiments import (
     smooth_random_field,
 )
 from vcross.fields import PointEvenField
-from vcross.solver import diagnostics_with_norms
+from vcross.solver import DEFAULT_DIAGNOSTICS, DIAGNOSTICS, diagnostics_with_norms
 
 TWO_PI = 2.0 * np.pi
 
@@ -631,6 +631,15 @@ class TestNorms:
     def test_conserved_quantities_zero_state(self, grid64):
         q = vc.conserved_quantities(vc.SimState(vc.ScalarField.zeros(grid64)))
         assert all(v == 0.0 for v in q.values())
+
+    def test_one_table_names_every_sample_quantity(self):
+        names = ["grad_sup", "energy", "enstrophy", "hamiltonian", "h2", "l1", "l2", "l4", "linf"]
+        assert list(DIAGNOSTICS) == names
+        with_norms = diagnostics_with_norms()
+        assert list(with_norms) == names
+        assert all(with_norms[k] is fn for k, fn in DIAGNOSTICS.items())
+        assert list(DEFAULT_DIAGNOSTICS) == names[:3]
+        assert all(DEFAULT_DIAGNOSTICS[k] is DIAGNOSTICS[k] for k in names[:3])
 
 
 @settings(max_examples=40, deadline=None)
