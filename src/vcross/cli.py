@@ -46,6 +46,7 @@ from .model import (
     integrate_variational_batch,
 )
 from .manifest import RunManifest, read_manifest
+from .pcg64 import PCG64Stream
 from .series import write_series_csv, write_table
 from .solver import (
     CFL_CAP,
@@ -117,11 +118,10 @@ def _build_initial(cfg, grid, ladder):
     if kind == "shear":
         return shear_state(grid, cfg.get_float("init", "amplitude", 1.0)).theta
     if kind == "random":
-        return smooth_random_field(
-            grid,
-            seed=cfg.get_int("init", "seed", 0),
-            l2=cfg.get_float("init", "amplitude", 1.0),
-        )
+        seed = cfg.get_int("init", "seed", 0)
+        if seed < 0:  # refused as --seed is
+            raise ConfigError(f"[init] seed must be non-negative, got {seed}")
+        return smooth_random_field(grid, seed=seed, l2=cfg.get_float("init", "amplitude", 1.0))
     if kind == "cross":
         return mollified_cross(grid, cfg.get_float("init", "sigma"))
     if kind == "cross+bump":
@@ -243,7 +243,7 @@ def cmd_model(args):
         ladder.log10_inner, ladder.log10_outer, ladder.seed_exponent
     )
     T = cfg.get_float("trajectory", "T", 1.0)
-    if T < 0.0:
+    if math.copysign(1.0, T) < 0.0:  # also -0.0, which no draw range [0, T] takes
         raise ConfigError(f"[trajectory] T must be non-negative, got {T}")
     dt = cfg.get_float("trajectory", "dt", 1e-3)
 
@@ -275,8 +275,7 @@ def cmd_model(args):
         count = cfg.get_int("trajectory", "count")
         if count <= 0:
             raise ConfigError(f"[trajectory] count must be positive, got {count}")
-        rng = np.random.default_rng(args.seed)
-        points = seed_box.sample_log_uniform(count, rng)
+        points = seed_box.sample_log_uniform(count, PCG64Stream(args.seed))
     else:
         points = [(cfg.get_float("trajectory", "x0"), cfg.get_float("trajectory", "y0"))]
         bad = seed_box.violations(*points[0])
@@ -466,6 +465,12 @@ def cmd_report(args):
     return EXIT_OK
 
 
+def _seed(text):
+    if int(text) < 0:  # the draws are numpy's default_rng stream, which has no negative seed
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vcross",
@@ -481,7 +486,7 @@ def build_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         if name != "simulate":
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1)
         p.set_defaults(fn=fn)

@@ -27,6 +27,7 @@ from .initial_data import (
     mollifier_slope_at_jump,
 )
 from .ladder import resolve_ladder
+from .pcg64 import PCG64Stream
 from .solver import SimState, grad_sup_norm, run, usable_cpus
 
 
@@ -37,7 +38,7 @@ def smooth_random_field(grid, seed=0, k_peak=3.0, l2=2.0):
     independent, so the same seed produces (samples of) the same continuum
     field on every grid; that is what refinement comparisons need.
     """
-    rng = np.random.default_rng(seed)
+    rng = PCG64Stream(seed)
     n = grid.n
     k_max = 12
     if k_max >= n // 2:

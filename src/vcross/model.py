@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ladder import LN10, LadderError
+from .pcg64 import PCG64Stream
 from .series import DiagnosticSeries, write_table
 
 AXIS_GUARD = 1e-12
@@ -564,7 +565,7 @@ def check_perturbation_admissible(perturbation, region, t_max=1.0, seed=0):
         return AdmissibilityReport(True, math.inf, math.inf)
     if not 0.0 < perturbation.upsilon < math.inf:  # a bound <= 0 would pass any drift
         raise ValueError(f"upsilon must be finite and positive, got {perturbation.upsilon}")
-    rng = np.random.default_rng(seed)
+    rng = PCG64Stream(seed)
     pts = region.sample(200, rng)
     ts = rng.uniform(0.0, t_max, size=len(pts))
     x, y = pts[:, 0], pts[:, 1]

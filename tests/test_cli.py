@@ -604,6 +604,15 @@ class TestModel:
         assert capsys.readouterr().err == "error: [trajectory] T must be non-negative, got -1.0\n"
         assert not list(out.glob("path_*.csv"))
 
+    def test_negative_zero_horizon_refused_by_name(self, tmp_path, capsys):
+        # no admissibility draw takes the time range [0, -0.0]
+        out = tmp_path / "mz"
+        text = MODEL_CFG.format(x0=1e-6, T=-0.0, out=out).replace("horizon = -0.0", "horizon = 1")
+        text += "[perturbation]\nkind = demo\nupsilon = 1e-3\n"
+        assert main(["model", "--config", write(tmp_path, "mz.cfg", text)]) == 2
+        assert capsys.readouterr().err == "error: [trajectory] T must be non-negative, got -0.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "perturbation, drift",
         [("", "none"), ("[perturbation]\nkind = demo\nupsilon = 1e-3\n", "exact")],
@@ -699,17 +708,17 @@ count = 1
 
     def test_empty_seed_box_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
         # x0 < y0**E - 0.05 stays below inner + 0.1 over the whole y0 range
-        draws, default_rng = [], np.random.default_rng
+        draws, stream = [], vcross.cli.PCG64Stream
 
         class Spy:
             def __init__(self, seed):
-                self.rng = default_rng(seed)
+                self.rng = stream(seed)
 
             def uniform(self, low, high):
                 draws.append((low, high))
                 return self.rng.uniform(low, high)
 
-        monkeypatch.setattr(np.random, "default_rng", Spy)
+        monkeypatch.setattr(vcross.cli, "PCG64Stream", Spy)
         text = self.FAITHFUL_DEMO.format(upsilon="").replace("faithful", "relaxed")
         text = text.replace("[perturbation]\nkind = demo\n", "outer = 0.01\n")
         cfg = write(tmp_path, "e.cfg", text.replace("count = 1", "count = 1000"))
@@ -732,6 +741,56 @@ count = 1
             f"error: ladder override seed_exponent must be at least 2, got {float(exponent)}"
         )
         assert not out.exists()
+
+    TRAJECTORY_CFG = """
+[model]
+variant = exact
+[ladder]
+mode = relaxed
+horizon = 1.0
+[perturbation]
+kind = demo
+[trajectory]
+{lines}
+"""
+
+    # Bounded draws: count <= 64, and T <= 2 with dt >= 1e-3 keep a run within
+    # 2000 steps; a tiny dt or a huge T would make a legitimately long run.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70) | st.integers(0, 9) | st.integers(0, 2**40) | st.just(-1),
+        start=st.fixed_dictionaries({"count": st.integers(1, 64)})
+        | st.fixed_dictionaries({"count": st.integers(-2, 0) | st.just("2.5")})
+        | st.fixed_dictionaries({"x0": st.floats(1e-9, 1e-3), "y0": st.floats(0.0, 1.0)})
+        | st.fixed_dictionaries({"x0": st.floats(), "y0": st.floats()}),
+        T=st.floats(0.0, 2.0)
+        | st.none()
+        | st.floats(-1.0, 0.0)
+        | st.sampled_from([math.nan, math.inf, -math.inf]),
+        dt=st.floats(1e-3, 4.0)
+        | st.none()
+        | st.floats(max_value=0.0)
+        | st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    @example(seed=0, start={"count": 64}, T=2.0, dt=1e-3)
+    @example(seed=123456789012, start={"count": 3}, T=0.0, dt=None)
+    @example(seed=5, start={"x0": 1e-6, "y0": 0.1}, T=0.5, dt=4.0)
+    @example(seed=1, start={"count": 2}, T=-0.0, dt=None)
+    def test_any_seed_and_trajectory_exit_with_a_documented_code(self, seed, start, T, dt):
+        keys = dict(start, T=T, dt=dt)
+        lines = "\n".join(f"{k} = {v}" for k, v in keys.items() if v is not None)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "m.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(self.TRAJECTORY_CFG.format(lines=lines))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                argv = ["--config", cfg, "--out", os.path.join(tmp, "o"), "--seed", str(seed)]
+                code = main(["model", *argv])
+        err = err.getvalue()
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err and "internal error" not in err
+        assert "high - low" not in err  # a draw's own refusal names no input
 
     def test_variant_constants_are_not_config_keys(self, tmp_path):
         summaries = []
@@ -1351,6 +1410,26 @@ count = 1
         err = f"error: [ladder] {name} and log10_{name} both given; give one\n"
         assert (code, capsys.readouterr().err) == (2, err)
 
+    NEGATIVE_SEED = {  # command: (config, seed flag), each read before any output
+        "model": ("[trajectory]\nT = 0.1\ncount = 2\n", ["--seed", "-1"]),
+        "sweep": ("[sweep]\naxis = alpha\nvalues = 1\n[base]\nn = 64\nT = 0.1\n", ["--seed", "-1"]),
+        "simulate": ("[grid]\nn = 64\n[time]\nt_end = 0.1\n[init]\nkind = random\nseed = -1\n", []),
+    }
+
+    @pytest.mark.parametrize("command", sorted(NEGATIVE_SEED))
+    def test_a_negative_seed_exits_usage_before_any_output_and_is_named(
+        self, tmp_path, command, capsys
+    ):
+        text, flag = self.NEGATIVE_SEED[command]
+        argv = [command, "--config", write(tmp_path, "n.cfg", text), "--out", str(tmp_path / "o")]
+        assert main(argv + flag) == 2
+        err = capsys.readouterr().err
+        if flag:
+            assert err.endswith("argument --seed: must be a non-negative integer, got -1\n")
+        else:
+            assert err == "error: [init] seed must be non-negative, got -1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_out_under_a_regular_file_exits_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "plain.txt"
         blocker.write_text("not a directory")
@@ -1419,8 +1498,38 @@ def test_cli_import_loads_no_process_machinery():
     assert [m for m in loaded if m.split(".")[0] == "concurrent"] == []
 
 
+def _numpy_random(modules):
+    return [m for m in modules if m == "numpy.random" or m.startswith("numpy.random.")]
+
+
 def test_cli_import_loads_no_numpy_random():
-    # only a run that draws (a random field, sampled model starts) pays for it
     loaded = _modules_after_cli_import()
     assert "numpy" in loaded
-    assert [m for m in loaded if m == "numpy.random" or m.startswith("numpy.random.")] == []
+    assert _numpy_random(loaded) == []
+
+
+def test_runs_that_draw_load_no_numpy_random(tmp_path):
+    # sampled model starts, the demo drift's admissibility points and a random
+    # field all draw from the package's own stream
+    model = "[perturbation]\nkind = demo\n[trajectory]\nT = 0.1\ncount = 4\n"
+    simulate = "[grid]\nn = 32\n[time]\nt_end = 0.05\n[init]\nkind = random\nseed = 2\n"
+    code = (
+        "import sys\n"
+        "from vcross.cli import main\n"
+        "args = sys.argv[1:]\n"
+        "for i in range(0, len(args), 3):\n"
+        "    command, cfg, out = args[i : i + 3]\n"
+        "    assert main([command, '--config', cfg, '--out', out]) == 0\n"
+        "    print(command, *sorted(sys.modules))\n"
+    )
+    argv = []
+    for command, text in (("model", model), ("simulate", simulate)):
+        argv += [command, write(tmp_path, f"{command}.cfg", text), str(tmp_path / command)]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=_env_with_src(), capture_output=True,
+        text=True, check=True,
+    )
+    runs = [line.split() for line in done.stdout.splitlines()]
+    assert [run[0] for run in runs] == ["model", "simulate"]
+    assert all(_numpy_random(run[1:]) == [] for run in runs)
+    assert (tmp_path / "model" / "path_003.csv").exists()
