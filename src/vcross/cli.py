@@ -164,19 +164,19 @@ def cmd_simulate(args):
         )
     grid = Grid(cfg.get_int("grid", "n"))
     ladder = _build_ladder(cfg)
-    theta = _build_initial(cfg, grid, ladder)
-    state = SimState(theta, inversion_exponent=alpha)
+    # in a list, so that run can take it without this frame holding it
+    start = [SimState(_build_initial(cfg, grid, ladder), inversion_exponent=alpha)]
     t_init = time.perf_counter()
     manifest = RunManifest(
         "simulate", cfg.raw_text, _out_dir(args, cfg), grid.n, ladder.serialize()
     )
-    save_state(manifest.add_output("initial.vcrs"), state)
+    save_state(manifest.add_output("initial.vcrs"), start[0])
 
     t_end = cfg.get_float("time", "t_end")
     cfl = cfg.get_float("time", "cfl", CFL_CAP)
     t_run_start = time.perf_counter()
     result = run(
-        state,
+        start.pop(),  # the march frees the start spectrum after its first step
         t_end,
         cfl=cfl,
         sample_every=sample_every,
@@ -185,7 +185,7 @@ def cmd_simulate(args):
     t_run_end = time.perf_counter()
     parity_tol = tolerances["parity"]
     parity = None if parity_tol is None else point_parity_error(result.state.theta.values)
-    if t_end > state.time:
+    if t_end > 0.0:  # the start state's clock
         save_state(manifest.add_output("final.vcrs"), result.state)
     write_series_csv(manifest.add_output("series.csv"), result.series_list())
 
@@ -243,6 +243,8 @@ def cmd_model(args):
         ladder.log10_inner, ladder.log10_outer, ladder.seed_exponent
     )
     T = cfg.get_float("trajectory", "T", 1.0)
+    if not math.isfinite(T):  # before the admissibility draw and the integrator name it
+        raise ConfigError(f"[trajectory] T must be finite, got {T}")
     if math.copysign(1.0, T) < 0.0:  # also -0.0, which no draw range [0, T] takes
         raise ConfigError(f"[trajectory] T must be non-negative, got {T}")
     dt = cfg.get_float("trajectory", "dt", 1e-3)

@@ -182,10 +182,11 @@ def run_growth_member(n, member, T=1.25):
         max(T, 1.0), mode="relaxed", overrides={"outer": math.log10(0.7)}
     )
     spec = BumpSpec(member.center, member.support, member.height)
-    theta = compose_initial_data(grid, ladder, spec, member.sigma)
-    result = run(SimState(theta), T, sample_every=0.0625)
+    result = run(  # the start state handed down, not held: the first step frees its spectrum
+        SimState(compose_initial_data(grid, ladder, spec, member.sigma)), T, sample_every=0.0625
+    )
     first = result.series["grad_sup"].values[:1]  # the run's own t = 0 sample, if it took one
-    grad0 = float(first[0]) if len(first) else grad_sup_norm(theta)
+    grad0 = float(first[0]) if len(first) else grad_sup_norm(result.state.theta)  # the start state
     return GrowthRunRecord(member, result.series, grad0, result.state)
 
 

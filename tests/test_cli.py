@@ -613,6 +613,18 @@ class TestModel:
         assert capsys.readouterr().err == "error: [trajectory] T must be non-negative, got -0.0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("T", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "perturbation", ["", "[perturbation]\nkind = demo\nupsilon = 1e-3\n"], ids=["none", "demo"]
+    )
+    def test_non_finite_horizon_refused_by_name(self, tmp_path, capsys, T, perturbation):
+        # refused before the admissibility draw or the integrator names its own parameter
+        out = tmp_path / "mn"
+        text = MODEL_CFG.format(x0=1e-6, T=T, out=out).replace(f"horizon = {T}", "horizon = 1")
+        assert main(["model", "--config", write(tmp_path, "mn.cfg", text + perturbation)]) == 2
+        assert capsys.readouterr().err == f"error: [trajectory] T must be finite, got {T}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "perturbation, drift",
         [("", "none"), ("[perturbation]\nkind = demo\nupsilon = 1e-3\n", "exact")],
@@ -1298,8 +1310,8 @@ dir = {out}
         [
             ("simulate", "t_end = inf", "t_end must be finite, got inf"),
             ("simulate", "t_end = nan", "t_end must be finite, got nan"),
-            ("model", "T = inf", "T must be finite, got inf"),
-            ("model", "T = nan", "T must be finite, got nan"),
+            ("model", "T = inf", "[trajectory] T must be finite, got inf"),
+            ("model", "T = nan", "[trajectory] T must be finite, got nan"),
             ("model", "dt = nan", "dt must be positive, got nan"),
         ],
     )

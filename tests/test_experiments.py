@@ -3,8 +3,10 @@
 import concurrent.futures
 import math
 import os
+import re
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,9 +141,9 @@ def test_growth_member_holds_each_array_once():
 
 def test_growth_member_peak_holds_one_live_state():
     # the same member to T = 0.25 (5 samples), traced after a warm-up run.  At
-    # the peak: the kernel's 8.39 MiB, the RK4 state and its successor (2.01
-    # MiB) and the caller's start spectrum (1.00 MiB).  With the last sample's
-    # spectrum and the start field's rows held through the steps, it was 13.90.
+    # the peak: the kernel's 7.04 MiB and the RK4 state and its successor (2.01
+    # MiB).  With the last sample's spectrum and the start field's rows held
+    # through the steps, it was 13.90.
     member = default_growth_family(Grid(512))[-1]
     run_growth_member(512, member, T=0.25)
     tracemalloc.start()
@@ -152,6 +154,35 @@ def test_growth_member_peak_holds_one_live_state():
         tracemalloc.stop()
     assert len(record.series["grad_sup"]) == 5
     assert peak <= 12.5 * MIB
+
+
+@pytest.fixture(scope="module")
+def member_peak_mib():
+    """Traced peak of the member to T = 0.25 after a warm-up run, in MiB."""
+    member = default_growth_family(Grid(512))[-1]
+    run_growth_member(512, member, T=0.25)
+    tracemalloc.start()
+    try:
+        run_growth_member(512, member, T=0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / MIB
+
+
+def test_growth_member_peak_holds_no_start_state(member_peak_mib):
+    # 9.25 MiB: the kernel's 7.04 (buffers 5.70, compact multipliers 1.34),
+    # the RK4 state and its successor 2.01, and 0.19 of numpy ufunc buffers
+    # that the RHS's products over strided bands allocate in passing.  No
+    # caller keeps the start state, so its spectrum is gone after the first step.
+    assert member_peak_mib <= 9.5
+
+
+def test_readme_quotes_the_measured_member_peak(member_peak_mib):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = re.search(r"peaks at ([0-9.]+) MiB\s+traced", readme)
+    assert quoted is not None
+    assert abs(float(quoted.group(1)) - member_peak_mib) <= 0.1
 
 
 def test_growth_family_reraises_member_exception():

@@ -27,7 +27,7 @@ from vcross.experiments import (
     shear_state,
     smooth_random_field,
 )
-from vcross.fields import PointEvenField
+from vcross.fields import PointEvenField, inverse_k2_power
 from vcross.solver import DEFAULT_DIAGNOSTICS, DIAGNOSTICS, diagnostics_with_norms
 
 TWO_PI = 2.0 * np.pi
@@ -240,10 +240,22 @@ class TestAdvectionKernel:
         assert np.array_equal(k, want)
         assert np.array_equal(acc, want_acc)
 
+    @staticmethod
+    def expand(multiplier, n, m, dtype):
+        """The n x m band symbol a compact multiplier stands for, its rows copied bit for bit."""
+        full, c = np.zeros((n, m), dtype), n // 3
+        full[: c + 1], full[-c:] = multiplier.top, multiplier.bottom
+        return full
+
+    @staticmethod
+    def multipliers(kernel):
+        return [kernel.to_u, kernel.to_v, *kernel.products]
+
     @pytest.mark.parametrize("point_even", [False, True])
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_band_multipliers_match_full_grid_slices(self, alpha, point_even):
-        # the band of the full n x (n/2 + 1) symbols, each by its eager formula
+        # the band of the full n x (n/2 + 1) symbols, each by its eager formula;
+        # each compact multiplier is expanded to the n x m band it stands for
         grid = vc.Grid(512)
         n, m = grid.n, grid.n // 3 + 1
         k2 = grid.kx**2 + grid.ky**2
@@ -261,9 +273,26 @@ class TestAdvectionKernel:
             products = [odd * kx * keep, odd * ky * keep, -fwd * keep]
         kernel = solver._AdvectionKernel(grid, alpha, point_even=point_even)
         want = [odd * ky * inv, -odd * kx * inv] + products
-        got = [kernel.to_u, kernel.to_v, *kernel.products]
+        dtype = float if point_even else complex
+        got = [self.expand(mult, n, m, dtype) for mult in self.multipliers(kernel)]
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # apply writes the products of the expanded symbol, zero in the masked slab
+        re, im = np.random.default_rng(6).standard_normal((2, n, m))
+        source = re if point_even else re + 1j * im
+        for mult, full in zip(self.multipliers(kernel), got):
+            out = np.full((n, m), np.nan, dtype)
+            mult.apply(source, out)
+            assert np.array_equal(out, source * full)
+
+    @pytest.mark.parametrize(("n", "alpha", "bound_mib"), [(512, 1.0, 1.4), (256, 1.5, 0.2)])
+    def test_multipliers_store_only_the_rows_that_differ(self, n, alpha, bound_mib):
+        # the growth (n = 512) and cli (n = 256) kernels; full n x m arrays
+        # took 2.67 and 0.84 MiB
+        kernel = solver._AdvectionKernel(vc.Grid(n), alpha, point_even=True)
+        parts = [p for mult in self.multipliers(kernel) for p in (mult.top, mult.bottom)]
+        owners = {id(a): a for a in (p if p.base is None else p.base for p in parts)}
+        assert sum(a.nbytes for a in owners.values()) <= bound_mib * 2**20
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_zero_mode_exactly_zero(self, grid64, alpha):
@@ -316,6 +345,31 @@ class TestErrors:
 
 
 class TestRun:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("point_even", [False, True])
+    def test_start_spectrum_freed_by_the_second_sample(self, n, point_even):
+        # handed to run and held nowhere else: the march drops the start state
+        # once the kernel has its spectrum, and the first step replaces it
+        refs, alive = [], []
+
+        def start():
+            spec = band_limited_spectrum(vc.Grid(n), 3)
+            theta = (
+                PointEvenField(vc.Grid(n), spec.real.copy())
+                if point_even
+                else vc.ScalarField.from_spectrum(vc.Grid(n), spec)
+            )
+            refs.append(weakref.ref(theta.real_spectrum if point_even else theta.spectrum))
+            return vc.SimState(theta)
+
+        def start_alive(sample):
+            alive.append(refs[0]() is not None)
+            return 0.0
+
+        result = vc.run(start(), 0.02, sample_every=0.01, diagnostics={"alive": start_alive})
+        assert result.kernel == ("point-even" if point_even else "general")
+        assert alive == [True, False, False]
+
     def test_noop_run(self, grid64):
         state = vc.SimState(smooth_random_field(grid64, seed=2), time=1.0)
         result = vc.run(state, 1.0)
@@ -554,6 +608,23 @@ def test_point_even_run_holds_no_stage_or_band_buffer(cpus):
 
 
 class TestNorms:
+    @pytest.mark.parametrize("power", [2.0, -1.0, -1.5, -2.0])
+    @pytest.mark.parametrize("point_even", [False, True])
+    def test_half_height_parseval_symbol_sums_the_same_bits(self, grid128, power, point_even):
+        # the cached symbol holds rows kx = 0..n/2; the sum is the one the
+        # full n x (n/2 + 1) symbol gave, weights * |k|^(2 power) * |theta_hat|^2
+        g, n = grid128, grid128.n
+        assert solver._parseval_symbol(g, power).shape == (n // 2 + 1, n // 2 + 1)
+        spec = fft.rfft2(np.random.default_rng(8).standard_normal((n, n)))
+        f = vc.ScalarField.from_spectrum(g, spec)
+        if point_even:
+            f = PointEvenField(g, spec.real.copy())
+        weights = np.full((n, n // 2 + 1), 2.0)
+        weights[:, [0, -1]] = 1.0
+        p = f.spectral_power()
+        p *= weights * inverse_k2_power(g.k2, -power)
+        assert solver._parseval_sum(f, power) == float((2.0 * np.pi) ** 2 / n**4 * np.sum(p))
+
     def test_grad_sup_constant_is_zero(self, grid64):
         f = vc.ScalarField.from_values(grid64, np.full((64, 64), 0.4))
         assert vc.grad_sup_norm(f) == 0.0
