@@ -28,7 +28,6 @@ from .solver import (
     BlowUpError,
     CFLViolation,
     SimState,
-    conserved_quantities,
     grad_sup_norm,
     h2_seminorm,
     hessian_sup_of_inverse_laplacian,

@@ -50,9 +50,10 @@ from .pcg64 import PCG64Stream
 from .series import write_series_csv, write_table
 from .solver import (
     CFL_CAP,
+    DIAGNOSTICS,
     BlowUpError,
     SimState,
-    diagnostics_with_norms,
+    _require_march_args,
     load_state,
     require_vorticity,
     run,
@@ -166,21 +167,22 @@ def cmd_simulate(args):
     ladder = _build_ladder(cfg)
     # in a list, so that run can take it without this frame holding it
     start = [SimState(_build_initial(cfg, grid, ladder), inversion_exponent=alpha)]
+    t_end = cfg.get_float("time", "t_end")
+    cfl = cfg.get_float("time", "cfl", CFL_CAP)
+    _require_march_args(start[0], t_end, cfl)  # before the first output makes the directory
     t_init = time.perf_counter()
     manifest = RunManifest(
         "simulate", cfg.raw_text, _out_dir(args, cfg), grid.n, ladder.serialize()
     )
     save_state(manifest.add_output("initial.vcrs"), start[0])
 
-    t_end = cfg.get_float("time", "t_end")
-    cfl = cfg.get_float("time", "cfl", CFL_CAP)
     t_run_start = time.perf_counter()
     result = run(
         start.pop(),  # the march frees the start spectrum after its first step
         t_end,
         cfl=cfl,
         sample_every=sample_every,
-        diagnostics=diagnostics_with_norms(),
+        diagnostics=DIAGNOSTICS,
     )
     t_run_end = time.perf_counter()
     parity_tol = tolerances["parity"]

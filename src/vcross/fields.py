@@ -5,8 +5,8 @@ grid.  Fields keep a physical representation (real samples, row-major, index
 [i, j] <-> (x_i, y_j)) and a lazily computed half-complex spectrum from
 ``rfft2``.  A :class:`PointEvenField`, which the solver's point-even mode
 hands out, is held as its real half-spectrum and sampled on half the grid.
-All differential operators in this package are spectral so that the solver
-and the norm evaluators share one differentiation convention.
+Operators are spectral, with one formula each for |k|^(-2 alpha) and the 2/3
+mask, so the solver and the norm evaluators share one convention.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def inverse_k2_power(k2, alpha):
 
 def dealias_mask(kx, ky, n):
     """2/3-rule mask on the modes (kx, ky): |kx| and ky at most n//3."""
-    kcut = n // 3
-    return (np.abs(kx) <= kcut) & (ky <= kcut)
+    return (np.abs(kx) <= n // 3) & (ky <= n // 3)
 
 
 @functools.cache
@@ -119,10 +118,10 @@ class Grid:
 
     ``spacing * n`` equals 2pi exactly in floating point because n is a power
     of two.  Wavenumbers are integers; ``ky`` uses the rfft2 half-spectrum
-    layout (last axis).  The n x (n/2 + 1) mode arrays are built when first
-    read: ``k2`` on every read, ``inv_k2`` and ``dealias`` once per grid.  An
-    n whose one n x n float64 array would not fit in the host's physical
-    memory is refused before anything is allocated.
+    layout (last axis).  It holds no n x (n/2 + 1) array: ``k2`` is formed on
+    each read, |k|^(-2 alpha) by :func:`inverse_k2_power` and the 2/3 mask by
+    :func:`dealias_mask`.  An n whose one n x n float64 array would not fit in
+    the host's physical memory is refused before anything is allocated.
     """
 
     n: int
@@ -151,15 +150,6 @@ class Grid:
         """|k|^2 on the half-spectrum, formed on each read."""
         return self.kx**2 + self.ky**2
 
-    @functools.cached_property  # writes the instance __dict__, so a frozen grid takes it
-    def inv_k2(self):
-        return inverse_k2_power(self.k2, 1.0)
-
-    @functools.cached_property
-    def dealias(self):
-        """2/3-rule mask: keep |k| <= n//3 in each direction."""
-        return dealias_mask(self.kx, self.ky, self.n)
-
     @property
     def cell_area(self):
         return self.spacing * self.spacing
@@ -167,12 +157,6 @@ class Grid:
     def meshgrid(self):
         """(X, Y) arrays with X[i, j] = x_i, Y[i, j] = y_j."""
         return np.meshgrid(self.x, self.x, indexing="ij")
-
-    def inv_k2_power(self, alpha):
-        """Mode-wise |k|^(-2 alpha) with the zero mode set to zero."""
-        if alpha == 1.0:
-            return self.inv_k2
-        return inverse_k2_power(self.k2, alpha)
 
 
 class ScalarField:

@@ -129,7 +129,7 @@ def velocity_from_vorticity(theta, inversion_exponent=1.0):
     _require_exponent(inversion_exponent)
     require_vorticity(theta)
     g = theta.grid
-    psi_hat = -theta.spectrum * g.inv_k2_power(inversion_exponent)
+    psi_hat = -theta.spectrum * inverse_k2_power(g.k2, inversion_exponent)
     u_hat = -1j * g.ky * psi_hat
     v_hat = 1j * g.kx * psi_hat
     return VelocityField(
@@ -586,15 +586,12 @@ def grad_sup_norm(f):
 
 
 def hessian_sup_of_inverse_laplacian(f):
-    """Largest |entry| of the Hessian of the inverse Laplacian of f."""
+    """Largest |entry| of the Hessian of the inverse Laplacian of f, one entry alive at a time."""
     f.require_zero_mean()
     g = f.grid
-    psi_hat = -f.spectrum * g.inv_k2
-    n = g.n
-    hxx = np.fft.irfft2(-g.kx * g.kx * psi_hat, s=(n, n))
-    hxy = np.fft.irfft2(-g.kx * g.ky * psi_hat, s=(n, n))
-    hyy = np.fft.irfft2(-g.ky * g.ky * psi_hat, s=(n, n))
-    return float(max(np.max(np.abs(hxx)), np.max(np.abs(hxy)), np.max(np.abs(hyy))))
+    psi_hat = -f.spectrum * inverse_k2_power(g.k2, 1.0)
+    spectra = (-a * b * psi_hat for a, b in ((g.kx, g.kx), (g.kx, g.ky), (g.ky, g.ky)))
+    return float(max(np.max(np.abs(np.fft.irfft2(h, s=(g.n, g.n)))) for h in spectra))
 
 
 def h2_seminorm(f):
@@ -670,17 +667,6 @@ DIAGNOSTICS = {
 DEFAULT_DIAGNOSTICS = {k: DIAGNOSTICS[k] for k in ("grad_sup", "energy", "enstrophy")}
 
 
-def conserved_quantities(state):
-    """Energy, enstrophy, L^p norms (p in {1, 2, 4, inf}) and mean of theta."""
-    q = {k: DIAGNOSTICS[k](state) for k in ("energy", "enstrophy", "l1", "l2", "l4", "linf")}
-    return {**q, "mean": state.theta.mean}
-
-
-def diagnostics_with_norms():
-    """Default set plus the Hamiltonian, the H^2 seminorm and the transported L^p norms."""
-    return dict(DIAGNOSTICS)
-
-
 @dataclass
 class RunResult:
     """Final state and sampled diagnostic series.
@@ -697,6 +683,16 @@ class RunResult:
 
     def series_list(self):
         return [self.series[name] for name in sorted(self.series)]
+
+
+def _require_march_args(state, t_end, cfl):
+    """Refuse a cfl outside (0, CFL_CAP], and a t_end not finite or before the state's clock."""
+    if not (0.0 < cfl <= CFL_CAP):
+        raise ValueError(f"cfl must lie in (0, {CFL_CAP}]")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if t_end < state.time - 1e-15:
+        raise ValueError("t_end precedes current state time")
 
 
 def march(state, t_end, cfl=CFL_CAP, sample_every=None):
@@ -722,12 +718,7 @@ def march(state, t_end, cfl=CFL_CAP, sample_every=None):
     t_end, so that the march could never end, raises ``ValueError`` once a
     finite step has shown it.
     """
-    if not (0.0 < cfl <= CFL_CAP):
-        raise ValueError(f"cfl must lie in (0, {CFL_CAP}]")
-    if not np.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-    if t_end < state.time - 1e-15:
-        raise ValueError("t_end precedes current state time")
+    _require_march_args(state, t_end, cfl)
     if t_end <= state.time:
         return state
     t0 = t = state.time

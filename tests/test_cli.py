@@ -161,6 +161,26 @@ class TestSimulate:
         assert err == f"error: sample_every must be positive, got {float(every)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "t_end, cfl, message",
+        [
+            ("0.1", "0.9", "cfl must lie in (0, 0.5]"),
+            ("0.1", "0", "cfl must lie in (0, 0.5]"),
+            ("0.1", "nan", "cfl must lie in (0, 0.5]"),
+            ("nan", "0.4", "t_end must be finite, got nan"),
+            ("inf", "0.4", "t_end must be finite, got inf"),
+            ("-1", "0.4", "t_end precedes current state time"),
+        ],
+    )
+    def test_bad_time_section_exits_usage_before_any_output(
+        self, tmp_path, capsys, t_end, cfl, message
+    ):
+        out = tmp_path / "bad"
+        text = SIM_CFG.format(t_end=t_end, out=out).replace("cfl = 0.4", f"cfl = {cfl}")
+        assert main(["simulate", "--config", write(tmp_path, "bad.cfg", text)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_parity_check_reads_exactly_even_final_values(self, tmp_path):
         # the point-even final field's values are mirror copies of its rows
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

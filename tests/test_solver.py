@@ -27,8 +27,8 @@ from vcross.experiments import (
     shear_state,
     smooth_random_field,
 )
-from vcross.fields import PointEvenField, inverse_k2_power
-from vcross.solver import DEFAULT_DIAGNOSTICS, DIAGNOSTICS, diagnostics_with_norms
+from vcross.fields import PointEvenField, dealias_mask, inverse_k2_power
+from vcross.solver import DEFAULT_DIAGNOSTICS, DIAGNOSTICS
 
 TWO_PI = 2.0 * np.pi
 
@@ -139,7 +139,8 @@ class TestStepRK4:
 def band_limited_spectrum(grid, seed):
     """Seeded white-noise spectrum truncated to the 2/3 band, zero mean."""
     rng = np.random.default_rng(seed)
-    spec = fft.rfft2(rng.standard_normal((grid.n, grid.n))) * grid.dealias
+    spec = fft.rfft2(rng.standard_normal((grid.n, grid.n)))
+    spec *= dealias_mask(grid.kx, grid.ky, grid.n)
     spec[0, 0] = 0.0
     return spec
 
@@ -147,13 +148,14 @@ def band_limited_spectrum(grid, seed):
 def transport_rhs(theta_hat, grid, alpha):
     """Five-transform RHS -(u . grad theta), dealiased, and the max speed."""
     s = (grid.n, grid.n)
-    th = theta_hat * grid.dealias
-    psi_hat = -th * grid.inv_k2_power(alpha)
+    dealias = dealias_mask(grid.kx, grid.ky, grid.n)
+    th = theta_hat * dealias
+    psi_hat = -th * inverse_k2_power(grid.k2, alpha)
     u = fft.irfft2(-1j * grid.ky * psi_hat, s=s)
     v = fft.irfft2(1j * grid.kx * psi_hat, s=s)
     tx = fft.irfft2(1j * grid.kx * th, s=s)
     ty = fft.irfft2(1j * grid.ky * th, s=s)
-    rhs = -fft.rfft2(u * tx + v * ty) * grid.dealias
+    rhs = -fft.rfft2(u * tx + v * ty) * dealias
     rhs[0, 0] = 0.0
     return rhs, max(np.max(np.abs(u)), np.max(np.abs(v)))
 
@@ -317,7 +319,7 @@ class TestAdvectionKernel:
         # dynamics at every alpha; what drifts is RK4 truncation, 1.7e-10 at
         # cfl 0.4 and 6.5e-12 at cfl 0.2 here (about dt^5 per step)
         alpha = 1.5
-        weights = solver._spectral_weights(grid128) * grid128.inv_k2_power(alpha)
+        weights = solver._spectral_weights(grid128) * inverse_k2_power(grid128.k2, alpha)
         state = vc.SimState(smooth_random_field(grid128, seed=4), inversion_exponent=alpha)
         result = vc.run(state, 1.0, cfl=0.2, sample_every=0.5)
         q0, q1 = (
@@ -400,7 +402,7 @@ class TestRun:
         field = smooth_random_field(grid64, seed=2)
         if even:
             field = PointEvenField(grid64, np.ascontiguousarray(even_part(field).spectrum.real))
-        result = vc.run(vc.SimState(field), 0.05, diagnostics=diagnostics_with_norms())
+        result = vc.run(vc.SimState(field), 0.05, diagnostics=DIAGNOSTICS)
         assert result.steps > 0
         if even:  # neither rows, values nor a complex spectrum
             assert (field._rows, field._values, field._spectrum) == (None, None, None)
@@ -440,7 +442,7 @@ class TestRun:
     def test_hamiltonian_is_the_energy_bit_for_bit_at_alpha_one(self, grid64, even):
         field = smooth_random_field(grid64, seed=4)
         state = vc.SimState(even_part(field) if even else field)
-        result = vc.run(state, 0.5, sample_every=0.25, diagnostics=diagnostics_with_norms())
+        result = vc.run(state, 0.5, sample_every=0.25, diagnostics=DIAGNOSTICS)
         assert result.kernel == ("point-even" if even else "general")
         assert np.array_equal(result.series["hamiltonian"].values, result.series["energy"].values)
 
@@ -448,7 +450,7 @@ class TestRun:
         # 1/2 |u|^2 is not an invariant at alpha != 1; H = 1/2 sum |k|^(-2 alpha) |theta_hat|^2 is
         state = vc.SimState(smooth_random_field(grid64, seed=1, l2=2.0), inversion_exponent=1.5)
         result = vc.run(
-            state, 1.0, cfl=0.2, sample_every=0.5, diagnostics=diagnostics_with_norms()
+            state, 1.0, cfl=0.2, sample_every=0.5, diagnostics=DIAGNOSTICS
         )
         h, e = result.series["hamiltonian"].values, result.series["energy"].values
         assert abs(h[-1] - h[0]) <= 1e-10 * h[0]  # the RK4 time error: 8e-12 here
@@ -459,7 +461,7 @@ class TestRun:
         # polynomial norms, kink-limited for l1, grid-sampling-limited for sup
         state = vc.SimState(smooth_random_field(grid128, seed=3))
         result = vc.run(
-            state, 2.0, cfl=0.4, sample_every=1.0, diagnostics=diagnostics_with_norms()
+            state, 2.0, cfl=0.4, sample_every=1.0, diagnostics=DIAGNOSTICS
         )
         drift = {
             name: abs(s.values[-1] - s.values[0]) / abs(s.values[0])
@@ -607,6 +609,9 @@ def test_point_even_run_holds_no_stage_or_band_buffer(cpus):
     assert traced_peak_mb(march) <= 10.5
 
 
+CONSERVED = ("energy", "enstrophy", "l1", "l2", "l4", "linf")  # conserved at alpha = 1
+
+
 class TestNorms:
     @pytest.mark.parametrize("power", [2.0, -1.0, -1.5, -2.0])
     @pytest.mark.parametrize("point_even", [False, True])
@@ -663,6 +668,38 @@ class TestNorms:
         g = vc.ScalarField.from_values(grid64, np.cos(X) + np.cos(Y))
         assert vc.hessian_sup_of_inverse_laplacian(g) == pytest.approx(1.0, rel=1e-12)
 
+    @staticmethod
+    def eager_inverse_k2_power(g, alpha):
+        k2 = g.kx**2 + g.ky**2
+        inv, nz = np.zeros_like(k2), k2 > 0
+        inv[nz] = 1.0 / k2[nz] if alpha == 1.0 else k2[nz] ** (-alpha)
+        return inv
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_velocity_matches_the_eager_formulas_bit_for_bit(self, grid128, alpha):
+        theta = smooth_random_field(grid128, seed=5)
+        g, psi_hat = grid128, -theta.spectrum * self.eager_inverse_k2_power(grid128, alpha)
+        vel = vc.velocity_from_vorticity(theta, alpha)
+        for field, symbol in ((vel.u, -1j * g.ky), (vel.v, 1j * g.kx)):
+            assert np.array_equal(field.spectrum, symbol * psi_hat)
+            assert np.array_equal(field.values, np.fft.irfft2(symbol * psi_hat, s=(g.n, g.n)))
+
+    def test_hessian_sup_matches_the_eager_formulas_bit_for_bit(self, grid128):
+        f, g, s = smooth_random_field(grid128, seed=5), grid128, (grid128.n, grid128.n)
+        psi_hat = -f.spectrum * self.eager_inverse_k2_power(g, 1.0)
+        hxx = np.fft.irfft2(-g.kx * g.kx * psi_hat, s=s)
+        hxy = np.fft.irfft2(-g.kx * g.ky * psi_hat, s=s)
+        hyy = np.fft.irfft2(-g.ky * g.ky * psi_hat, s=s)
+        expected = float(max(np.max(np.abs(hxx)), np.max(np.abs(hxy)), np.max(np.abs(hyy))))
+        assert vc.hessian_sup_of_inverse_laplacian(f) == expected
+
+    def test_hessian_sup_holds_one_entry_at_a_time(self):
+        f = experiments.arm_anomaly(vc.Grid(512), 0.1)
+        vc.hessian_sup_of_inverse_laplacian(f)  # warm: the field's spectrum and FFT plans
+        # 2.1 MB each: psi_hat, one symbol product, and irfft2's complex pass
+        # and real entry (8.4 MB); the three entries held at once read 12.6 MB
+        assert traced_peak_mb(vc.hessian_sup_of_inverse_laplacian, f) <= 10.0
+
     def test_hessian_rejects_mean(self, grid64):
         f = vc.ScalarField.from_values(grid64, np.full((64, 64), 1.0))
         with pytest.raises(vc.InvalidFieldError):
@@ -679,14 +716,14 @@ class TestNorms:
     def test_conserved_quantities_closed_forms(self, grid64):
         X, _ = grid64.meshgrid()
         state = vc.SimState(vc.ScalarField.from_values(grid64, np.cos(X)))
-        q = vc.conserved_quantities(state)
+        q = {k: DIAGNOSTICS[k](state) for k in CONSERVED}
         assert q["enstrophy"] == pytest.approx(2 * np.pi**2, rel=1e-12)
         assert q["energy"] == pytest.approx(np.pi**2, rel=1e-12)
         assert q["l1"] == pytest.approx(8 * np.pi, rel=1e-3)  # kinked integrand
         assert q["l2"] == pytest.approx(np.sqrt(2 * np.pi**2), rel=1e-12)
         assert q["l4"] == pytest.approx((1.5 * np.pi**2) ** 0.25, rel=1e-12)
         assert q["linf"] == pytest.approx(1.0, abs=1e-12)
-        assert q["mean"] == pytest.approx(0.0, abs=1e-15)
+        assert state.theta.mean == pytest.approx(0.0, abs=1e-15)
 
     def test_energy_matches_velocity_quadrature(self, grid128):
         # two routes: spectral Parseval sum vs physical-space velocity norm
@@ -696,19 +733,17 @@ class TestNorms:
             vel = vc.velocity_from_vorticity(theta, alpha)
             uu, vv = vel.u.values, vel.v.values
             physical = 0.5 * np.sum(uu * uu + vv * vv) * grid128.cell_area
-            spectral = vc.conserved_quantities(state)["energy"]
+            spectral = DIAGNOSTICS["energy"](state)
             assert spectral == pytest.approx(physical, rel=1e-12)
 
     def test_conserved_quantities_zero_state(self, grid64):
-        q = vc.conserved_quantities(vc.SimState(vc.ScalarField.zeros(grid64)))
-        assert all(v == 0.0 for v in q.values())
+        state = vc.SimState(vc.ScalarField.zeros(grid64))
+        assert all(DIAGNOSTICS[k](state) == 0.0 for k in CONSERVED)
+        assert state.theta.mean == 0.0
 
     def test_one_table_names_every_sample_quantity(self):
         names = ["grad_sup", "energy", "enstrophy", "hamiltonian", "h2", "l1", "l2", "l4", "linf"]
         assert list(DIAGNOSTICS) == names
-        with_norms = diagnostics_with_norms()
-        assert list(with_norms) == names
-        assert all(with_norms[k] is fn for k, fn in DIAGNOSTICS.items())
         assert list(DEFAULT_DIAGNOSTICS) == names[:3]
         assert all(DEFAULT_DIAGNOSTICS[k] is DIAGNOSTICS[k] for k in names[:3])
 
@@ -738,7 +773,7 @@ def test_half_grid_diagnostics_match_full_grid(n, seed):
         "l4": (np.sum(full**4) * area) ** 0.25,
         "linf": np.max(np.abs(full)),
     }
-    diagnostics = diagnostics_with_norms()
+    diagnostics = DIAGNOSTICS
     state = vc.SimState(field)
     for name, value in expected.items():
         assert diagnostics[name](state) == pytest.approx(value, rel=1e-13, abs=0.0), name
@@ -785,8 +820,10 @@ class TestHelperThread:
         field = smooth_random_field(self.GRID, seed=6)
         state = vc.SimState(even_part(field) if even else field, inversion_exponent=alpha)
         before, threads = threading.active_count(), []
-        diagnostics = diagnostics_with_norms()
-        diagnostics["threads"] = lambda s: threads.append(threading.active_count()) or 0.0
+        diagnostics = {
+            **DIAGNOSTICS,
+            "threads": lambda s: threads.append(threading.active_count()) or 0.0,
+        }
         results = []
         for count in (2, 1):
             cpus(count)
@@ -822,7 +859,7 @@ class TestHelperThread:
         cpus(2)
         field = smooth_random_field(self.GRID, seed=6)
         state = vc.SimState(even_part(field) if even else field)
-        diagnostics = diagnostics_with_norms()
+        diagnostics = DIAGNOSTICS
         expected = vc.run(state, 0.15, sample_every=0.05, diagnostics=diagnostics)
         times, rows, lent = [], [], []
         for sample, steps, kernel in vc.march(state, 0.15, sample_every=0.05):
