@@ -116,13 +116,17 @@ def _build_ladder(cfg):
 
 def _build_initial(cfg, grid, ladder):
     kind = cfg.get_str("init", "kind", "cross")
+    if kind in ("shear", "random"):
+        amplitude = cfg.get_float("init", "amplitude", 1.0)
+        if not math.isfinite(amplitude):  # named here, not as non-finite field values
+            raise ConfigError(f"[init] amplitude must be finite, got {amplitude}")
     if kind == "shear":
-        return shear_state(grid, cfg.get_float("init", "amplitude", 1.0)).theta
+        return shear_state(grid, amplitude).theta
     if kind == "random":
         seed = cfg.get_int("init", "seed", 0)
         if seed < 0:  # refused as --seed is
             raise ConfigError(f"[init] seed must be non-negative, got {seed}")
-        return smooth_random_field(grid, seed=seed, l2=cfg.get_float("init", "amplitude", 1.0))
+        return smooth_random_field(grid, seed=seed, l2=amplitude)
     if kind == "cross":
         return mollified_cross(grid, cfg.get_float("init", "sigma"))
     if kind == "cross+bump":

@@ -280,8 +280,9 @@ class PointEvenField(ScalarField):
     ``lent`` is empty, or the list of (work, spectrum, f_x, f_y, rows)
     scratch buffers that the solver kernel which made the field lends to it
     and to its other fields while its call runs; the kernel empties the list
-    when the call ends, and the field then uses fresh buffers.  Rows formed
-    in a lent buffer hold only until the kernel steps on.
+    when the call ends, and the field then uses fresh buffers.  A kernel with
+    no spare buffer for it lends None for the spectrum, which is then fresh.
+    Rows formed in a lent buffer hold only until the kernel steps on.
     """
 
     __slots__ = ("real_spectrum", "_rows", "lent")
@@ -347,8 +348,10 @@ class PointEvenField(ScalarField):
         """
         g, n, h = self.grid, self.grid.n, self.grid.n // 2 + 1
         work, spectrum, fx, fy = self.lent[:4] or (
-            np.empty((h, h), complex), np.empty((n, h)), np.empty((h, n)), np.empty((h, n))
+            np.empty((h, h), complex), None, np.empty((h, n)), np.empty((h, n))
         )
+        if spectrum is None:
+            spectrum = np.empty((n, h))
         return tuple(  # the gradient of an even field is odd
             point_even_inverse(np.multiply(k, self.real_spectrum, out=spectrum), 1j / g.n, work, d)
             for k, d in ((g.kx, fx), (g.ky, fy))

@@ -270,6 +270,12 @@ class _Helper:
             first()
 
 
+# values in a row block of the Basdevant products (256 KiB).  On a 2-core Xeon,
+# over 512 x 512 values they took 0.63 ms in 64-row blocks and 0.76 ms through
+# a third buffer; over 129 x 256, 0.06 ms against 0.04
+_BLOCK_ELEMENTS = 1 << 15
+
+
 def _head(buffer, shape, dtype):
     """A C-ordered ``shape`` array of ``dtype`` over the start of ``buffer``'s memory."""
     return buffer.reshape(-1).view(dtype)[: shape[0] * shape[1]].reshape(shape)
@@ -279,18 +285,24 @@ class _KeptRows:
     """A 2/3-band multiplier held by its unmasked rows: ``top`` kx = 0..n/3, ``bottom`` -n/3..-1.
 
     The masked slab n/3 < |kx| is not stored.  Either part may be a column or a row
-    that broadcasts over the band; an even symbol's ``bottom`` is its ``top`` reversed.
+    that broadcasts over the band.  A symbol even or ``odd`` in kx holds ``top``
+    alone and reads ``bottom`` as ``top`` reversed; an odd symbol's bottom
+    products are then negated in place, the bits of a product with the negated
+    rows, since x (-m) = -(x m) exactly.
     """
 
-    def __init__(self, top, bottom=None):
+    def __init__(self, top, bottom=None, odd=False):
         self.top, self.bottom = top, (top[:0:-1] if bottom is None else bottom)
+        self.odd = odd
 
     def apply(self, source, out):
         """``out`` = ``source`` times the n x width symbol; zero in the masked slab."""
         c = len(out) // 3
         np.multiply(source[: c + 1], self.top, out=out[: c + 1])
         out[c + 1 : -c] = 0.0
-        np.multiply(source[-c:], self.bottom, out=out[-c:])
+        bottom = np.multiply(source[-c:], self.bottom, out=out[-c:])
+        if self.odd:
+            np.negative(bottom, out=bottom)
 
 
 class _AdvectionKernel:
@@ -300,14 +312,16 @@ class _AdvectionKernel:
     and entered as a context manager for that call: entering starts the
     helper thread if :func:`_helper_allowed`, leaving joins it.  The
     multipliers fuse inversion, derivative and the 2/3 mask, so a stage
-    starts from the undealiased spectrum; each holds only its rows that
-    differ (:class:`_KeptRows`), 1.34 MiB at n = 512 and alpha = 1 in place
-    of 2.67 for full band arrays.  At alpha = 1 theta = curl u and
-    the advection term takes Basdevant's form u . grad w = dxdy(v^2 - u^2) +
-    (dxx - dyy)(uv): two inverse transforms (u, v) and two forward ones.  At
+    starts from the undealiased spectrum; each holds only its kept rows, and
+    a symbol even or odd in kx only its rows kx >= 0 (:class:`_KeptRows`):
+    0.89 MiB at n = 512 and alpha = 1 in place of 2.67 for full band arrays.
+    At alpha = 1 theta = curl u and the advection term takes Basdevant's form
+    u . grad w = dxdy(v^2 - u^2) + (dxx - dyy)(uv): two inverse transforms
+    (u, v) and two forward ones, with the products formed in u and v
+    themselves, a row block at a time, so two physical buffers serve.  At
     alpha != 1 it stays u . grad theta: four inverse transforms (u, v,
-    theta_x, theta_y) and one forward.  The product is truncated to the 2/3
-    band and its zero mode set to exactly zero.
+    theta_x, theta_y) and one forward, through a third physical buffer.  The
+    product is truncated to the 2/3 band and its zero mode set to exactly zero.
 
     Independent chains run in pairs (u and v; the two forwards; u and
     theta_x, then v and theta_y), each in its own lane with its own spectral
@@ -335,7 +349,10 @@ class _AdvectionKernel:
     rfft along rows, then irfft down the band (the hfft identity), its 1/n
     undone by the product multipliers.  Between steps the fields it hands
     out borrow its buffers for their samples, until the call ends: their
-    rows go into the head of the second lane's complex work buffer.
+    rows go into the head of the second lane's complex work buffer, and at
+    alpha != 1 a gradient's derivative spectrum into the third physical
+    buffer (at alpha = 1 a fresh array; a sample holds one state fewer than
+    a step, so the peak does not rise).
     """
 
     def __init__(self, grid, inversion_exponent, point_even=False):
@@ -352,31 +369,42 @@ class _AdvectionKernel:
         def kept(symbol):  # over the kept rows, or a column of them
             return _KeptRows(symbol[: c + 1], symbol[c + 1 :])
 
-        def even(symbol):  # even in kx: the rows kx >= 0 alone
-            return _KeptRows(np.array(symbol[: c + 1]))
+        def half(symbol, odd_in_kx=False):  # even or odd in kx: the rows kx >= 0 alone
+            return _KeptRows(np.array(symbol[: c + 1]), odd=odd_in_kx)
 
         # u = -psi_y, v = psi_x with psi_hat = -|k|^(-2 alpha) theta_hat
-        self.to_u, self.to_v = even(odd * ky * inv), kept(-odd * kx * inv)
+        self.to_u, self.to_v = half(odd * ky * inv), half(-odd * kx * inv, odd_in_kx=True)
         self.basdevant = inversion_exponent == 1.0
         if self.basdevant:  # RHS = kx ky F(v^2 - u^2) + (kx^2 - ky^2) F(uv)
-            self.products = (kept(fwd * kx * ky * keep), even(fwd * (kx * kx - ky * ky) * keep))
+            self.products = (
+                half(fwd * kx * ky * keep, odd_in_kx=True), half(fwd * (kx * kx - ky * ky) * keep)
+            )
         else:  # RHS = -F(u theta_x + v theta_y); one wavenumber each, so vectors
             column, row = keep[:, :1], odd * ky * keep[:1]
             self.products = (kept(odd * kx * column), _KeptRows(row, row), kept(-fwd * column))
         self.k = np.empty((n, m), dtype)
         rows = h if point_even else n
         self._spec = (np.empty((rows, h), complex), np.empty((rows, h), complex))
-        self._u, self._v, self._scratch = (np.empty((rows, n)) for _ in range(3))
-        # the bands over the heads of u, v and scratch
-        self._heads = tuple(_head(b, (n, m), dtype) for b in (self._u, self._v, self._scratch))
-        u_head, v_head, _ = self._heads
+        self._u, self._v = np.empty((rows, n)), np.empty((rows, n))
+        # theta_x, then theta_y at alpha != 1; at alpha = 1 the products form in u and v
+        self._scratch = None if self.basdevant else np.empty((rows, n))
+        # the bands over the heads of the physical buffers
+        physical = (self._u, self._v) if self.basdevant else (self._u, self._v, self._scratch)
+        self._heads = tuple(_head(b, (n, m), dtype) for b in physical)
+        u_head, v_head = self._heads[:2]
         self._held = (u_head, v_head) if self.basdevant else (v_head, np.empty((n, m), dtype))
+        # the Basdevant products' row block, over the first lane's complex work
+        # buffer, which is free between the pairs
+        block = min(rows, max(1, _BLOCK_ELEMENTS // n))
+        self._block = _head(self._spec[0], (block, n), float) if self.basdevant else None
         # (work, spectrum, f_x, f_y, rows) scratch of the point-even fields'
-        # samples; the second lane's complex work buffer is free during samples
+        # samples; the second lane's complex work buffer is free during samples.
+        # At alpha = 1 no third physical buffer is there to lend for the spectrum.
         self._lent = []
         if point_even:
+            spectrum = None if self.basdevant else self._scratch.reshape(n, h)
             rows = _head(self._spec[1], (h, n), float)
-            self._lent = [self._spec[0], self._scratch.reshape(n, h), self._u, self._v, rows]
+            self._lent = [self._spec[0], spectrum, self._u, self._v, rows]
         self._helper = None
 
     def __enter__(self):
@@ -440,6 +468,21 @@ class _AdvectionKernel:
         else:
             self._helper.pair(first, second)
 
+    def _basdevant_products(self, u, v):
+        """u, v -> uv, v^2 - u^2 in place, one row block at a time through ``_block``.
+
+        Each value takes the operations of whole-array products, so the bits
+        depend neither on the block nor on where uv is held.
+        """
+        step = len(self._block)
+        for lo in range(0, len(u), step):
+            bu, bv = u[lo : lo + step], v[lo : lo + step]
+            t = np.multiply(bu, bv, out=self._block[: len(bu)])
+            bu *= bu
+            bv *= bv
+            bv -= bu
+            bu[...] = t
+
     def rhs(self, theta_hat, out, stage=None):
         """Write the RHS band into ``out`` (n x width); return the max speed.
 
@@ -450,8 +493,8 @@ class _AdvectionKernel:
         not reduced and None is returned.
         """
         self.evaluations += 1
-        band, u, v, scratch = theta_hat[:, : self.width], self._u, self._v, self._scratch
-        u_head, v_head, scratch_head = self._heads
+        band, u, v = theta_hat[:, : self.width], self._u, self._v
+        u_head, v_head = self._heads[:2]
         speeds = [None, None]  # the extents of u and v
 
         def form(lane):  # this lane's stage band, in its stage place
@@ -487,14 +530,12 @@ class _AdvectionKernel:
                     inverse(1, self.to_v, v, v_head, True, 1),
                     inverse(0, self.to_u, u, u_head, True, 0),
                 )
-                np.multiply(u, v, out=scratch)
-                u *= u
-                v *= v
-                v -= u
-                self._pair(forward(1, v, m_xy, v_head), forward(0, scratch, m_diff, out))
+                self._basdevant_products(u, v)
+                self._pair(forward(1, v, m_xy, v_head), forward(0, u, m_diff, out))
                 out += v_head  # kx ky F(v^2 - u^2) was the second lane's
             else:  # u theta_x, then v theta_y: three physical buffers hold all four
                 m_x, m_y, m_minus = self.products
+                scratch, scratch_head = self._scratch, self._heads[2]
                 self._pair(
                     inverse(1, m_x, scratch, scratch_head, True),
                     inverse(0, self.to_u, u, u_head, True, 0),
@@ -782,7 +823,10 @@ def run(state, t_end, cfl=CFL_CAP, sample_every=None, diagnostics=None):
             state = end.value
             break
         times.append(sample.time)
-        rows.append([float(fn(sample)) for fn in diagnostics.values()])
+        # finite data too large to square read inf here; the next step's
+        # finiteness check reports the blow-up
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows.append([float(fn(sample)) for fn in diagnostics.values()])
         del sample  # before the march steps on
     t, data = np.asarray(times), np.asarray(rows).reshape(len(times), len(diagnostics))
     series = {name: DiagnosticSeries(name, t, data[:, i]) for i, name in enumerate(diagnostics)}

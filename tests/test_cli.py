@@ -559,6 +559,86 @@ dir = {out}
         err = capsys.readouterr().err
         assert err == f"error: bump {key} must be finite and positive, got {float(value)}\n"
 
+    FUZZ_CFG = """
+[grid]
+n = {n}
+[time]
+t_end = 0.01
+sample_every = 0.005
+[ladder]
+mode = relaxed
+[solver]
+{solver}
+[init]
+{init}
+[bump]
+{bump}
+"""
+
+    @staticmethod
+    def number(low, high):
+        """Floats in [low, high], and the values that break a careless reader."""
+        odd = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 5e-324, -0.0, "x"])
+        return st.floats(low, high) | odd
+
+    # Bounded draws: n <= 256, t_end = 0.01 and |amplitude| <= 10 keep each run
+    # within a few steps; a huge finite amplitude blows up at its first step.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64, 128, 256]) | st.integers(-20, 256) | st.just("x"),
+        init=st.fixed_dictionaries(
+            {
+                "kind": st.sampled_from(
+                    ["shear", "random", "cross", "cross+bump", "snapshot", "x"]
+                ),
+                "sigma": number(0.0, 0.6),
+            },
+            optional={
+                "amplitude": number(-10.0, 10.0),
+                "seed": st.integers(-3, 2**66),
+                "path": st.just("missing.vcrs"),
+            },
+        ),
+        bump=st.just({})
+        | st.fixed_dictionaries(
+            {
+                "center_x": number(0.0, 1.0),
+                "center_y": number(0.0, 1.0),
+                "support": number(0.0, 1.0),
+                "height": number(0.0, 2.0),
+            }
+        ),
+        alpha=st.none() | number(0.0, 4.0),
+    )
+    @example(n=16, init={"kind": "cross", "sigma": 5e-324}, bump={}, alpha=None)
+    @example(n=32, init={"kind": "random", "sigma": 0.1, "amplitude": 1e300}, bump={}, alpha=None)
+    @example(n=32, init={"kind": "shear", "sigma": 0.1, "amplitude": math.nan}, bump={}, alpha=1.5)
+    @example(
+        n=256,
+        init={"kind": "cross+bump", "sigma": 0.25},
+        bump={"center_x": 0.12, "center_y": 0.42, "support": 0.4, "height": 0.3},
+        alpha=1.0,
+    )
+    def test_any_grid_init_bump_and_solver_exit_with_a_documented_code(self, n, init, bump, alpha):
+        text = self.FUZZ_CFG.format(
+            n=n,
+            solver="" if alpha is None else f"alpha = {alpha}",
+            init="\n".join(f"{k} = {v}" for k, v in init.items()),
+            bump="\n".join(f"{k} = {v}" for k, v in bump.items()),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "s.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", cfg, "--out", os.path.join(tmp, "o")])
+        err = err.getvalue()
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err and "internal error" not in err
+        if code == 3:  # only a run that lost finiteness, not a refusal in disguise
+            assert err.startswith("numerical blow-up: solution lost finiteness"), err
+
     def test_log10_ladder_override_reaches_the_run(self, tmp_path):
         init = self.INIT_BLOCKS["cross+bump"]
         text = self.INIT_CFG.format(init=init, out=tmp_path / "out")

@@ -13,6 +13,7 @@ from vcross.experiments import default_growth_family
 from vcross.fields import PointEvenField
 from vcross.initial_data import (
     BumpSpec,
+    TAIL_RES,
     _check_bump_placement,
     _corner_columns,
     _signed_arm_offsets,
@@ -164,14 +165,18 @@ class TestMollifiedCross:
         assert peak <= 4.5e6
         assert retained - cross.values.nbytes <= 0.5e6
 
-    def test_growth_set_up_makes_two_passes_and_warm_runs_none(self):
+    def test_jump_slope_is_the_tail_formula_bit_for_bit(self):
+        q0 = _tail_columns.__wrapped__((0,))[:, 0]  # uncached: the constant needs no pass
+        slope = float(4.0 * (q0[0] - q0[1]) / (1.0 / TAIL_RES))
+        assert mollifier_slope_at_jump().hex() == slope.hex()
+
+    def test_growth_set_up_makes_one_pass_and_warm_runs_none(self):
         grid = vc.Grid(512)
-        mollifier_slope_at_jump.cache_clear()
         _tail_columns.cache_clear()
         for _ in range(2):
             sigma = default_growth_family(grid)[-1].sigma
             mollified_cross(grid, sigma)
-            assert _tail_columns.cache_info().misses == 2  # the slope's, the cross's
+            assert _tail_columns.cache_info().misses == 1  # the cross's; the slope is a constant
 
 
 def _table_formula_cross(grid, sigma, table):
@@ -308,7 +313,27 @@ class TestMollifierTailTable:
         assert np.all(all_columns[outside] == 0.0)
 
 
+def _bump_profile_quadrature():
+    """The profile constants by trapezoid quadrature on 200,001 points of [0, 1]."""
+    rho = np.linspace(0.0, 1.0, 200_001)
+    with np.errstate(over="ignore", under="ignore"):
+        B = np.where(rho < 1.0, np.exp(-(rho**2) / np.maximum(1e-300, 1.0 - rho**2)), 0.0)
+    a = np.trapezoid(B * rho, rho) / np.trapezoid(B * rho**3, rho)
+    g = B * (1.0 - a * rho**2)
+    slope = np.diff(g) / np.diff(rho)
+    return {
+        "a": float(a),
+        "max_abs_slope": float(np.max(np.abs(slope))),
+        "min_value": float(np.min(g)),
+        "l2": float(np.sqrt(2.0 * np.pi * np.trapezoid(g * g * rho, rho))),
+    }
+
+
 class TestMakeBump:
+    def test_profile_constants_are_the_quadrature_bit_for_bit(self):
+        held, computed = bump_profile_constants(), _bump_profile_quadrature()
+        assert {k: v.hex() for k, v in held.items()} == {k: v.hex() for k, v in computed.items()}
+
     def test_sup_exactly_height(self, grid256):
         spec = BumpSpec((0.12, 0.42), 16 * grid256.spacing, 0.8)
         b = make_bump(grid256, spec, ladder=relaxed_ladder())

@@ -145,6 +145,64 @@ def band_limited_spectrum(grid, seed):
     return spec
 
 
+def band_symbols(grid, alpha, point_even):
+    """[to_u, to_v, *products] of the kernel over its n x m band, by their eager formulas."""
+    n, m = grid.n, grid.n // 3 + 1
+    k2 = grid.kx**2 + grid.ky**2
+    inv = np.zeros_like(k2)
+    nz = k2 > 0
+    inv[nz] = 1.0 / k2[nz] if alpha == 1.0 else k2[nz] ** (-alpha)
+    kcut = n // 3
+    keep = ((np.abs(grid.kx) <= kcut) & (grid.ky <= kcut))[:, :m]
+    inv = inv[:, :m] * keep
+    kx, ky = grid.kx, grid.ky[:, :m]
+    odd, fwd = (1.0, float(n)) if point_even else (1j, 1.0)
+    if alpha == 1.0:
+        products = [fwd * kx * ky * keep, fwd * (kx * kx - ky * ky) * keep]
+    else:
+        products = [odd * kx * keep, odd * ky * keep, -fwd * keep]
+    return [odd * ky * inv, -odd * kx * inv] + products
+
+
+def three_buffer_rhs(kernel, theta_hat, out, stage=None):
+    """The alpha = 1 RHS through three physical buffers and full band symbols.
+
+    Kept rows times the symbol, zero in the masked slab; uv formed in a third
+    buffer and v^2 - u^2 in v, each over the whole array.  Returns the speed.
+    """
+    n, m, c = kernel.n, kernel.width, kernel.n // 3
+    to_u, to_v, m_xy, m_diff = band_symbols(kernel.grid, 1.0, kernel.point_even)
+
+    def apply(symbol, source, into):
+        np.multiply(source[: c + 1], symbol[: c + 1], out=into[: c + 1])
+        into[c + 1 : -c] = 0.0
+        np.multiply(source[-c:], symbol[-c:], out=into[-c:])
+
+    band = theta_hat[:, :m]
+    if stage is not None:
+        shift, acc, w = stage
+        acc += np.multiply(out, w)
+        band = np.multiply(out, shift)
+        band += theta_hat[:, :m]
+    rows = n // 2 + 1 if kernel.point_even else n
+    u, v, uv = (np.empty((rows, n)) for _ in range(3))
+    spec, head = np.empty((rows, n // 2 + 1), complex), np.empty_like(kernel.k)
+    apply(to_u, band, head)
+    kernel._inverse(head, spec, u)
+    apply(to_v, band, head)
+    kernel._inverse(head, spec, v)
+    speed = max(u.max(), -u.min(), v.max(), -v.min())
+    np.multiply(u, v, out=uv)
+    u *= u
+    v *= v
+    v -= u
+    apply(m_xy, kernel._forward(v, spec, head), head)
+    apply(m_diff, kernel._forward(uv, spec, out), out)
+    out += head
+    out[0, 0] = 0.0
+    return speed
+
+
 def transport_rhs(theta_hat, grid, alpha):
     """Five-transform RHS -(u . grad theta), dealiased, and the max speed."""
     s = (grid.n, grid.n)
@@ -246,7 +304,8 @@ class TestAdvectionKernel:
     def expand(multiplier, n, m, dtype):
         """The n x m band symbol a compact multiplier stands for, its rows copied bit for bit."""
         full, c = np.zeros((n, m), dtype), n // 3
-        full[: c + 1], full[-c:] = multiplier.top, multiplier.bottom
+        bottom = np.negative(multiplier.bottom) if multiplier.odd else multiplier.bottom
+        full[: c + 1], full[-c:] = multiplier.top, bottom
         return full
 
     @staticmethod
@@ -260,21 +319,8 @@ class TestAdvectionKernel:
         # each compact multiplier is expanded to the n x m band it stands for
         grid = vc.Grid(512)
         n, m = grid.n, grid.n // 3 + 1
-        k2 = grid.kx**2 + grid.ky**2
-        inv = np.zeros_like(k2)
-        nz = k2 > 0
-        inv[nz] = 1.0 / k2[nz] if alpha == 1.0 else k2[nz] ** (-alpha)
-        kcut = n // 3
-        keep = ((np.abs(grid.kx) <= kcut) & (grid.ky <= kcut))[:, :m]
-        inv = inv[:, :m] * keep
-        kx, ky = grid.kx, grid.ky[:, :m]
-        odd, fwd = (1.0, float(n)) if point_even else (1j, 1.0)
-        if alpha == 1.0:
-            products = [fwd * kx * ky * keep, fwd * (kx * kx - ky * ky) * keep]
-        else:
-            products = [odd * kx * keep, odd * ky * keep, -fwd * keep]
         kernel = solver._AdvectionKernel(grid, alpha, point_even=point_even)
-        want = [odd * ky * inv, -odd * kx * inv] + products
+        want = band_symbols(grid, alpha, point_even)
         dtype = float if point_even else complex
         got = [self.expand(mult, n, m, dtype) for mult in self.multipliers(kernel)]
         assert len(got) == len(want)
@@ -287,14 +333,35 @@ class TestAdvectionKernel:
             mult.apply(source, out)
             assert np.array_equal(out, source * full)
 
-    @pytest.mark.parametrize(("n", "alpha", "bound_mib"), [(512, 1.0, 1.4), (256, 1.5, 0.2)])
+    @pytest.mark.parametrize(("n", "alpha", "bound_mib"), [(512, 1.0, 1.0), (256, 1.5, 0.2)])
     def test_multipliers_store_only_the_rows_that_differ(self, n, alpha, bound_mib):
         # the growth (n = 512) and cli (n = 256) kernels; full n x m arrays
-        # took 2.67 and 0.84 MiB
+        # took 2.67 and 0.84 MiB, and with the odd symbols' lower rows held
+        # too, 1.34 and 0.17; now 0.89 and 0.12
         kernel = solver._AdvectionKernel(vc.Grid(n), alpha, point_even=True)
         parts = [p for mult in self.multipliers(kernel) for p in (mult.top, mult.bottom)]
         owners = {id(a): a for a in (p if p.base is None else p.base for p in parts)}
         assert sum(a.nbytes for a in owners.values()) <= bound_mib * 2**20
+
+    @pytest.mark.parametrize("count", [1, 2], ids=["one-thread", "helper"])
+    @pytest.mark.parametrize("point_even", [False, True])
+    def test_basdevant_rhs_is_the_three_buffer_rhs_bit_for_bit(self, cpus, point_even, count):
+        cpus(count)
+        grid = vc.Grid(solver.HELPER_MIN_N)
+        spectrum = band_limited_spectrum(grid, 7)
+        with solver._AdvectionKernel(grid, 1.0, point_even=point_even) as kernel:
+            assert (kernel._helper is not None) == (count == 2)
+            assert kernel._scratch is None
+            theta_hat = kernel.pack(spectrum.real + 0j if point_even else spectrum)
+            k, want = kernel.k, np.empty_like(kernel.k)
+            assert kernel.rhs(theta_hat, k) == three_buffer_rhs(kernel, theta_hat, want)
+            assert k.tobytes() == want.tobytes()
+            stage = (0.5 * 0.01, 2.0 * 0.01 / 6.0)
+            acc, want_acc = (theta_hat[:, : kernel.width].copy() for _ in range(2))
+            kernel.rhs(theta_hat, k, stage=(stage[0], acc, stage[1]))
+            three_buffer_rhs(kernel, theta_hat, want, stage=(stage[0], want_acc, stage[1]))
+            assert k.tobytes() == want.tobytes()
+            assert acc.tobytes() == want_acc.tobytes()
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_zero_mode_exactly_zero(self, grid64, alpha):
@@ -607,6 +674,26 @@ def test_point_even_run_holds_no_stage_or_band_buffer(cpus):
     march = functools.partial(vc.run, state, 0.01, sample_every=0.01, diagnostics=diagnostics)
     assert march().steps == 1  # warm: FFT plans
     assert traced_peak_mb(march) <= 10.5
+
+
+def test_basdevant_run_at_n1024_holds_two_physical_buffers(cpus):
+    # two steps at n = 1024, the start spectrum made before the trace: the
+    # kernel (22.3 MiB: spectral 8.0, physical 8.0, stage 2.7, multipliers
+    # 3.6) and the RK4 state and its successor (8.0 MiB) trace 30.4 MiB.
+    # With a third physical buffer and the odd symbols' lower rows it was 36.3.
+    cpus(2)
+    grid = vc.Grid(1024)
+    spectrum = np.ascontiguousarray(even_part(smooth_random_field(grid, seed=4)).spectrum.real)
+    states, diagnostics = [], {"mean": lambda s: s.theta.mean}
+
+    def march():
+        return vc.run(states.pop(), 0.02, sample_every=0.02, diagnostics=diagnostics)
+
+    states.append(vc.SimState(PointEvenField(grid, spectrum.copy())))
+    assert march().steps == 2  # warm: FFT plans
+    states.append(vc.SimState(PointEvenField(grid, spectrum)))
+    del spectrum
+    assert traced_peak_mb(march) <= 34 * 2**20 / 1e6
 
 
 CONSERVED = ("energy", "enstrophy", "l1", "l2", "l4", "linf")  # conserved at alpha = 1
