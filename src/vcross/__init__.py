@@ -26,7 +26,6 @@ from .model import (
 from .series import DiagnosticSeries, RateFit
 from .solver import (
     BlowUpError,
-    CFLViolation,
     SimState,
     grad_sup_norm,
     h2_seminorm,
@@ -35,7 +34,6 @@ from .solver import (
     march,
     run,
     save_state,
-    step_rk4,
     velocity_from_vorticity,
 )
 

@@ -66,6 +66,9 @@ EXIT_USAGE = 2
 EXIT_BLOWUP = 3
 EXIT_INTERNAL = 4
 
+# the [checks] tolerances simulate accepts, in checks.csv row order
+CHECK_KEYS = ("energy_drift", "hamiltonian_drift", "enstrophy_drift", "parity")
+
 
 def _out_dir(args, cfg):
     out = args.out or (cfg.get_str("output", "dir", None) if cfg else None)
@@ -150,8 +153,11 @@ def _build_initial(cfg, grid, ladder):
 def cmd_simulate(args):
     t_start = time.perf_counter()
     cfg = load_config(args.config)
+    unknown = ", ".join(map(repr, sorted(set(cfg.sections.get("checks", ())) - set(CHECK_KEYS))))
+    if unknown:  # else a misspelled check would be missing from checks.csv
+        raise ConfigError(f"unknown [checks] key {unknown}; accepted keys: {', '.join(CHECK_KEYS)}")
     tolerances = {}
-    for key in ("energy_drift", "hamiltonian_drift", "enstrophy_drift", "parity"):
+    for key in CHECK_KEYS:
         tol = cfg.get_float("checks", key, None)
         if tol is not None and not 0.0 <= tol < math.inf:  # also NaN
             raise ConfigError(f"[checks] {key} must be finite and >= 0, got {tol}")
@@ -198,14 +204,15 @@ def cmd_simulate(args):
     failures = 0
     if cfg.has("checks"):
         rows = []
-        for name in ("energy", "hamiltonian", "enstrophy"):
-            tol = tolerances[f"{name}_drift"]
-            if tol is None or len(result.series[name]) == 0:
+        for key in CHECK_KEYS:
+            tol = tolerances[key]
+            if tol is None:
                 continue
-            drift = relative_drift(result.series[name].values)
-            rows.append((f"{name}_drift", drift, tol, drift <= tol))
-        if parity_tol is not None:
-            rows.append(("parity_sup_error", parity, parity_tol, parity <= parity_tol))
+            if key == "parity":
+                rows.append(("parity_sup_error", parity, tol, parity <= tol))
+            elif len(values := result.series[key.removesuffix("_drift")].values):
+                drift = relative_drift(values)
+                rows.append((key, drift, tol, drift <= tol))
         write_table(
             manifest.add_output("checks.csv"),
             ["name", "value", "tolerance", "passed"],
@@ -382,10 +389,13 @@ def cmd_sweep(args):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ConfigError(f"{cfg.path}: [sweep] values must list at least one value")
+    T = cfg.get_float("base", "T", 1.0)
+    if axis not in ("tau", "omega") and not 0.0 < T < math.inf:  # else every member fails
+        raise ConfigError(f"[base] T must be finite and > 0 on the {axis} axis, got {T}")
     manifest = RunManifest("sweep", cfg.raw_text, _out_dir(args, cfg))
     params = {
         "n": cfg.get_int("base", "n", 1024 if axis in ("tau", "omega") else 256),
-        "T": cfg.get_float("base", "T", 1.0),
+        "T": T,
         "sigma": cfg.get_float("base", "sigma", 0.25),
         "radii": cfg.get_floats("base", "radii", [0.05, 0.1, 0.2]),
         "support": cfg.get_float("base", "support", 0.5),

@@ -66,11 +66,12 @@ def arm_anomaly(grid, width):
     A smooth ridge profile across the horizontal arm lines, modulated by
     cos(x) along them; bounded by 1.
     """
-    if width <= 0.0:
+    if not width > 0.0:  # also NaN, whose anomaly would be zero
         raise ValueError(f"arm anomaly width must be positive, got {width}")
     d = arm_distance_1d(grid)  # distance to nearest arm line, per index
-    rho = d / width
-    profile = np.where(rho < 1.0, np.exp(-(rho**2) / np.maximum(1e-300, 1.0 - rho**2)), 0.0)
+    inside, profile = d < width, np.zeros_like(d)  # outside, d / width may overflow
+    r2 = (d[inside] / width) ** 2
+    profile[inside] = np.exp(-r2 / np.maximum(1e-300, 1.0 - r2))
     x = grid.x
     values = np.outer(np.cos(x), profile)  # ridge on y in {0, pi}
     return ScalarField.from_values(grid, values)

@@ -16,21 +16,21 @@ cross+bump data are, are stepped in a point-even mode: the spectrum stays
 real, so each transform is a pair of half-size real ones, about half the FFT
 work.  The state comes out as a ``PointEvenField``: its samples are one
 half-size inverse onto rows 0..n/2 of the mirrored frame, and its full values
-are mirror copies of them, exactly even.  So chained ``step_rk4`` calls stay
+are mirror copies of them, exactly even.  So chained ``run`` calls stay
 point-even without a full-size transform, the parity error ``simulate``
 checks reads exactly 0, and every diagnostic reduces over the half grid.
 
-``march``, the stepping generator that ``run`` consumes, and ``step_rk4``
-step with one helper thread when the process may use two CPUs and is not a
-``multiprocessing`` worker (a pool already fills the cores).  The RHS's
-independent transform chains run in pairs of lanes, one on the helper while
-the caller runs the other, in disjoint buffers and with unchanged
-arithmetic, so the bits do not depend on the thread.  Each lane also forms
-its own RK4 stage band, and the caller's lane adds to the RK4 sum, so
-between pairs the caller makes only the products and the final sum.  The
+``march``, the stepping generator that ``run`` consumes, is the one code that
+advances a state.  It steps with one helper thread when the process may use
+two CPUs and is not a ``multiprocessing`` worker (a pool already fills the
+cores).  The RHS's independent transform chains run in pairs of lanes, one on
+the helper while the caller runs the other, in disjoint buffers and with
+unchanged arithmetic, so the bits do not depend on the thread.  Each lane
+also forms its own RK4 stage band, and the caller's lane adds to the RK4 sum,
+so between pairs the caller makes only the products and the final sum.  The
 idle helper, and the caller waiting for the helper's job to end, poll for
 ``HANDOFF_POLL_S`` and only then sleep on a condition.  The helper is joined
-when the call or the generator ends, raises or is closed.
+when the generator ends, raises or is closed.
 """
 
 from __future__ import annotations
@@ -62,20 +62,6 @@ from .series import DiagnosticSeries
 SNAPSHOT_MAGIC = b"VCRS"
 SNAPSHOT_VERSION = 1
 CFL_CAP = 0.5  # the largest cfl ``run`` accepts, and its default
-
-
-class CFLViolation(RuntimeError):
-    """Requested step exceeds the advective CFL limit; carries admissible_dt."""
-
-    def __init__(self, dt, admissible_dt):
-        super().__init__(
-            f"dt={dt:.6g} exceeds CFL limit; admissible dt <= {admissible_dt:.6g}"
-        )
-        self.dt = dt
-        self.admissible_dt = admissible_dt
-
-    def __reduce__(self):  # pickle rebuilds from the constructor's arguments
-        return type(self), (self.dt, self.admissible_dt)
 
 
 class BlowUpError(FloatingPointError):
@@ -153,7 +139,7 @@ def usable_cpus():
 
 
 def _helper_allowed(n):
-    """Whether a stepping call on an n x n grid may start a helper thread.
+    """Whether a march on an n x n grid may start a helper thread.
 
     It needs two CPUs this process may run on, and it is not started in a
     ``multiprocessing`` worker, whose pool already gives each core one run
@@ -308,11 +294,11 @@ class _KeptRows:
 class _AdvectionKernel:
     """Spectral RHS of theta_t = -(u . grad theta), evaluated at the RK4 stages.
 
-    Built once per ``march`` or ``step_rk4`` call for one grid and exponent,
-    and entered as a context manager for that call: entering starts the
-    helper thread if :func:`_helper_allowed`, leaving joins it.  The
-    multipliers fuse inversion, derivative and the 2/3 mask, so a stage
-    starts from the undealiased spectrum; each holds only its kept rows, and
+    Built once per ``march`` for one grid and exponent, and entered as a
+    context manager for that march: entering starts the helper thread if
+    :func:`_helper_allowed`, leaving joins it.  The multipliers fuse
+    inversion, derivative and the 2/3 mask, so a stage starts from the
+    undealiased spectrum; each holds only its kept rows, and
     a symbol even or odd in kx only its rows kx >= 0 (:class:`_KeptRows`):
     0.89 MiB at n = 512 and alpha = 1 in place of 2.67 for full band arrays.
     At alpha = 1 theta = curl u and the advection term takes Basdevant's form
@@ -348,7 +334,7 @@ class _AdvectionKernel:
     (u, v, theta_x, theta_y are odd), then irfft along rows.  A forward is
     rfft along rows, then irfft down the band (the hfft identity), its 1/n
     undone by the product multipliers.  Between steps the fields it hands
-    out borrow its buffers for their samples, until the call ends: their
+    out borrow its buffers for their samples, until the march ends: their
     rows go into the head of the second lane's complex work buffer, and at
     alpha != 1 a gradient's derivative spectrum into the third physical
     buffer (at alpha = 1 a fresh array; a sample holds one state fewer than
@@ -578,34 +564,6 @@ def _rk4_spectrum(theta_hat, kernel, dt_for_speed):
     acc += np.multiply(k, dt / 6.0, out=kernel._held[0])  # a stage place is free between RHSs
     out[0, 0] = theta_hat[0, 0]  # mean preserved bit-for-bit
     return out, dt
-
-
-def step_rk4(state, dt):
-    """Advance one RK4 step of length dt; dt must respect the CFL limit.
-
-    The admissible step is spacing / max speed of the induced velocity;
-    violations raise :class:`CFLViolation` carrying the admissible dt, and
-    non-finite results raise :class:`BlowUpError` stamped with the pre-step
-    time.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    theta = state.theta
-    require_vorticity(theta)
-    g = state.grid
-
-    def checked_dt(speed):
-        if speed > 0.0:
-            admissible = g.spacing / speed
-            if dt > admissible * (1.0 + 1e-9):
-                raise CFLViolation(dt, admissible)
-        return dt
-
-    with _kernel_for(state) as kernel:
-        new_hat, _ = _rk4_spectrum(kernel.start(theta), kernel, checked_dt)
-    if not np.all(np.isfinite(new_hat)):
-        raise BlowUpError(state.time)
-    return replace(state, theta=kernel.field(new_hat), time=state.time + dt)
 
 
 # --- diagnostics on fields -------------------------------------------------

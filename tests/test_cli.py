@@ -68,6 +68,12 @@ dir = {out}
 """
 
 
+def number(low, high):
+    """Floats in [low, high], and the values that break a careless reader."""
+    odd = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 5e-324, -0.0, "x"])
+    return st.floats(low, high) | odd
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -266,6 +272,80 @@ dir = {out}
         err = capsys.readouterr().err
         assert err == f"error: [checks] {key} must be finite and >= 0, got {float(value)}\n"
         assert not out.exists()  # refused before any stepping or output
+
+    @pytest.mark.parametrize("valid", [False, True], ids=["alone", "beside-a-valid-key"])
+    def test_unknown_check_key_exits_usage_before_the_run_and_is_named(
+        self, tmp_path, capsys, valid
+    ):
+        # a misspelled key used to be skipped: exit 0, its row missing from checks.csv
+        out = tmp_path / "typo"
+        text = SIM_CFG.format(t_end=0.5, out=out)
+        text = text.replace("enstrophy_drift = 1e-10", "enstrophy_drfit = 1e-30\nl4_drift = 0")
+        if not valid:
+            text = text.replace("energy_drift = 1e-10\n", "")
+        assert main(["simulate", "--config", write(tmp_path, "typo.cfg", text)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown [checks] key 'enstrophy_drfit', 'l4_drift'; "
+            "accepted keys: energy_drift, hamiltonian_drift, enstrophy_drift, parity\n"
+        )
+        assert not out.exists()
+
+    CHECKS_CFG = """
+[grid]
+n = 32
+[time]
+t_end = 0.05
+[solver]
+{solver}
+[init]
+kind = random
+seed = 1
+[checks]
+{checks}
+"""
+
+    # Bounded draws: n = 32 and t_end = 0.05 keep each run to a few steps.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        checks=st.dictionaries(
+            st.sampled_from(vcross.cli.CHECK_KEYS + ("l4_drift", "enstrophy_drfit", "Parity"))
+            | st.from_regex(r"[a-z_0-9]{1,12}", fullmatch=True),
+            st.floats()
+            | st.sampled_from([0.0, -0.0, 1e-12, 1.0, 5e-324, 1e308, "x", ""]),
+            max_size=5,
+        ),
+        alpha=st.sampled_from([None, 1.0, 1.5, 0.5]),
+    )
+    @example(checks={"enstrophy_drfit": 1e-30, "l4_drift": 0.0}, alpha=None)
+    @example(checks={"energy_drift": 1e-3, "hamiltonian_drift": 0.0}, alpha=1.5)
+    def test_any_checks_section_exits_with_a_documented_code(self, checks, alpha):
+        text = self.CHECKS_CFG.format(
+            solver="" if alpha is None else f"alpha = {alpha}",
+            checks="\n".join(f"{k} = {v}" for k, v in checks.items()),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "c.cfg"), os.path.join(tmp, "o")
+            with open(cfg, "w") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", cfg, "--out", out])
+            checks_csv = Path(out) / "checks.csv"
+            rows = checks_csv.read_text().splitlines()[1:] if checks_csv.exists() else None
+            wrote = os.path.exists(out)
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err and "internal error" not in err
+        unknown = set(checks) - set(vcross.cli.CHECK_KEYS)
+        if unknown:
+            assert code == 2 and all(repr(k) in err for k in unknown), err
+        if code == 2:
+            assert not wrote
+        else:  # one row per check given, in key order
+            names = [key for key in vcross.cli.CHECK_KEYS if key in checks]
+            assert [r.split(",")[0] for r in rows] == [
+                "parity_sup_error" if key == "parity" else key for key in names
+            ]
 
     def test_energy_drift_at_alpha_other_than_one_exits_usage_before_the_run(
         self, tmp_path, capsys
@@ -574,12 +654,6 @@ mode = relaxed
 [bump]
 {bump}
 """
-
-    @staticmethod
-    def number(low, high):
-        """Floats in [low, high], and the values that break a careless reader."""
-        odd = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 5e-324, -0.0, "x"])
-        return st.floats(low, high) | odd
 
     # Bounded draws: n <= 256, t_end = 0.01 and |amplitude| <= 10 keep each run
     # within a few steps; a huge finite amplitude blows up at its first step.
@@ -942,6 +1016,57 @@ dir = {out}
         assert main(["sweep", "--config", write(tmp_path, "e.cfg", text)]) == 2
         assert "[sweep] values must list at least one value" in capsys.readouterr().err
         assert not (out / "aggregate.csv").exists()
+
+    @pytest.mark.parametrize("T", ["0", "-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("axis", ["steepness", "n", "alpha"])
+    def test_bad_horizon_exits_usage_before_any_output_and_is_named(
+        self, tmp_path, capsys, axis, T
+    ):
+        # each member used to fail alone, some with a bare numpy index error, and exit 0
+        out = tmp_path / "T"
+        text = f"[sweep]\naxis = {axis}\nvalues = 64\n[base]\nn = 64\nT = {T}\n"
+        assert main(["sweep", "--config", write(tmp_path, "T.cfg", text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [base] T must be finite and > 0 on the {axis} axis, got {float(T)}\n"
+        )
+        assert not out.exists()
+
+    # Bounded draws: n <= 64 and T <= 0.05 keep each member to a few steps.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        axis=st.sampled_from(["steepness", "n", "alpha", "tau", "omega", "x"]),
+        values=st.lists(st.floats(0.01, 64.0) | number(0.0, 64.0), max_size=3),
+        base=st.fixed_dictionaries(
+            {"n": st.sampled_from([16, 32, 64]) | st.integers(-3, 64) | st.just("x")},
+            optional={
+                "T": st.floats(1e-3, 0.05) | number(-1.0, 0.05),
+                "sigma": number(0.0, 0.6),
+                "radii": st.lists(number(0.0, 1.0), max_size=3).map(
+                    lambda r: " ".join(map(repr, r))
+                ),
+                "support": number(0.0, 1.0),
+                "aspect": number(0.0, 4.0),
+            },
+        ),
+    )
+    @example(axis="n", values=[32.0], base={"n": 32, "T": 0.0})
+    @example(axis="alpha", values=[1.0], base={"n": 32, "T": math.nan})
+    @example(axis="steepness", values=[50.0], base={"n": 64, "T": 0.05})
+    def test_any_sweep_and_base_section_exits_with_a_documented_code(self, axis, values, base):
+        text = f"[sweep]\naxis = {axis}\nvalues = {' '.join(map(repr, values))}\n[base]\n"
+        text += "\n".join(f"{k} = {v}" for k, v in base.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "s.cfg"), os.path.join(tmp, "o")
+            with open(cfg, "w") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["sweep", "--config", cfg, "--out", out])
+            wrote = os.path.exists(out)
+        err = err.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err and "internal error" not in err
+        assert wrote == (code == 0)
 
     def test_tau_sweep_writes_every_column(self, tmp_path):
         out = tmp_path / "tau"

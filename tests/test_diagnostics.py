@@ -214,10 +214,16 @@ class TestPerturbationFieldBounds:
         assert rep.field_max == 0.0
         assert rep.hessian_sup == 0.0
 
-    @pytest.mark.parametrize("width", [0.0, -0.1])
+    @pytest.mark.parametrize("width", [0.0, -0.1, math.nan])
     def test_nonpositive_anomaly_width_refused(self, grid256, width):
+        # a NaN width made a zero anomaly, whose sweep member failed dividing by its max
         with pytest.raises(ValueError, match=f"width must be positive, got {width}"):
             arm_anomaly(grid256, width)
+
+    @pytest.mark.parametrize("width", [1e-200, 5e-324])
+    def test_tiny_anomaly_width_keeps_the_arm_lines_alone(self, grid64, width):
+        # d / width overflowed off the arm lines and warned; no cell but d = 0 lies inside
+        assert np.array_equal(arm_anomaly(grid64, width).values, arm_anomaly(grid64, 1e-9).values)
 
     def test_origin_forced_by_symmetry(self, grid256):
         p = arm_anomaly(grid256, 0.3)

@@ -81,25 +81,22 @@ class TestVelocityFromVorticity:
 
 
 class TestStepRK4:
+    """Fixed RK4 steps through ``run``: a ``sample_every`` below the CFL step
+    snaps each step onto a sample time, so ``run(state, T, sample_every=T/k)``
+    takes exactly k steps of T/k."""
+
     def test_zero_field_advances_time_only(self, grid64):
         state = vc.SimState(vc.ScalarField.zeros(grid64))
-        out = vc.step_rk4(state, 0.3)
-        assert out.time == 0.3
-        assert out.theta.linf_norm() == 0.0
+        result = vc.run(state, 0.3, sample_every=0.3)
+        assert result.steps == 1
+        assert result.state.time == 0.3
+        assert result.state.theta.linf_norm() == 0.0
 
     def test_steady_shear_invariant(self, grid64):
         state = shear_state(grid64)
-        out = state
-        for _ in range(10):
-            out = vc.step_rk4(out, 0.02)
-        assert np.max(np.abs(out.theta.values - state.theta.values)) <= 1e-12
-
-    def test_cfl_violation_carries_admissible_dt(self, grid64):
-        state = shear_state(grid64)  # max speed exactly 1
-        with pytest.raises(vc.CFLViolation) as err:
-            vc.step_rk4(state, 1.0)
-        assert err.value.admissible_dt == pytest.approx(grid64.spacing, rel=1e-6)
-        vc.step_rk4(state, err.value.admissible_dt)  # boundary value is allowed
+        result = vc.run(state, 0.2, sample_every=0.02)
+        assert result.steps == 10
+        assert np.max(np.abs(result.state.theta.values - state.theta.values)) <= 1e-12
 
     def test_blowup_reports_time(self, grid64):
         spec = np.zeros((64, 33), dtype=complex)
@@ -108,22 +105,19 @@ class TestStepRK4:
         theta = vc.ScalarField.from_spectrum(grid64, spec)
         state = vc.SimState(theta, time=2.5)
         with pytest.raises(vc.BlowUpError) as err:
-            vc.step_rk4(state, 1e-305)
+            vc.run(state, 3.0, sample_every=0.5)
         assert err.value.time == 2.5
 
     def test_fourth_order_convergence(self, grid64):
         X, Y = grid64.meshgrid()
         theta = vc.ScalarField.from_values(grid64, np.cos(X) + 0.5 * np.cos(2 * Y))
         state = vc.SimState(theta)
-        ref = state
-        for _ in range(16):
-            ref = vc.step_rk4(ref, 0.02 / 16)
-        errs = []
-        for k in (1, 2):
-            out = state
-            for _ in range(k):
-                out = vc.step_rk4(out, 0.02 / k)
-            errs.append(np.max(np.abs(out.theta.values - ref.theta.values)))
+        finals = {}
+        for k in (16, 1, 2):
+            result = vc.run(state, 0.02, sample_every=0.02 / k)
+            assert result.steps == k
+            finals[k] = result.state.theta.values
+        errs = [np.max(np.abs(finals[k] - finals[16])) for k in (1, 2)]
         order = np.log2(errs[0] / errs[1])
         assert 3.5 < order < 4.5
 
@@ -131,9 +125,9 @@ class TestStepRK4:
         theta = smooth_random_field(grid64, seed=7)
         state = vc.SimState(theta)
         zero_mode = state.theta.spectrum[0, 0]
-        for _ in range(5):
-            state = vc.step_rk4(state, 0.01)
-        assert state.theta.spectrum[0, 0] == zero_mode
+        result = vc.run(state, 0.05, sample_every=0.01)
+        assert result.steps == 5
+        assert result.state.theta.spectrum[0, 0] == zero_mode
 
 
 def band_limited_spectrum(grid, seed):
@@ -220,7 +214,7 @@ def transport_rhs(theta_hat, grid, alpha):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Every kernel that ``run`` and ``step_rk4`` build, in order."""
+    """Every kernel that ``run`` builds, in order."""
     built, choose = [], solver._kernel_for
 
     def spy(state):
@@ -401,7 +395,6 @@ class TestErrors:
         [
             (vc.UnresolvedScaleError("feature below 8 cells", 256), "required_n"),
             (solver.BlowUpError(0.375), "time"),
-            (solver.CFLViolation(0.1, 0.025), "admissible_dt"),
         ],
         ids=lambda v: type(v).__name__ if isinstance(v, Exception) else v,
     )
@@ -553,8 +546,7 @@ class TestRun:
         state = vc.SimState(vc.ScalarField.from_values(grid64, 0.5 * (random + mirror(random))))
         assert evenness_error(state.theta.values) == 0.0
         result = vc.run(state, 0.5, sample_every=0.5)
-        vc.step_rk4(state, 0.01)
-        assert [k.mode for k in kernels] == ["point-even", "point-even"]
+        assert [k.mode for k in kernels] == ["point-even"]
         assert result.kernel == "point-even"
         assert result.rhs_evals == 4 * result.steps
         assert evenness_error(result.state.theta.values) <= 1e-14
@@ -564,7 +556,7 @@ class TestRun:
         random = smooth_random_field(grid64, seed=2).values
         state = vc.SimState(vc.ScalarField.from_values(grid64, 0.5 * (random + mirror(random))))
         for _ in range(4):
-            state = vc.step_rk4(state, 0.01)
+            state = vc.run(state, state.time + 0.01, sample_every=0.01).state
         assert [k.mode for k in kernels] == ["point-even"] * 4
         assert np.array_equal(state.theta.values, mirror(state.theta.values))
         final = vc.run(state, state.time + 0.1).state.theta.values
@@ -583,14 +575,14 @@ class TestRun:
 
         monkeypatch.setattr(np.fft, "irfft2", counted)
         for _ in range(4):
-            state = vc.step_rk4(state, 0.01)
+            state = vc.run(state, state.time + 0.01, sample_every=0.01).state
         assert [k.mode for k in kernels] == ["point-even"] * 4
         assert np.array_equal(state.theta.values, mirror(state.theta.values))
         assert calls == []
 
     def test_random_data_takes_general_path(self, grid64, kernels):
         result = vc.run(vc.SimState(smooth_random_field(grid64, seed=2)), 0.1)
-        vc.step_rk4(vc.SimState(smooth_random_field(grid64, seed=3)), 0.01)
+        vc.run(vc.SimState(smooth_random_field(grid64, seed=3)), 0.01, sample_every=0.01)
         assert [k.mode for k in kernels] == ["general", "general"]
         assert result.kernel == "general"
         assert result.rhs_evals == 4 * result.steps
@@ -914,12 +906,10 @@ class TestHelperThread:
         results = []
         for count in (2, 1):
             cpus(count)
-            result = vc.run(state, 0.15, sample_every=0.05, diagnostics=diagnostics)
-            results.append((result, vc.step_rk4(result.state, 0.002)))
-        (two, two_step), (one, one_step) = results
+            results.append(vc.run(state, 0.15, sample_every=0.05, diagnostics=diagnostics))
+        two, one = results
         assert two.kernel == ("point-even" if even else "general") and two.steps >= 3
         assert np.array_equal(two.state.theta.values, one.state.theta.values)
-        assert np.array_equal(two_step.theta.values, one_step.theta.values)
         for name in two.series:
             if name != "threads":
                 assert np.array_equal(two.series[name].values, one.series[name].values), name
